@@ -9,7 +9,6 @@ fn main() -> std::io::Result<()> {
     ex::e5_health::run(2000, 1000, 42).0.emit(&out)?;
     ex::e6_views::run(600).0.emit(&out)?;
     ex::e7_micro::run(1000).0.emit(&out)?;
-    ex::e7_contention::run(10_000).0.emit(&out)?;
     ex::e8_vdl_size::run().0.emit(&out)?;
     ex::e9_transient::run().0.emit(&out)?;
     ex::e10_vm::run(500).0.emit(&out)?;

@@ -1,12 +1,8 @@
-//! E7: regenerates the elastic-process microcost table and the
-//! dpi-table contention series.
+//! E7: regenerates the elastic-process microcost table.
 fn main() -> std::io::Result<()> {
     let out = mbd_bench::report::default_out_dir();
     let (micro, _) = mbd_bench::experiments::e7_micro::run(2000);
     let path = micro.emit(&out)?;
-    println!("wrote {}", path.display());
-    let (contention, _) = mbd_bench::experiments::e7_contention::run(2000);
-    let path = contention.emit(&out)?;
     println!("wrote {}", path.display());
     Ok(())
 }

@@ -11,7 +11,6 @@ pub mod e3_tables;
 pub mod e4_rpc_crossover;
 pub mod e5_health;
 pub mod e6_views;
-pub mod e7_contention;
 pub mod e7_micro;
 pub mod e8_vdl_size;
 pub mod e9_transient;

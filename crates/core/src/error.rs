@@ -55,12 +55,6 @@ pub enum CoreError {
         /// The conflicting id.
         dpi: DpiId,
     },
-    /// The invoke executor refused the submission because the dpi's
-    /// pending-invocation backlog is at capacity (backpressure).
-    Overloaded {
-        /// The saturated instance.
-        dpi: DpiId,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -82,9 +76,6 @@ impl fmt::Display for CoreError {
             CoreError::NonceReused => write!(f, "checkpoint nonce already used on this server"),
             CoreError::InstanceExists { dpi } => {
                 write!(f, "instance {dpi} already exists; cannot restore over it")
-            }
-            CoreError::Overloaded { dpi } => {
-                write!(f, "{dpi} invoke backlog is full; retry later")
             }
         }
     }

@@ -59,9 +59,11 @@ pub use error::CoreError;
 pub use journal::Journal;
 pub use process::{
     DpiAccount, DpiAccountRow, DpiAccountSnapshot, DpiInfo, DpiQuota, ElasticConfig,
-    ElasticProcess, EventQueue, ExecutorConfig, InvokeExecutor, ProcessStats,
+    ElasticProcess, EventQueue, ProcessStats,
 };
 pub use repository::{Repository, StoredDp};
+#[doc(hidden)]
+pub use server::ExecutorConfig;
 pub use server::MbdServer;
 pub use services::{Notification, PendingAction, ServerCtx};
 pub use worker::PeriodicDriver;

@@ -145,8 +145,13 @@ impl ElasticProcess {
                 );
             }
         }
-        // Cut the torn tail so new appends extend the clean prefix.
-        durable.with_wal_locked(|w| w.truncate_to(scan.clean_len)).map_err(io_err)?;
+        // Cut the torn tail so new appends extend the clean prefix, and
+        // make whatever the log holds durable (a replayed record may
+        // never have been synced). A zero-byte log — every first boot —
+        // has nothing to cut and nothing to sync.
+        if scan.clean_len > 0 || scan.torn_bytes > 0 {
+            durable.with_wal_locked(|w| w.truncate_to(scan.clean_len)).map_err(io_err)?;
+        }
 
         report.restored_dpis = self.inner.dpis.len() as u64;
         // Arm logging only now — replay above must not re-log itself.

@@ -1,11 +1,10 @@
 //! Running entry points and applying agent-queued actions.
 //!
-//! The hot path is split in two: [`ElasticProcess::invoke`] is the
-//! synchronous entry (lookup, state gate, lock, run), and
-//! [`ElasticProcess::invoke_in_cell`] is the core that runs one entry
-//! under an already-held instance cell — shared with the work-stealing
-//! executor, which drains a whole batch of queued invocations per lock
-//! acquisition.
+//! [`ElasticProcess::invoke`] is the one dispatch path: lookup, state
+//! gate, the dpi's instance lock, then [`ElasticProcess::invoke_in_cell`]
+//! runs the entry under that lock. Every caller — an RDS worker, the
+//! periodic driver, an in-process manager — runs the VM on its own
+//! thread; a dpi's invocations serialize on its cell lock.
 
 use super::table::{DpiSlot, InstanceCell};
 use super::{stats, ElasticProcess};
@@ -41,11 +40,11 @@ impl ElasticProcess {
             DpiState::Ready | DpiState::Running => {}
         }
         slot.account.touch_trace(mbd_telemetry::current_trace_id());
-        let (outcome, pending, _) = {
+        let (outcome, pending) = {
             // The per-slot instance mutex serializes this dpi; no table
             // lock is held, so other dpis stay fully available.
             let mut cell = slot.cell.lock();
-            self.invoke_in_cell(dpi, &slot, &mut cell, entry, args, Instant::now())
+            self.invoke_in_cell(dpi, &slot, &mut cell, entry, args)
         };
         // Apply actions the agent queued (delegation by agents): the
         // invocation has returned and the cell lock is released, so the
@@ -61,32 +60,21 @@ impl ElasticProcess {
     /// isolation and the WAL append (staging only — safe under the
     /// cell lock, see the `durability` module docs on lock ordering).
     ///
-    /// Returns the outcome, any actions the agent queued (the caller
-    /// applies those *after* releasing the cell lock), and the
-    /// completion timestamp.
-    ///
-    /// `started` is the caller's clock reading for when this invocation
-    /// began dispatching; reading the clock costs ~30ns here, so the
-    /// batch executor threads one timestamp through a whole chunk (each
-    /// job's completion doubles as the next job's start) instead of
-    /// paying four reads per invocation like the synchronous path.
-    pub(in crate::process) fn invoke_in_cell(
+    /// Returns the outcome and any actions the agent queued (the caller
+    /// applies those *after* releasing the cell lock).
+    fn invoke_in_cell(
         &self,
         dpi: DpiId,
         slot: &DpiSlot,
         cell: &mut InstanceCell,
         entry: &str,
         args: &[Value],
-        started: Instant,
-    ) -> (Result<Value, CoreError>, Vec<PendingAction>, Instant) {
+    ) -> (Result<Value, CoreError>, Vec<PendingAction>) {
+        let started = Instant::now();
         // Claim the Running window. A suspend/terminate that landed
         // while we waited for the lock is honored here.
         if let Err(state) = slot.try_transition(DpiState::Ready, DpiState::Running) {
-            return (
-                Err(CoreError::BadState { dpi, state, operation: "invoke" }),
-                Vec::new(),
-                started,
-            );
+            return (Err(CoreError::BadState { dpi, state, operation: "invoke" }), Vec::new());
         }
         // Re-validate the cached registry snapshot with one relaxed
         // load; `register_service` is rare, so this almost never takes
@@ -137,7 +125,7 @@ impl ElasticProcess {
                 account: slot.account.snapshot(),
             });
         }
-        (outcome, std::mem::take(&mut cell.ctx.pending), vm_done)
+        (outcome, std::mem::take(&mut cell.ctx.pending))
     }
 
     /// Suspends `dpi` if its account has crossed the armed quota,
@@ -178,7 +166,7 @@ impl ElasticProcess {
 
     /// Applies one agent-queued action, reporting the outcome as a
     /// notification from the requesting dpi.
-    pub(in crate::process) fn apply_pending(&self, requester: DpiId, action: PendingAction) {
+    fn apply_pending(&self, requester: DpiId, action: PendingAction) {
         let value = match action {
             PendingAction::Delegate { name, source } => {
                 match self.delegate_as(&name, &source, &format!("{requester}")) {

@@ -14,7 +14,6 @@
 mod account;
 mod durability;
 pub(crate) mod events;
-mod executor;
 mod invoke;
 mod lifecycle;
 mod stats;
@@ -25,7 +24,6 @@ mod tests;
 
 pub use account::{DpiAccount, DpiAccountRow, DpiAccountSnapshot, DpiQuota};
 pub use events::EventQueue;
-pub use executor::{ExecutorConfig, InvokeExecutor};
 pub use stats::ProcessStats;
 
 use crate::durable::Durability;
@@ -134,18 +132,6 @@ pub(in crate::process) struct EpMetrics {
     /// `ep.recovery_ms` — wall-clock milliseconds of the last boot
     /// recovery (0 until one has run).
     pub recovery_ms: Gauge,
-    /// `ep.exec.submitted` — invocations accepted by the executor.
-    pub exec_submitted: Counter,
-    /// `ep.exec.rejected` — submissions refused by backlog backpressure.
-    pub exec_rejected: Counter,
-    /// `ep.exec.steals` — tokens taken from another worker's deque.
-    pub exec_steals: Counter,
-    /// `ep.exec.parks` — worker park episodes (no runnable token).
-    pub exec_parks: Counter,
-    /// `ep.exec.batches` — instance-lock holds that drained ≥1 job.
-    pub exec_batches: Counter,
-    /// `ep.exec.queue_depth` — queued-but-not-run invocations.
-    pub exec_queue_depth: Gauge,
 }
 
 impl EpMetrics {
@@ -168,12 +154,6 @@ impl EpMetrics {
             wal_fsyncs: telemetry.counter("ep.wal_fsyncs"),
             wal_fsync: telemetry.timer("ep.wal_fsync"),
             recovery_ms: telemetry.gauge("ep.recovery_ms"),
-            exec_submitted: telemetry.counter("ep.exec.submitted"),
-            exec_rejected: telemetry.counter("ep.exec.rejected"),
-            exec_steals: telemetry.counter("ep.exec.steals"),
-            exec_parks: telemetry.counter("ep.exec.parks"),
-            exec_batches: telemetry.counter("ep.exec.batches"),
-            exec_queue_depth: telemetry.gauge("ep.exec.queue_depth"),
         }
     }
 }

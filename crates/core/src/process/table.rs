@@ -66,10 +66,6 @@ pub(super) struct DpiSlot {
     /// Whether a quota is armed — lets the per-invocation check skip
     /// the quota mutex entirely in the (common) unarmed case.
     has_quota: AtomicBool,
-    /// Invocations queued by the work-stealing executor, plus the
-    /// scheduled flag that guarantees at most one runnable token per
-    /// dpi exists across all worker deques (see `process::executor`).
-    pub invokes: Mutex<super::executor::PendingInvokes>,
 }
 
 fn decode(code: u8) -> DpiState {
@@ -96,7 +92,6 @@ impl DpiSlot {
             cell: Mutex::new(InstanceCell { vm: instance, ctx, registry }),
             quota: Mutex::new(None),
             has_quota: AtomicBool::new(false),
-            invokes: Mutex::new(super::executor::PendingInvokes::default()),
         }
     }
 

@@ -365,6 +365,47 @@ fn concurrent_invocations_of_one_dpi_serialize() {
 }
 
 #[test]
+fn invoke_on_a_suspended_or_terminated_dpi_is_bad_state_and_never_runs() {
+    let p = ElasticProcess::new(ElasticConfig { max_instances: 1, ..ElasticConfig::default() });
+    p.delegate("counter", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
+    let dpi = p.instantiate("counter").unwrap();
+    let slot = p.inner.dpis.get(dpi).unwrap();
+
+    // Four invokes race a lifecycle verb while the test holds the
+    // instance cell. Whichever side of the early state gate each one is
+    // on when the verb lands, it is refused — there, or at the
+    // `Ready -> Running` claim once it gets the cell — and none runs.
+    let race = |verb: &dyn Fn() -> Result<(), CoreError>, state: DpiState| {
+        let cell = slot.cell.lock();
+        let waiting: Vec<_> = (0..4)
+            .map(|_| {
+                let p = p.clone();
+                std::thread::spawn(move || p.invoke(dpi, "bump", &[]))
+            })
+            .collect();
+        verb().unwrap();
+        drop(cell);
+        for h in waiting {
+            let r = h.join().unwrap();
+            assert!(
+                matches!(r, Err(CoreError::BadState { state: s, .. }) if s == state),
+                "invoke against a {state} dpi must fail with BadState, got {r:?}"
+            );
+        }
+    };
+    race(&|| p.suspend(dpi), DpiState::Suspended);
+    p.resume(dpi).unwrap();
+    race(&|| p.terminate(dpi), DpiState::Terminated);
+    assert_eq!(slot.account.snapshot().invocations_ok, 0, "no invocation may have run");
+    assert_eq!(p.stats().invocations_ok, 0);
+
+    // The live-census reservation came back exactly once: with
+    // max_instances = 1 a fresh dpi still fits.
+    assert_eq!(p.live_instances(), 0);
+    p.instantiate("counter").unwrap();
+}
+
+#[test]
 fn unknown_entry_point_is_runtime_error() {
     let p = process();
     p.delegate("f", "fn main() { return 0; }").unwrap();
@@ -677,178 +718,5 @@ mod accounting_tests {
         ] {
             assert!(verbs.iter().any(|v| v == verb), "missing {verb} in {verbs:?}");
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Work-stealing invoke executor
-// ---------------------------------------------------------------------
-
-/// Collects `on_done` outcomes and lets the test block until `n` have
-/// arrived.
-struct Outcomes {
-    results: std::sync::Mutex<Vec<Result<Value, CoreError>>>,
-    cv: std::sync::Condvar,
-}
-
-impl Outcomes {
-    fn new() -> std::sync::Arc<Outcomes> {
-        std::sync::Arc::new(Outcomes {
-            results: std::sync::Mutex::new(Vec::new()),
-            cv: std::sync::Condvar::new(),
-        })
-    }
-
-    fn push(&self, outcome: Result<Value, CoreError>) {
-        self.results.lock().unwrap().push(outcome);
-        self.cv.notify_all();
-    }
-
-    fn wait_for(&self, n: usize) -> Vec<Result<Value, CoreError>> {
-        let mut guard = self.results.lock().unwrap();
-        while guard.len() < n {
-            let (g, timeout) =
-                self.cv.wait_timeout(guard, std::time::Duration::from_secs(10)).unwrap();
-            guard = g;
-            assert!(!timeout.timed_out(), "executor completions stalled");
-        }
-        guard.clone()
-    }
-}
-
-#[test]
-fn executor_preserves_per_dpi_fifo_and_serialization() {
-    let p = process();
-    p.delegate("counter", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
-    let dpi = p.instantiate("counter").unwrap();
-    let exec = InvokeExecutor::start(
-        p.clone(),
-        ExecutorConfig { workers: 4, ..ExecutorConfig::default() },
-    );
-    let outcomes = Outcomes::new();
-    for _ in 0..200 {
-        let sink = std::sync::Arc::clone(&outcomes);
-        exec.submit(dpi, "bump", &[], move |r| sink.push(r));
-    }
-    // Per-dpi FIFO: a sync invoke submitted last completes last, and
-    // the callback stream must be exactly the submission order.
-    assert_eq!(exec.invoke_sync(dpi, "bump", &[]).unwrap(), Value::Int(201));
-    let results = outcomes.wait_for(200);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(r.as_ref().unwrap(), &Value::Int(i as i64 + 1));
-    }
-    exec.shutdown();
-}
-
-#[test]
-fn executor_invoke_sync_matches_synchronous_error_surface() {
-    let p = process();
-    p.delegate("f", "fn main() { return 1 / 0; }").unwrap();
-    let exec = InvokeExecutor::start(p.clone(), ExecutorConfig::default());
-    assert!(matches!(
-        exec.invoke_sync(DpiId(999), "main", &[]),
-        Err(CoreError::NoSuchInstance(DpiId(999)))
-    ));
-    let dpi = p.instantiate("f").unwrap();
-    // A runtime fault through the executor terminates the dpi exactly
-    // like the synchronous path does.
-    assert!(matches!(exec.invoke_sync(dpi, "main", &[]), Err(CoreError::Runtime(_))));
-    assert_eq!(p.inner.dpis.get(dpi).unwrap().state(), DpiState::Terminated);
-    exec.shutdown();
-}
-
-#[test]
-fn terminate_fails_queued_work_without_running_it_or_leaking_census() {
-    let p = ElasticProcess::new(ElasticConfig { max_instances: 1, ..ElasticConfig::default() });
-    p.delegate("counter", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
-    let dpi = p.instantiate("counter").unwrap();
-    let exec = InvokeExecutor::start(
-        p.clone(),
-        ExecutorConfig { workers: 1, ..ExecutorConfig::default() },
-    );
-    let slot = p.inner.dpis.get(dpi).unwrap();
-
-    // Stall the worker on the instance cell so submissions stay queued.
-    let outcomes = Outcomes::new();
-    {
-        let _cell = slot.cell.lock();
-        for _ in 0..4 {
-            let sink = std::sync::Arc::clone(&outcomes);
-            exec.submit(dpi, "bump", &[], move |r| sink.push(r));
-        }
-        // Terminate while the four invocations are still queued.
-        p.terminate(dpi).unwrap();
-    }
-
-    // Every queued invocation fails its Ready -> Running claim; none
-    // runs on the terminated slot.
-    for r in outcomes.wait_for(4) {
-        assert!(
-            matches!(r, Err(CoreError::BadState { state: DpiState::Terminated, .. })),
-            "queued work on a terminated dpi must fail with BadState, got {r:?}"
-        );
-    }
-    assert_eq!(slot.account.snapshot().invocations_ok, 0, "no invocation may have run");
-    assert_eq!(p.stats().invocations_ok, 0);
-
-    // The live-census reservation came back exactly once: with
-    // max_instances = 1 a fresh dpi still fits.
-    assert_eq!(p.live_instances(), 0);
-    p.instantiate("counter").unwrap();
-    exec.shutdown();
-}
-
-#[test]
-fn executor_backpressure_rejects_at_backlog_capacity() {
-    let p = process();
-    p.delegate("noop", "fn main() { return 0; }").unwrap();
-    let dpi = p.instantiate("noop").unwrap();
-    let exec = InvokeExecutor::start(
-        p.clone(),
-        ExecutorConfig { workers: 1, backlog: 2, ..ExecutorConfig::default() },
-    );
-    let slot = p.inner.dpis.get(dpi).unwrap();
-    let outcomes = Outcomes::new();
-    {
-        let _cell = slot.cell.lock();
-        for _ in 0..3 {
-            let sink = std::sync::Arc::clone(&outcomes);
-            exec.submit(dpi, "main", &[], move |r| sink.push(r));
-        }
-        // The third submission was refused synchronously.
-        let rejected = outcomes.wait_for(1);
-        assert!(matches!(rejected[0], Err(CoreError::Overloaded { .. })));
-    }
-    let results = outcomes.wait_for(3);
-    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 2);
-    assert_eq!(exec.queue_depth(), 0);
-    exec.shutdown();
-}
-
-#[test]
-fn executor_shutdown_completes_queued_work_inline() {
-    let p = process();
-    p.delegate("counter", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
-    let dpi = p.instantiate("counter").unwrap();
-    let exec = InvokeExecutor::start(
-        p.clone(),
-        ExecutorConfig { workers: 1, ..ExecutorConfig::default() },
-    );
-    let slot = p.inner.dpis.get(dpi).unwrap();
-    let outcomes = Outcomes::new();
-    {
-        let _cell = slot.cell.lock();
-        for _ in 0..8 {
-            let sink = std::sync::Arc::clone(&outcomes);
-            exec.submit(dpi, "bump", &[], move |r| sink.push(r));
-        }
-    }
-    exec.shutdown();
-    // Nothing is dropped: all eight ran (by a worker or the shutdown
-    // drain) before shutdown returned.
-    let results = outcomes.results.lock().unwrap().clone();
-    assert_eq!(results.len(), 8);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(r.as_ref().unwrap(), &Value::Int(i as i64 + 1));
     }
 }

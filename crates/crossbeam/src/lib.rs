@@ -4,8 +4,8 @@
 //! the [`channel`] module — cloneable senders, bounded and unbounded
 //! queues, blocking and non-blocking receives over `std::sync::mpsc` —
 //! and [`utils::CachePadded`], the cache-line padding wrapper the
-//! elastic-process hot path uses to keep per-worker and per-shard
-//! atomics off each other's cache lines.
+//! elastic process uses to keep its lifetime counters off each other's
+//! cache lines.
 
 pub mod utils {
     use std::fmt;

@@ -73,20 +73,6 @@ pub use trace::{
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// An opaque batch of spans captured on one thread for adoption into
-/// another thread's request tree — the handoff type between
-/// [`Telemetry::capture_spans`] (worker side) and
-/// [`Telemetry::adopt_spans`] (request side).
-#[derive(Debug, Default)]
-pub struct SpanBatch(Vec<trace::RawEvent>);
-
-impl SpanBatch {
-    /// Whether the batch holds any spans.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 #[derive(Debug)]
 pub(crate) struct TelemetryInner {
     pub(crate) registry: Registry,
@@ -227,45 +213,6 @@ impl Telemetry {
         let kept = store.offer_with(trace_id, duration_ns, errored, || ring.resolve_all(&raw));
         trace::recycle_capture(raw);
         Some(kept)
-    }
-
-    /// Runs `f` with this thread's span capture redirected into a
-    /// private batch, returning `f`'s output plus the spans it
-    /// recorded. Any capture already armed on the thread is set aside
-    /// and restored afterwards, untouched.
-    ///
-    /// This is the worker side of cross-thread span stitching: an
-    /// executor worker collects one job's spans here and ships the
-    /// batch back to the submitting request's thread, which folds it
-    /// into its own capture with [`Telemetry::adopt_spans`] so the
-    /// job's spans land on that request's tree. A no-op (empty batch,
-    /// two atomic loads) unless both tracing and the trace store are
-    /// enabled.
-    pub fn capture_spans<T>(&self, f: impl FnOnce() -> T) -> (T, SpanBatch) {
-        if self.inner.ring.get().is_none() || self.inner.store.get().is_none() {
-            return (f(), SpanBatch(Vec::new()));
-        }
-        let prev = trace::swap_capture(Some(Vec::with_capacity(4)));
-        let out = f();
-        let batch = trace::swap_capture(prev).unwrap_or_default();
-        (out, SpanBatch(batch))
-    }
-
-    /// Merges a batch collected by [`Telemetry::capture_spans`] on
-    /// another thread into this thread's armed capture, so the spans
-    /// join the request tree this thread is building. With no capture
-    /// armed the batch goes straight into the trace ring instead — the
-    /// spans still reach the flight recorder's history, they just have
-    /// no request tree to join.
-    pub fn adopt_spans(&self, batch: SpanBatch) {
-        if batch.0.is_empty() {
-            return;
-        }
-        if !trace::extend_capture(&batch.0) {
-            if let Some(ring) = self.inner.ring.get() {
-                ring.append_raw(&batch.0);
-            }
-        }
     }
 
     /// The flight recorder's freeze: snapshots the current ring

@@ -139,28 +139,6 @@ pub(crate) fn recycle_capture(mut buf: Vec<RawEvent>) {
     SPARE.with(|s| s.set(Some(buf)));
 }
 
-/// Swaps this thread's capture slot wholesale, returning whatever was
-/// armed before. The executor boundary uses the pair (`swap` in, run
-/// the job, `swap` back out) to collect one job's spans into a private
-/// batch without disturbing a capture the thread may already have
-/// armed.
-pub(crate) fn swap_capture(new: Option<Vec<RawEvent>>) -> Option<Vec<RawEvent>> {
-    CAPTURE.with(|c| std::mem::replace(&mut *c.borrow_mut(), new))
-}
-
-/// Extends this thread's armed capture with events staged elsewhere
-/// (another thread's batch). Returns `false` — leaving the events with
-/// the caller — when no capture is armed here.
-pub(crate) fn extend_capture(events: &[RawEvent]) -> bool {
-    CAPTURE.with(|c| match c.borrow_mut().as_mut() {
-        Some(stage) => {
-            stage.extend_from_slice(events);
-            true
-        }
-        None => false,
-    })
-}
-
 /// A copy of the events staged so far by an in-progress capture (empty
 /// when capture is not armed). The flight recorder uses this so a
 /// freeze fired *mid-request* — a quota breach, say — still sees the

@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release (bench/e2e: the frozen benchmark still compiles)"
+cargo build --release --manifest-path bench/e2e/Cargo.toml
+
 echo "==> telemetry smoke: integration tests (histograms + OCP walk)"
 # Drives RDS verbs through the protocol front-end, asserts non-zero
 # per-verb latency histograms, and walks the mbdTelemetry OCP subtree
@@ -32,12 +35,14 @@ FLOOD_PID=""
 PROF_PID=""
 HIST_PID=""
 DUR_PID=""
+IDLE_PID=""
 cleanup_smoke() {
     kill "$SMOKE_PID" 2>/dev/null || true
     [ -n "$FLOOD_PID" ] && kill "$FLOOD_PID" 2>/dev/null || true
     [ -n "$PROF_PID" ] && kill "$PROF_PID" 2>/dev/null || true
     [ -n "$HIST_PID" ] && kill "$HIST_PID" 2>/dev/null || true
     [ -n "$DUR_PID" ] && kill -9 "$DUR_PID" 2>/dev/null || true
+    [ -n "$IDLE_PID" ] && kill "$IDLE_PID" 2>/dev/null || true
     rm -rf "$SMOKE_DIR"
 }
 trap cleanup_smoke EXIT
@@ -497,35 +502,38 @@ grep -q '"mode": "off"' bench/out/BENCH_E14.json || {
 }
 echo "durability smoke ok: $(grep -c '"mode"' bench/out/BENCH_E14.json) E14 rows written and mirrored"
 
-echo "==> contention smoke: E7b executor-vs-single-lock gate (release-gated) + artifacts"
-# The release-only acceptance test re-runs the sweep and asserts the
-# work-stealing batch executor at least doubles the single-lock +
-# per-op-handoff design at the widest cell (256 dpis) and never loses
-# anywhere on the series; it self-skips below 8 hardware threads.
-cargo test --release -q -p mbd-bench --lib e7_contention
-cargo run --release -q -p mbd-bench --bin exp_contention >/dev/null
-[ -s bench/out/BENCH_E7B.json ] && [ -s bench/out/E7B.csv ] || {
-    echo "contention smoke FAILED: exp_contention did not write bench/out/BENCH_E7B.json + E7B.csv"
+echo "==> idle smoke: one execution tier, and it sleeps"
+# `--workers 2` must mean main + history sampler + WAL flusher + reactor
+# + 2 workers = 6 threads, all blocked while no request is in flight: a
+# second worker tier or a polling wait shows here as more threads or as
+# hundreds of voluntary context switches per idle second.
+./target/release/mbd-server --listen 127.0.0.1:0 --workers 2 \
+    --state-dir "$SMOKE_DIR/idle_state" > "$SMOKE_DIR/idle_server.log" 2>&1 &
+IDLE_PID=$!
+for _ in $(seq 1 50); do
+    grep -q "listening on" "$SMOKE_DIR/idle_server.log" && break
+    sleep 0.1
+done
+idle_switches() {
+    cat /proc/"$IDLE_PID"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n }'
+}
+sleep 1 # boot work settles
+IDLE_THREADS="$(ls /proc/"$IDLE_PID"/task | wc -l)"
+IDLE_BEFORE="$(idle_switches)"
+sleep 3
+IDLE_RATE=$(( ($(idle_switches) - IDLE_BEFORE) / 3 ))
+kill "$IDLE_PID" 2>/dev/null || true
+wait "$IDLE_PID" 2>/dev/null || true
+IDLE_PID=""
+[ "$IDLE_THREADS" -le 6 ] || {
+    echo "idle smoke FAILED: mbd-server --workers 2 runs $IDLE_THREADS threads, want <= 6"
     exit 1
 }
-grep -q '"dpis": 256' bench/out/BENCH_E7B.json || {
-    echo "contention smoke FAILED: BENCH_E7B.json is missing the 256-dpi row"
+[ "$IDLE_RATE" -lt 300 ] || {
+    echo "idle smoke FAILED: $IDLE_RATE voluntary context switches per idle second, want < 300"
     exit 1
 }
-[ -s BENCH_E7B.json ] || {
-    echo "contention smoke FAILED: exp_contention did not mirror BENCH_E7B.json to the repo root"
-    exit 1
-}
-# The 2x bet itself is re-checked from the artifact when the host can
-# actually run the managers in parallel (same guard as the test).
-if [ "$(nproc)" -ge 8 ]; then
-    E7B_SPEEDUP="$(grep '"dpis": 256' bench/out/BENCH_E7B.json | sed 's/.*"speedup": \([0-9.]*\).*/\1/')"
-    awk -v s="$E7B_SPEEDUP" 'BEGIN { exit !(s >= 2.0) }' || {
-        echo "contention smoke FAILED: 256-dpi speedup $E7B_SPEEDUP < 2.0"
-        exit 1
-    }
-fi
-echo "contention smoke ok: $(grep -c '"threads": 8' bench/out/BENCH_E7B.json) E7b rows written and mirrored"
+echo "idle smoke ok: $IDLE_THREADS threads, $IDLE_RATE voluntary context switches/s idle"
 
 echo "==> cargo test (tier-1: root package)"
 cargo test -q

@@ -86,11 +86,9 @@
 //!
 //! The transport knobs tune the event-driven front-end and the
 //! fault-tolerant session layer (see `docs/RDS.md` and `DESIGN.md`
-//! §10): `--workers` sizes the execution tier — both the reactor's
-//! worker pool and the work-stealing invoke executor behind it
-//! (DESIGN.md §14), so `Invoke` requests queue per-dpi and a burst
-//! against one agent occupies one executor worker, never the whole
-//! tier — `--backlog` its request
+//! §10): `--workers` sizes the execution tier — the reactor's worker
+//! pool, whose threads decode, run the verb (the VM included) and
+//! encode — `--backlog` its request
 //! queue (beyond it a *request* is shed with an explicit `Busy` frame
 //! carrying its id, which retrying clients back off on), `--max-conns`
 //! caps the reactor's connection table (over-cap connections get
@@ -102,7 +100,7 @@
 //! duplicate-suppression cache (`--dedup 0` disables exactly-once
 //! replay entirely).
 
-use mbd::core::{AuditRecord, ElasticConfig, ElasticProcess, ExecutorConfig, MbdServer};
+use mbd::core::{AuditRecord, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{TcpServer, TcpServerConfig};
 use std::io::Write;
 use std::sync::Arc;
@@ -346,10 +344,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MbdServer::with_policy(process.clone(), mbd_auth::Acl::allow_by_default(), key.clone())
             .with_dedup_capacity(dedup_capacity),
     );
-    // Invoke requests dispatch through the work-stealing executor
-    // (DESIGN.md §14): per-dpi FIFO queues drained in batches, sized to
-    // the same width as the reactor's worker tier.
-    server.arm_executor(ExecutorConfig { workers, ..ExecutorConfig::default() });
 
     // The transport records into the process's telemetry domain, so one
     // snapshot (and one OCP subtree) covers rds.tcp.*, rds.verb.* and

@@ -248,7 +248,7 @@ fn render_top(now_s: u64, series: &[mbd::rds::MetricSeries], alerts: &[mbd::rds:
         }
     }
     let mut rates: Vec<&mbd::rds::MetricSeries> =
-        series.iter().filter(|s| s.kind == "rate" && !s.name.starts_with("ep.exec.")).collect();
+        series.iter().filter(|s| s.kind == "rate").collect();
     rates.sort_by_key(|s| std::cmp::Reverse(s.points.last().map_or(0, |p| p.last)));
     println!();
     println!("hottest counters (per-second rates):");
@@ -256,28 +256,8 @@ fn render_top(now_s: u64, series: &[mbd::rds::MetricSeries], alerts: &[mbd::rds:
         let last = s.points.last().map_or(0, |p| p.last);
         println!("  {:<34} {:>10}/s  {}", s.name, last, sparkline(&s.points, 30));
     }
-    // The work-stealing invoke executor gets its own panel: submit and
-    // steal rates plus queue depth tell the load-balance story at a
-    // glance (steals ≈ 0 means affinity is holding; rising queue depth
-    // with idle parks means a single dpi is the bottleneck).
-    let mut exec: Vec<&mbd::rds::MetricSeries> =
-        series.iter().filter(|s| s.name.starts_with("ep.exec.")).collect();
-    if !exec.is_empty() {
-        exec.sort_by(|a, b| a.name.cmp(&b.name));
-        println!();
-        println!("invoke executor:");
-        for s in &exec {
-            let last = s.points.last().map_or(0, |p| p.last);
-            println!(
-                "  {:<34} {:>12}  {}",
-                s.name,
-                fmt_value(&s.kind, last),
-                sparkline(&s.points, 30)
-            );
-        }
-    }
     let mut others: Vec<&mbd::rds::MetricSeries> =
-        series.iter().filter(|s| s.kind != "rate" && !s.name.starts_with("ep.exec.")).collect();
+        series.iter().filter(|s| s.kind != "rate").collect();
     others.sort_by(|a, b| a.name.cmp(&b.name));
     println!();
     println!("gauges & quantiles:");

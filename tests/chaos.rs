@@ -13,7 +13,7 @@
 //! attempt bound (8), and a disconnect's follow-on failure also
 //! consumes budget, so no schedule can outlast the retry loop.
 
-use mbd::core::{ElasticConfig, ElasticProcess, ExecutorConfig, MbdServer};
+use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{
     FaultConfig, FaultDuplex, FaultTransport, LoopbackTransport, RdsClient, RdsPipeline,
     RdsRequest, RdsResponse, RetryPolicy, TcpDuplex, TcpServer,
@@ -45,9 +45,6 @@ fn harness(seed: u64) -> (ChaosClient, ElasticProcess, Arc<MbdServer>) {
     let process =
         ElasticProcess::new(ElasticConfig { keep_terminated: true, ..Default::default() });
     let server = Arc::new(MbdServer::open(process.clone()));
-    // Invocations route through the work-stealing executor: the
-    // exactly-once property must hold with scheduled dispatch too.
-    server.arm_executor(ExecutorConfig { workers: 2, ..ExecutorConfig::default() });
     let loopback = {
         let server = Arc::clone(&server);
         LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes))
@@ -111,7 +108,6 @@ fn run_pipelined_workflow(seed: u64) {
     let process =
         ElasticProcess::new(ElasticConfig { keep_terminated: true, ..Default::default() });
     let server = Arc::new(MbdServer::open(process.clone()));
-    server.arm_executor(ExecutorConfig { workers: 2, ..ExecutorConfig::default() });
     let tcp = {
         let server = Arc::clone(&server);
         TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap()

@@ -17,6 +17,7 @@
 use mbd::core::durable::wal::{self, WalEntry, WalRecord};
 use mbd::core::{
     CheckpointBlob, DpiAccountSnapshot, DpiId, DpiQuota, DpiState, ElasticConfig, ElasticProcess,
+    RecoveryReport,
 };
 use mbd::dpl::Value;
 use proptest::prelude::*;
@@ -212,6 +213,17 @@ proptest! {
 
         assert_recovery_matches(&dir);
     }
+}
+
+/// A first boot has nothing to recover: the report is all zeros and the
+/// log it opened is still zero bytes long.
+#[test]
+fn first_boot_of_an_empty_dir_recovers_nothing() {
+    let dir = StateDir::new("first");
+    let process = ElasticProcess::new(ElasticConfig::default());
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!(RecoveryReport { recovery_ms: 0, trace_id: 0, ..report }, RecoveryReport::default());
+    assert_eq!(std::fs::metadata(dir.wal_path()).unwrap().len(), 0);
 }
 
 /// The full, undamaged restart: everything comes back, and the journal
