@@ -12,14 +12,6 @@ fn main() -> std::io::Result<()> {
     ex::e8_vdl_size::run().0.emit(&out)?;
     ex::e9_transient::run().0.emit(&out)?;
     ex::e10_vm::run(500).0.emit(&out)?;
-    ex::e11_conn::run(&[256, 1000, 2500, 5000], 200, 1000).0.emit(&out)?;
-    ex::e12_profile::run(&[1, 8, 32], 1000).0.emit(&out)?;
-    ex::e13_history::run(&[1, 8, 32], 1000).0.emit(&out)?;
-    ex::e14_durable::run(&[1, 8, 32], 1000).0.emit(&out)?;
-    let mirrored = mbd_bench::report::mirror_bench_json(&out)?;
-    println!(
-        "all experiments written to {} ({mirrored} BENCH_*.json mirrored to the repo root)",
-        out.display()
-    );
+    println!("all experiments written to {}", out.display());
     Ok(())
 }

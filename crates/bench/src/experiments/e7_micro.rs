@@ -5,9 +5,8 @@
 //! the real threaded runtime (wall-clock, in-process transport):
 //! translate, instantiate, invoke (trivial and compute-bound), RDS
 //! round trips with and without MD5 authentication, message posting,
-//! suspend/resume, and dpi scaling. Criterion versions of the same
-//! measurements live in `benches/micro.rs`; this binary produces the
-//! summary table for EXPERIMENTS.md.
+//! suspend/resume, and dpi scaling — the summary table for
+//! EXPERIMENTS.md.
 
 use crate::report::Report;
 use dpl::Value;

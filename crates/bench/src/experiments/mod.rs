@@ -1,10 +1,6 @@
 //! One module per experiment in the evaluation (DESIGN.md §4).
 
 pub mod e10_vm;
-pub mod e11_conn;
-pub mod e12_profile;
-pub mod e13_history;
-pub mod e14_durable;
 pub mod e1_poll_ceiling;
 pub mod e2_traffic;
 pub mod e3_tables;

@@ -4,8 +4,9 @@
 //! the experiment index). Each experiment has a `run(...) -> Report`
 //! function that regenerates the corresponding table or figure: it prints
 //! the same rows/series the paper reports and writes CSV under
-//! `bench/out/`. Thin binaries in `src/bin/` wrap each experiment; the
-//! Criterion microbenches for E7 live in `benches/micro.rs`.
+//! `bench/out/`. Thin binaries in `src/bin/` wrap each experiment.
+//! Wire-level performance of the real `mbd-server` is `bench/e2e`'s
+//! (see `BENCHMARK.json`), not this crate's.
 //!
 //! | Experiment | Claim reproduced | Binary |
 //! |---|---|---|
@@ -19,7 +20,6 @@
 //! | [`experiments::e8_vdl_size`] | VDL vs SMI-extension spec economy | `exp_vdl_size` |
 //! | [`experiments::e9_transient`] | transient-phenomenon detection | `exp_transient` |
 //! | [`experiments::e10_vm`] | dpl VM hot-path costs vs reconstruction baselines | `exp_vm` |
-//! | [`experiments::e11_conn`] | connection scaling of the reactor front-end | `exp_conn` |
 
 pub mod experiments;
 pub mod report;

@@ -201,35 +201,6 @@ pub fn default_out_dir() -> PathBuf {
         .map_or_else(|| PathBuf::from("bench/out"), |ws| ws.join("bench").join("out"))
 }
 
-/// The workspace root (two levels above this crate's manifest).
-pub fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest.parent().and_then(Path::parent).map_or_else(|| PathBuf::from("."), Path::to_path_buf)
-}
-
-/// Mirrors every `BENCH_*.json` in `dir` to the workspace root, so the
-/// latest machine-readable results are visible beside the README
-/// without digging into `bench/out`. Returns the number of files
-/// copied.
-///
-/// # Errors
-///
-/// I/O errors from listing `dir` or copying a file.
-pub fn mirror_bench_json(dir: &Path) -> std::io::Result<usize> {
-    let root = workspace_root();
-    let mut copied = 0;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), root.join(name.as_ref()))?;
-            copied += 1;
-        }
-    }
-    Ok(copied)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,8 +14,8 @@
 //! Sampling keeps the profiler off the dispatch hot path: the VM pays
 //! one plain countdown decrement per block whether profiling is on or
 //! off (off counts down from a `u32::MAX` sentinel), with the clock
-//! read and stack walk confined to the sampled 1-in-N entries (the E12
-//! bench gates the total at <3% of pipelined throughput).
+//! read and stack walk confined to the sampled 1-in-N entries
+//! (the decrement is inside E10's dispatch ns/op budgets).
 //!
 //! Aggregated samples export two ways: [`Profile::rows`] for tables
 //! (the `mbdProfile` OCP subtree) and [`Profile::folded`] for

@@ -75,8 +75,8 @@ struct RLimit {
 /// best-effort (the hard limit, or for root whatever the kernel
 /// allows, caps it). Returns the soft limit in effect afterwards, or
 /// the current one when nothing could be changed. Callers that expect
-/// thousands of connections (`mbd-server`, the E11 bench) invoke this
-/// before binding; the library itself never changes process limits.
+/// thousands of connections (`mbd-server`, `examples/conn_flood.rs`) call
+/// it before binding; the library itself never changes process limits.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     let mut lim = RLimit { cur: 0, max: 0 };
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {

@@ -10,10 +10,10 @@
 //!
 //! Run with: `cargo run --release --example conn_flood [CONNS] [ADDR]`
 //!
-//! Without `ADDR` the example spawns its own 4-worker server (the E11
-//! configuration). With `ADDR` it floods a running `mbd-server`
-//! instead — `scripts/ci.sh` uses that mode and checks the server's
-//! own `--stats` gauges stay in the accepting band.
+//! Without `ADDR` the example spawns its own 4-worker server. With
+//! `ADDR` it floods a running `mbd-server` instead — `scripts/ci.sh`
+//! uses that mode and checks the server's own `--stats` gauges stay in
+//! the accepting band.
 
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{RdsClient, ServerHealth, TcpServer, TcpServerConfig, TcpTransport};
@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // one when it is not; budget for the worst case plus slack.
     mbd::rds::reactor::raise_nofile_limit(conns as u64 * 2 + 1024);
 
-    // In-process mode spawns the E11 configuration: a fixed 4-worker
-    // execution tier behind the reactor.
+    // In-process mode spawns a fixed 4-worker execution tier behind
+    // the reactor.
     let local = match &external {
         Some(_) => None,
         None => {

@@ -4,6 +4,7 @@
 # the two can never disagree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+TREE_BEFORE="$(git status --porcelain)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -25,32 +26,44 @@ cargo test --release -q --test telemetry
 
 echo "==> telemetry smoke: live server binary"
 SMOKE_DIR="$(mktemp -d)"
-SMOKE_LOG="$SMOKE_DIR/server.log"
-SMOKE_PORT=$((21000 + RANDOM % 20000))
-echo 'fn main() { return 41 + 1; }' > "$SMOKE_DIR/work.dpl"
-./target/release/mbd-server --listen "127.0.0.1:$SMOKE_PORT" --stats 1 \
-    > "$SMOKE_LOG" 2>&1 &
-SMOKE_PID=$!
-FLOOD_PID=""
-PROF_PID=""
-HIST_PID=""
-DUR_PID=""
-IDLE_PID=""
+SERVER_PIDS=()
 cleanup_smoke() {
-    kill "$SMOKE_PID" 2>/dev/null || true
-    [ -n "$FLOOD_PID" ] && kill "$FLOOD_PID" 2>/dev/null || true
-    [ -n "$PROF_PID" ] && kill "$PROF_PID" 2>/dev/null || true
-    [ -n "$HIST_PID" ] && kill "$HIST_PID" 2>/dev/null || true
-    [ -n "$DUR_PID" ] && kill -9 "$DUR_PID" 2>/dev/null || true
-    [ -n "$IDLE_PID" ] && kill "$IDLE_PID" 2>/dev/null || true
+    kill "${SERVER_PIDS[@]}" 2>/dev/null || true
     rm -rf "$SMOKE_DIR"
 }
 trap cleanup_smoke EXIT
-MBDCTL=(./target/release/mbdctl --server "127.0.0.1:$SMOKE_PORT")
-for _ in $(seq 1 50); do
-    "${MBDCTL[@]}" programs >/dev/null 2>&1 && break
-    sleep 0.1
-done
+
+# boot_server LOG ARGS...: starts mbd-server on a port the kernel picks
+# (so no smoke can collide with another, or with an outgoing socket in
+# the ephemeral range), waits for its "listening on" line and leaves the
+# pid in SERVER_PID, the address in SERVER_ADDR and an mbdctl pointed at
+# it in MBDCTL.
+boot_server() {
+    local log="$1"
+    shift
+    ./target/release/mbd-server --listen 127.0.0.1:0 "$@" > "$log" 2>&1 &
+    SERVER_PID=$!
+    SERVER_PIDS+=("$SERVER_PID")
+    for _ in $(seq 1 50); do
+        grep -q "listening on" "$log" && break
+        sleep 0.1
+    done
+    SERVER_ADDR="$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$log")"
+    [ -n "$SERVER_ADDR" ] || {
+        echo "smoke FAILED: mbd-server $* never listened:"
+        cat "$log"
+        exit 1
+    }
+    MBDCTL=(./target/release/mbdctl --server "$SERVER_ADDR")
+}
+stop_server() {
+    kill "$@" "$SERVER_PID" 2>/dev/null || true
+    wait "$SERVER_PID" 2>/dev/null || true
+}
+
+SMOKE_LOG="$SMOKE_DIR/server.log"
+echo 'fn main() { return 41 + 1; }' > "$SMOKE_DIR/work.dpl"
+boot_server "$SMOKE_LOG" --stats 1
 "${MBDCTL[@]}" delegate smoke "$SMOKE_DIR/work.dpl" >/dev/null
 SMOKE_DPI="$("${MBDCTL[@]}" instantiate smoke)"
 for _ in 1 2 3 4 5; do
@@ -89,8 +102,7 @@ for verb in delegate instantiate invoke suspend resume; do
 done
 echo "smoke ok: $ACCT_ROWS accounting rows walked, $(wc -l < "$JOURNAL_OUT") journal records traced"
 
-kill "$SMOKE_PID" 2>/dev/null || true
-wait "$SMOKE_PID" 2>/dev/null || true
+stop_server
 for metric in 'rds\.verb\.invoke +5 ' 'ep\.invoke +5 ' \
     'rds\.verb\.suspend +1 ' 'rds\.tcp\.request +[1-9]'; do
     grep -Eq "  $metric" "$SMOKE_LOG" || {
@@ -110,31 +122,22 @@ echo "==> profile smoke: span trees + VM profiler over a live server"
 # --slow-ms 1 classifies the multi-ms spin invokes as slow, so they land
 # in the always-kept anomaly ring and `mbdctl profile` (latest tree) sees
 # the last invoke regardless of the normal reservoir's 1-in-N thinning.
-PROF_PORT=$((21000 + RANDOM % 20000))
-PROF_LOG="$SMOKE_DIR/profile_server.log"
-./target/release/mbd-server --listen "127.0.0.1:$PROF_PORT" \
-    --profile-sample 16 --slow-ms 1 --stats 1 > "$PROF_LOG" 2>&1 &
-PROF_PID=$!
-PROFCTL=(./target/release/mbdctl --server "127.0.0.1:$PROF_PORT")
-for _ in $(seq 1 50); do
-    "${PROFCTL[@]}" programs >/dev/null 2>&1 && break
-    sleep 0.1
-done
+boot_server "$SMOKE_DIR/profile_server.log" --profile-sample 16 --slow-ms 1 --stats 1
 echo 'fn main(n) { var t = 0; var i = 0; while (i < n) { t = t + i; i = i + 1; } return t; }' \
     > "$SMOKE_DIR/spin.dpl"
-"${PROFCTL[@]}" delegate spin "$SMOKE_DIR/spin.dpl" >/dev/null
-PROF_DPI="$("${PROFCTL[@]}" instantiate spin)"
+"${MBDCTL[@]}" delegate spin "$SMOKE_DIR/spin.dpl" >/dev/null
+PROF_DPI="$("${MBDCTL[@]}" instantiate spin)"
 for _ in 1 2 3 4 5; do
-    "${PROFCTL[@]}" invoke "$PROF_DPI" main 20000 >/dev/null
+    "${MBDCTL[@]}" invoke "$PROF_DPI" main 20000 >/dev/null
 done
 
-"${PROFCTL[@]}" profile > "$SMOKE_DIR/profile.txt"
+"${MBDCTL[@]}" profile > "$SMOKE_DIR/profile.txt"
 grep -q "ep.vm_run" "$SMOKE_DIR/profile.txt" || {
     echo "profile smoke FAILED: span tree is missing the ep.vm_run span:"
     cat "$SMOKE_DIR/profile.txt"
     exit 1
 }
-"${PROFCTL[@]}" profile --folded > "$SMOKE_DIR/folded.txt"
+"${MBDCTL[@]}" profile --folded > "$SMOKE_DIR/folded.txt"
 grep -Eq "main@[0-9]+ [1-9]" "$SMOKE_DIR/folded.txt" || {
     echo "profile smoke FAILED: no folded stack attributes samples to main:"
     cat "$SMOKE_DIR/folded.txt"
@@ -143,16 +146,14 @@ grep -Eq "main@[0-9]+ [1-9]" "$SMOKE_DIR/folded.txt" || {
 
 sleep 2 # let a --stats tick refresh the OCP tree with the profile rows
 echo 'fn count() { return len(mib_walk("1.3.6.1.4.1.20100.6")); }' > "$SMOKE_DIR/pwalker.dpl"
-"${PROFCTL[@]}" delegate pwalker "$SMOKE_DIR/pwalker.dpl" >/dev/null
-PWALK_DPI="$("${PROFCTL[@]}" instantiate pwalker)"
-PROF_ROWS="$("${PROFCTL[@]}" invoke "$PWALK_DPI" count)"
+"${MBDCTL[@]}" delegate pwalker "$SMOKE_DIR/pwalker.dpl" >/dev/null
+PWALK_DPI="$("${MBDCTL[@]}" instantiate pwalker)"
+PROF_ROWS="$("${MBDCTL[@]}" invoke "$PWALK_DPI" count)"
 [ "$PROF_ROWS" -gt 0 ] 2>/dev/null || {
     echo "profile smoke FAILED: delegated walk of 20100.6 saw no profile rows (got \`$PROF_ROWS\`)"
     exit 1
 }
-kill "$PROF_PID" 2>/dev/null || true
-wait "$PROF_PID" 2>/dev/null || true
-PROF_PID=""
+stop_server
 echo "profile smoke ok: $(wc -l < "$SMOKE_DIR/folded.txt") folded stacks, $PROF_ROWS mbdProfile leaves walked"
 
 echo "==> history smoke: metrics history + SLO alerts over a live server"
@@ -164,32 +165,24 @@ echo "==> history smoke: metrics history + SLO alerts over a live server"
 # metrics` returns retained history (text and --json), the journal has
 # the alert fire/clear pair under real trace ids, and a delegated agent
 # walks the mbdHistory/mbdAlerts subtree (enterprises.20100.7).
-HIST_PORT=$((21000 + RANDOM % 20000))
-HIST_LOG="$SMOKE_DIR/history_server.log"
-./target/release/mbd-server --listen "127.0.0.1:$HIST_PORT" --stats 1 \
+boot_server "$SMOKE_DIR/history_server.log" --stats 1 \
     --history-cap 240 --max-invocations 3 \
     --alert 'rds.verb.invoke.p99>1us:for=1' \
-    --alert 'ep.quota_breaches>0:for=1,clear=2' > "$HIST_LOG" 2>&1 &
-HIST_PID=$!
-HISTCTL=(./target/release/mbdctl --server "127.0.0.1:$HIST_PORT")
-for _ in $(seq 1 50); do
-    "${HISTCTL[@]}" programs >/dev/null 2>&1 && break
-    sleep 0.1
-done
-"${HISTCTL[@]}" delegate smoke "$SMOKE_DIR/work.dpl" >/dev/null
-HIST_DPI="$("${HISTCTL[@]}" instantiate smoke)"
+    --alert 'ep.quota_breaches>0:for=1,clear=2'
+"${MBDCTL[@]}" delegate smoke "$SMOKE_DIR/work.dpl" >/dev/null
+HIST_DPI="$("${MBDCTL[@]}" instantiate smoke)"
 for _ in 1 2 3; do
-    "${HISTCTL[@]}" invoke "$HIST_DPI" main >/dev/null
+    "${MBDCTL[@]}" invoke "$HIST_DPI" main >/dev/null
 done
 # Each extra round breaches the cumulative quota again: the brake
 # suspends, resume re-arms, the next invoke re-trips.
 for _ in 1 2 3 4 5; do
-    "${HISTCTL[@]}" invoke "$HIST_DPI" main >/dev/null 2>&1 || true
-    "${HISTCTL[@]}" resume "$HIST_DPI" >/dev/null 2>&1 || true
+    "${MBDCTL[@]}" invoke "$HIST_DPI" main >/dev/null 2>&1 || true
+    "${MBDCTL[@]}" resume "$HIST_DPI" >/dev/null 2>&1 || true
 done
 sleep 5 # sampler fires the breach rule, then two quiet samples clear it
 
-"${HISTCTL[@]}" top --once > "$SMOKE_DIR/top.txt"
+"${MBDCTL[@]}" top --once > "$SMOKE_DIR/top.txt"
 grep -q "mbd top" "$SMOKE_DIR/top.txt" && grep -q "hottest counters" "$SMOKE_DIR/top.txt" || {
     echo "history smoke FAILED: top --once did not render a dashboard:"
     cat "$SMOKE_DIR/top.txt"
@@ -200,19 +193,19 @@ grep -q "FIRING" "$SMOKE_DIR/top.txt" || {
     cat "$SMOKE_DIR/top.txt"
     exit 1
 }
-"${HISTCTL[@]}" metrics 'rds.verb.invoke*' --range 300 > "$SMOKE_DIR/metrics.txt"
+"${MBDCTL[@]}" metrics 'rds.verb.invoke*' --range 300 > "$SMOKE_DIR/metrics.txt"
 grep -q "rds.verb.invoke.p99 (quantile" "$SMOKE_DIR/metrics.txt" || {
     echo "history smoke FAILED: metrics returned no retained p99 history:"
     cat "$SMOKE_DIR/metrics.txt"
     exit 1
 }
-"${HISTCTL[@]}" --json metrics 'rds.verb.invoke*' --range 300 > "$SMOKE_DIR/metrics.json"
+"${MBDCTL[@]}" --json metrics 'rds.verb.invoke*' --range 300 > "$SMOKE_DIR/metrics.json"
 grep -q '"name":"rds.verb.invoke.p99"' "$SMOKE_DIR/metrics.json" || {
     echo "history smoke FAILED: metrics --json is missing the p99 series:"
     cat "$SMOKE_DIR/metrics.json"
     exit 1
 }
-"${HISTCTL[@]}" journal > "$SMOKE_DIR/alert_journal.txt"
+"${MBDCTL[@]}" journal > "$SMOKE_DIR/alert_journal.txt"
 grep -Eq "trace=[0-9a-f]{16} principal=server verb=alert.fire .*ep.quota_breaches" \
     "$SMOKE_DIR/alert_journal.txt" || {
     echo "history smoke FAILED: no traced alert.fire for the breach rule in the journal:"
@@ -228,22 +221,20 @@ grep -Eq "trace=[0-9a-f]{16} principal=server verb=alert.clear .*ep.quota_breach
 # Capture to a file before grepping: grep -q quitting on first match
 # would SIGPIPE mbdctl mid-print, and pipefail turns that into a
 # spurious failure even when the record is present.
-"${HISTCTL[@]}" --json journal > "$SMOKE_DIR/alert_journal.json"
+"${MBDCTL[@]}" --json journal > "$SMOKE_DIR/alert_journal.json"
 grep -q '"verb":"alert.fire"' "$SMOKE_DIR/alert_journal.json" || {
     echo "history smoke FAILED: journal --json is missing the alert.fire record"
     exit 1
 }
 echo 'fn count() { return len(mib_walk("1.3.6.1.4.1.20100.7")); }' > "$SMOKE_DIR/hwalker.dpl"
-"${HISTCTL[@]}" delegate hwalker "$SMOKE_DIR/hwalker.dpl" >/dev/null
-HWALK_DPI="$("${HISTCTL[@]}" instantiate hwalker)"
-HIST_ROWS="$("${HISTCTL[@]}" invoke "$HWALK_DPI" count)"
+"${MBDCTL[@]}" delegate hwalker "$SMOKE_DIR/hwalker.dpl" >/dev/null
+HWALK_DPI="$("${MBDCTL[@]}" instantiate hwalker)"
+HIST_ROWS="$("${MBDCTL[@]}" invoke "$HWALK_DPI" count)"
 [ "$HIST_ROWS" -gt 0 ] 2>/dev/null || {
     echo "history smoke FAILED: delegated walk of 20100.7 saw no history rows (got \`$HIST_ROWS\`)"
     exit 1
 }
-kill "$HIST_PID" 2>/dev/null || true
-wait "$HIST_PID" 2>/dev/null || true
-HIST_PID=""
+stop_server
 echo "history smoke ok: alert pair journaled, $HIST_ROWS mbdHistory/mbdAlerts leaves walked"
 
 echo "==> telemetry smoke: self-health example"
@@ -280,11 +271,12 @@ grep -E "dedup replays   : [1-9]" "$SMOKE_DIR/chaos.out" >/dev/null || {
 echo "chaos smoke ok: $(grep 'chaos ok' "$SMOKE_DIR/chaos.out")"
 
 echo "==> conn smoke: reactor front-end under an idle-connection flood"
-# In-process first: 3000 idle connections against the E11 configuration
-# (reactor + fixed 4-worker tier); the example asserts the gauges
-# directly — all connections registered, health accepting, zero sheds,
-# bounded drain — and drives every RDS verb under the flood.
-cargo run --release -q --example conn_flood 3000 > "$SMOKE_DIR/flood.out" || {
+# In-process first: 5000 idle connections against a reactor + fixed
+# 4-worker tier (the functional witness of the open-connection
+# ceiling); the example asserts the gauges directly — all connections
+# registered, health accepting, zero sheds, bounded drain — and drives
+# every RDS verb under the flood.
+cargo run --release -q --example conn_flood 5000 > "$SMOKE_DIR/flood.out" || {
     echo "conn smoke FAILED:"
     cat "$SMOKE_DIR/flood.out"
     exit 1
@@ -295,27 +287,19 @@ grep -q "conn flood ok" "$SMOKE_DIR/flood.out" || {
     exit 1
 }
 
-# Then against the real binary: a 4-worker mbd-server takes the same
-# flood, and its own --stats gauges must stay in the accepting band.
-FLOOD_PORT=$((21000 + RANDOM % 20000))
+# Then against the real binary: a 4-worker mbd-server takes a 3000-
+# connection flood, and its own --stats gauges must stay in the
+# accepting band.
 FLOOD_LOG="$SMOKE_DIR/flood_server.log"
-./target/release/mbd-server --listen "127.0.0.1:$FLOOD_PORT" --workers 4 \
-    --max-conns 6000 --stats 1 > "$FLOOD_LOG" 2>&1 &
-FLOOD_PID=$!
-for _ in $(seq 1 50); do
-    ./target/release/mbdctl --server "127.0.0.1:$FLOOD_PORT" programs >/dev/null 2>&1 && break
-    sleep 0.1
-done
-cargo run --release -q --example conn_flood 3000 "127.0.0.1:$FLOOD_PORT" \
+boot_server "$FLOOD_LOG" --workers 4 --max-conns 6000 --stats 1
+cargo run --release -q --example conn_flood 3000 "$SERVER_ADDR" \
     > "$SMOKE_DIR/flood_binary.out" || {
     echo "conn smoke FAILED against mbd-server:"
     cat "$SMOKE_DIR/flood_binary.out"
     exit 1
 }
 sleep 2 # let a --stats tick record the post-flood gauges
-kill "$FLOOD_PID" 2>/dev/null || true
-wait "$FLOOD_PID" 2>/dev/null || true
-FLOOD_PID=""
+stop_server
 grep -Eq "rds\.tcp\.health +0" "$FLOOD_LOG" || {
     echo "conn smoke FAILED: health gauge never reported accepting (0):"
     cat "$FLOOD_LOG"
@@ -333,86 +317,11 @@ if grep -Eq "rds\.shed +[1-9]" "$FLOOD_LOG"; then
 fi
 echo "conn smoke ok: $(grep 'conn flood ok' "$SMOKE_DIR/flood_binary.out")"
 
-echo "==> conn smoke: E11 scaling gate (release-gated) + artifacts"
-# The release-only gate holds 5000 connections open against the fixed
-# 4-worker tier and compares active-request p99 with an in-test
-# thread-per-connection baseline at 256 connections.
-cargo test --release -q -p mbd-bench --lib e11
-cargo run --release -q -p mbd-bench --bin exp_conn >/dev/null
-[ -s bench/out/BENCH_E11.json ] && [ -s bench/out/E11.csv ] || {
-    echo "conn smoke FAILED: exp_conn did not write bench/out/BENCH_E11.json + E11.csv"
-    exit 1
-}
-grep -q '"section": "ceiling"' bench/out/BENCH_E11.json || {
-    echo "conn smoke FAILED: BENCH_E11.json is missing the open-connection ceiling row"
-    exit 1
-}
-grep -q '"frontend": "threaded"' bench/out/BENCH_E11.json || {
-    echo "conn smoke FAILED: BENCH_E11.json is missing the thread-per-connection baseline"
-    exit 1
-}
-echo "conn smoke ok: $(grep -c '"section"' bench/out/BENCH_E11.json) E11 rows written"
-
-echo "==> vm smoke: E10 hot-path budgets (release-gated) + artifacts"
+echo "==> vm smoke: E10 hot-path budgets (release-gated)"
 # The release-only budget tests assert the shared-code instantiation
 # speedup (>= 2x vs the deep-clone reconstruction baseline), the
 # warm-vs-cold resolution-cache win, and the dispatch ns/op ceiling.
 cargo test --release -q -p mbd-bench --lib e10
-cargo run --release -q -p mbd-bench --bin exp_vm >/dev/null
-[ -s bench/out/BENCH_E10.json ] && [ -s bench/out/E10.csv ] || {
-    echo "vm smoke FAILED: exp_vm did not write bench/out/BENCH_E10.json + E10.csv"
-    exit 1
-}
-grep -q '"instantiate @1024 speedup x"' bench/out/BENCH_E10.json || {
-    echo "vm smoke FAILED: BENCH_E10.json is missing the instantiation speedup series"
-    exit 1
-}
-echo "vm smoke ok: $(grep -c '"metric"' bench/out/BENCH_E10.json) E10 metrics written"
-
-echo "==> profile smoke: E12 observability-overhead gate (release-gated) + artifacts"
-# The release-only gate prices tracing + tail sampling + 1-in-64 VM
-# block profiling against the unobserved baseline on the pipelined
-# invoke workload: under 3% throughput cost, best of three per side.
-cargo test --release -q -p mbd-bench --lib e12
-cargo run --release -q -p mbd-bench --bin exp_profile >/dev/null
-[ -s bench/out/BENCH_E12.json ] && [ -s bench/out/E12.csv ] || {
-    echo "profile smoke FAILED: exp_profile did not write bench/out/BENCH_E12.json + E12.csv"
-    exit 1
-}
-grep -q '"mode": "trace+profile"' bench/out/BENCH_E12.json || {
-    echo "profile smoke FAILED: BENCH_E12.json is missing the trace+profile series"
-    exit 1
-}
-grep -q '"mode": "off"' bench/out/BENCH_E12.json || {
-    echo "profile smoke FAILED: BENCH_E12.json is missing the unobserved baseline"
-    exit 1
-}
-echo "profile smoke ok: $(grep -c '"mode"' bench/out/BENCH_E12.json) E12 rows written"
-
-echo "==> history smoke: E13 history-overhead gate (release-gated) + artifacts"
-# The release-only gate prices history collection (full registry sweeps
-# into three rings per series) + alert evaluation at 100x the production
-# sampling cadence against the unsampled baseline: under 2% throughput
-# cost, cleanest of four mirror-ordered paired blocks.
-cargo test --release -q -p mbd-bench --lib e13
-cargo run --release -q -p mbd-bench --bin exp_history >/dev/null
-[ -s bench/out/BENCH_E13.json ] && [ -s bench/out/E13.csv ] || {
-    echo "history smoke FAILED: exp_history did not write bench/out/BENCH_E13.json + E13.csv"
-    exit 1
-}
-grep -q '"mode": "history"' bench/out/BENCH_E13.json || {
-    echo "history smoke FAILED: BENCH_E13.json is missing the history series"
-    exit 1
-}
-grep -q '"mode": "off"' bench/out/BENCH_E13.json || {
-    echo "history smoke FAILED: BENCH_E13.json is missing the unsampled baseline"
-    exit 1
-}
-[ -s BENCH_E13.json ] || {
-    echo "history smoke FAILED: exp_history did not mirror BENCH_E13.json to the repo root"
-    exit 1
-}
-echo "history smoke ok: $(grep -c '"mode"' bench/out/BENCH_E13.json) E13 rows written and mirrored"
 
 echo "==> durability smoke: kill -9 a stateful server, reboot, state survives"
 # Boots the real binary with a state directory, delegates a counting
@@ -420,125 +329,80 @@ echo "==> durability smoke: kill -9 a stateful server, reboot, state survives"
 # on the same directory must journal a traced recovery record, still
 # list the same dpi, and continue the count at 4 — proving globals,
 # the id allocator and the dp repository all came back from WAL+snapshot.
-DUR_PORT=$((21000 + RANDOM % 20000))
 DUR_STATE="$SMOKE_DIR/state"
 DUR_LOG="$SMOKE_DIR/durable_server.log"
 echo 'var n = 0; fn main() { n = n + 1; return n; }' > "$SMOKE_DIR/counter.dpl"
-./target/release/mbd-server --listen "127.0.0.1:$DUR_PORT" \
-    --state-dir "$DUR_STATE" > "$DUR_LOG" 2>&1 &
-DUR_PID=$!
-DURCTL=(./target/release/mbdctl --server "127.0.0.1:$DUR_PORT")
-for _ in $(seq 1 50); do
-    "${DURCTL[@]}" programs >/dev/null 2>&1 && break
-    sleep 0.1
-done
-"${DURCTL[@]}" delegate counter "$SMOKE_DIR/counter.dpl" >/dev/null
-DUR_DPI="$("${DURCTL[@]}" instantiate counter)"
+boot_server "$DUR_LOG" --state-dir "$DUR_STATE"
+"${MBDCTL[@]}" delegate counter "$SMOKE_DIR/counter.dpl" >/dev/null
+DUR_DPI="$("${MBDCTL[@]}" instantiate counter)"
 for want in 1 2 3; do
-    GOT="$("${DURCTL[@]}" invoke "$DUR_DPI" main)"
+    GOT="$("${MBDCTL[@]}" invoke "$DUR_DPI" main)"
     [ "$GOT" = "$want" ] || {
         echo "durability smoke FAILED: pre-crash count returned \`$GOT\`, wanted $want"
         exit 1
     }
 done
 sleep 1 # let group commit flush the staged WAL tail (10 ms) + the 1 Hz sync
-kill -9 "$DUR_PID"
-wait "$DUR_PID" 2>/dev/null || true
-./target/release/mbd-server --listen "127.0.0.1:$DUR_PORT" \
-    --state-dir "$DUR_STATE" > "$DUR_LOG" 2>&1 &
-DUR_PID=$!
-for _ in $(seq 1 50); do
-    "${DURCTL[@]}" programs >/dev/null 2>&1 && break
-    sleep 0.1
-done
+stop_server -9
+boot_server "$DUR_LOG" --state-dir "$DUR_STATE" # a new port; MBDCTL follows it
 # File-then-grep (not a pipe): grep -q quitting early would SIGPIPE
 # mbdctl under pipefail.
-"${DURCTL[@]}" instances > "$SMOKE_DIR/dur_instances.txt"
+"${MBDCTL[@]}" instances > "$SMOKE_DIR/dur_instances.txt"
 grep -q "^$DUR_DPI	counter" "$SMOKE_DIR/dur_instances.txt" || {
     echo "durability smoke FAILED: rebooted server does not list $DUR_DPI:"
     cat "$SMOKE_DIR/dur_instances.txt"
     exit 1
 }
-GOT="$("${DURCTL[@]}" invoke "$DUR_DPI" main)"
+GOT="$("${MBDCTL[@]}" invoke "$DUR_DPI" main)"
 [ "$GOT" = "4" ] || {
     echo "durability smoke FAILED: post-crash count returned \`$GOT\`, wanted 4 (globals lost?)"
     exit 1
 }
-"${DURCTL[@]}" journal > "$SMOKE_DIR/recovery_journal.txt"
+"${MBDCTL[@]}" journal > "$SMOKE_DIR/recovery_journal.txt"
 grep -Eq "trace=[0-9a-f]{16} principal=server verb=recovery " \
     "$SMOKE_DIR/recovery_journal.txt" || {
     echo "durability smoke FAILED: no traced recovery record in the reboot journal:"
     cat "$SMOKE_DIR/recovery_journal.txt"
     exit 1
 }
-kill "$DUR_PID" 2>/dev/null || true
-wait "$DUR_PID" 2>/dev/null || true
-DUR_PID=""
+stop_server
 echo "durability smoke ok: $DUR_DPI survived kill -9 and counted on ($GOT)"
-
-echo "==> durability smoke: E14 overhead gate (release-gated) + artifacts"
-# The release-only gate prices the full durability posture (staged
-# group-commit WAL + snapshot/truncate cycles at ~120x the production
-# cadence) against the undurable baseline on the pipelined invoke
-# workload: under 5% throughput cost, cleanest of four mirror-ordered
-# paired blocks.
-cargo test --release -q -p mbd-bench --lib e14
-cargo run --release -q -p mbd-bench --bin exp_durable >/dev/null
-[ -s bench/out/BENCH_E14.json ] && [ -s bench/out/E14.csv ] || {
-    echo "durability smoke FAILED: exp_durable did not write bench/out/BENCH_E14.json + E14.csv"
-    exit 1
-}
-grep -q '"mode": "wal+snap"' bench/out/BENCH_E14.json || {
-    echo "durability smoke FAILED: BENCH_E14.json is missing the wal+snap series"
-    exit 1
-}
-grep -q '"mode": "off"' bench/out/BENCH_E14.json || {
-    echo "durability smoke FAILED: BENCH_E14.json is missing the undurable baseline"
-    exit 1
-}
-[ -s BENCH_E14.json ] || {
-    echo "durability smoke FAILED: exp_durable did not mirror BENCH_E14.json to the repo root"
-    exit 1
-}
-echo "durability smoke ok: $(grep -c '"mode"' bench/out/BENCH_E14.json) E14 rows written and mirrored"
 
 echo "==> idle smoke: one execution tier, and it sleeps"
 # `--workers 2` must mean main + history sampler + WAL flusher + reactor
 # + 2 workers = 6 threads, all blocked while no request is in flight: a
 # second worker tier or a polling wait shows here as more threads or as
-# hundreds of voluntary context switches per idle second.
-./target/release/mbd-server --listen 127.0.0.1:0 --workers 2 \
-    --state-dir "$SMOKE_DIR/idle_state" > "$SMOKE_DIR/idle_server.log" 2>&1 &
-IDLE_PID=$!
-for _ in $(seq 1 50); do
-    grep -q "listening on" "$SMOKE_DIR/idle_server.log" && break
-    sleep 0.1
-done
+# hundreds of voluntary context switches per idle second. The thread
+# count is gated by the size ledger below, against SIZE.json.
+boot_server "$SMOKE_DIR/idle_server.log" --workers 2 --state-dir "$SMOKE_DIR/idle_state"
 idle_switches() {
-    cat /proc/"$IDLE_PID"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n }'
+    cat /proc/"$SERVER_PID"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n }'
 }
 sleep 1 # boot work settles
-IDLE_THREADS="$(ls /proc/"$IDLE_PID"/task | wc -l)"
+IDLE_THREADS="$(ls /proc/"$SERVER_PID"/task | wc -l)"
 IDLE_BEFORE="$(idle_switches)"
 sleep 3
 IDLE_RATE=$(( ($(idle_switches) - IDLE_BEFORE) / 3 ))
-kill "$IDLE_PID" 2>/dev/null || true
-wait "$IDLE_PID" 2>/dev/null || true
-IDLE_PID=""
-[ "$IDLE_THREADS" -le 6 ] || {
-    echo "idle smoke FAILED: mbd-server --workers 2 runs $IDLE_THREADS threads, want <= 6"
-    exit 1
-}
+stop_server
 [ "$IDLE_RATE" -lt 300 ] || {
     echo "idle smoke FAILED: $IDLE_RATE voluntary context switches per idle second, want < 300"
     exit 1
 }
 echo "idle smoke ok: $IDLE_THREADS threads, $IDLE_RATE voluntary context switches/s idle"
 
+echo "==> size ledger: no tracked size grew without a reason in SIZE.json"
+scripts/size.sh --check "$IDLE_THREADS"
+
 echo "==> cargo test (tier-1: root package)"
 cargo test -q
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> clean tree: the run left the working tree as it found it"
+diff <(echo "$TREE_BEFORE") <(git status --porcelain) || {
+    echo "ci FAILED: the run changed the files above (< before, > after)"
+    exit 1
+}
 
 echo "ci: all gates passed"

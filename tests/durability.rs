@@ -23,7 +23,7 @@ use mbd::dpl::Value;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A stateful agent: the running total makes lost or doubled
 /// invocations visible in one integer.
@@ -276,6 +276,51 @@ fn snapshot_truncates_the_wal_and_recovery_still_matches() {
     );
     let records = recovered.journal().tail(0);
     assert!(records.iter().any(|r| r.verb == "recovery" && r.ok));
+}
+
+/// Snapshots racing invokes: one thread drives the counter while
+/// another snapshots in a loop, so cell lock and WAL lock are taken in
+/// both orders. An inversion hangs (hence the bound); a torn image, or
+/// a tail record dropped by the truncation, is a wrong count on restart.
+#[test]
+fn snapshots_concurrent_with_invokes_lose_and_repeat_nothing() {
+    const N: i64 = 5000;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let dir = StateDir::new("race");
+        let process = durable_process(dir.path());
+        process.delegate("count", PROGRAM).unwrap();
+        let a = process.instantiate("count").unwrap();
+
+        let stop = AtomicBool::new(false);
+        let snapshots = std::thread::scope(|s| {
+            let snapshotter = s.spawn(|| {
+                let mut taken = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    process.snapshot_now().unwrap();
+                    taken += 1;
+                }
+                taken
+            });
+            for want in 1..=N {
+                assert_eq!(process.invoke(a, "bump", &[]).unwrap(), Value::Int(want));
+            }
+            stop.store(true, Ordering::Relaxed);
+            snapshotter.join().unwrap()
+        });
+        assert!(snapshots > 0, "the snapshotter never ran beside the invokes");
+        process.durable_sync();
+        drop(process);
+
+        let recovered = durable_process(dir.path());
+        assert_eq!(recovered.dpi_account(a).unwrap().invocations_ok, N as u64);
+        assert_eq!(recovered.invoke(a, "bump", &[]).unwrap(), Value::Int(N + 1));
+        done.send(()).unwrap();
+    });
+    // A panic above drops `done` (Disconnected); a deadlock times out.
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("invokes racing snapshots finished and recovered exactly");
 }
 
 /// Nonces persist: a blob restored before the crash is still refused
