@@ -11,7 +11,7 @@
 use crate::report::Report;
 use dpl::Value;
 use mbd_core::{ElasticConfig, ElasticProcess, MbdServer};
-use rds::{LoopbackTransport, RdsClient};
+use rds::{LoopbackDuplex, RdsClient};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -109,7 +109,7 @@ pub fn run(iters: u32) -> (Report, Vec<MicroRow>) {
     let server = Arc::new(MbdServer::open(ElasticProcess::new(ElasticConfig::default())));
     let s2 = Arc::clone(&server);
     let client =
-        RdsClient::new(LoopbackTransport::new(move |b: &[u8]| s2.process_request(b)), "bench");
+        RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| s2.process_request(b)), "bench");
     client.delegate("trivial", TRIVIAL).expect("delegates");
     let rdpi = client.instantiate("trivial").expect("instantiates");
     add(
@@ -126,7 +126,7 @@ pub fn run(iters: u32) -> (Report, Vec<MicroRow>) {
     ));
     let s3 = Arc::clone(&server_auth);
     let auth_client = RdsClient::with_key(
-        LoopbackTransport::new(move |b: &[u8]| s3.process_request(b)),
+        LoopbackDuplex::new(move |b: &[u8]| s3.process_request(b)),
         "bench",
         b"benchkey".to_vec(),
     );

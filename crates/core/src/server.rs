@@ -13,14 +13,14 @@ use std::sync::Arc;
 ///
 /// ```
 /// use mbd_core::{ElasticConfig, ElasticProcess, MbdServer};
-/// use rds::{RdsClient, LoopbackTransport};
+/// use rds::{LoopbackDuplex, RdsClient};
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let process = ElasticProcess::new(ElasticConfig::default());
 /// let server = Arc::new(MbdServer::open(process));
-/// let transport = LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes));
-/// let client = RdsClient::new(transport, "noc");
+/// let duplex = LoopbackDuplex::new(move |bytes: &[u8]| server.process_request(bytes));
+/// let client = RdsClient::new(duplex, "noc");
 ///
 /// client.delegate("dp", "fn main() { return 7; }")?;
 /// let dpi = client.instantiate("dp")?;
@@ -296,12 +296,6 @@ impl MbdServer {
     pub fn process(&self) -> &ElasticProcess {
         &self.rds.handler().process
     }
-
-    /// Serves a [`rds::ChannelTransportServer`] until all clients hang
-    /// up. Run this on a dedicated thread.
-    pub fn serve_channel(&self, server: &rds::ChannelTransportServer) {
-        server.serve(|bytes| self.process_request(bytes));
-    }
 }
 
 // Shim for the frozen benchmark: `bench/e2e/src/probes.rs` (lines 131 and
@@ -333,13 +327,13 @@ mod tests {
     use crate::ElasticConfig;
     use ber::BerValue;
     use mbd_auth::Operation;
-    use rds::{ChannelTransport, LoopbackTransport, RdsClient, RdsError};
+    use rds::{LoopbackDuplex, RdsClient, RdsError, TcpDuplex, TcpServer};
     use std::sync::Arc;
 
-    fn client() -> RdsClient<LoopbackTransport> {
+    fn client() -> RdsClient<LoopbackDuplex> {
         let server = Arc::new(MbdServer::open(ElasticProcess::new(ElasticConfig::default())));
-        let transport = LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes));
-        RdsClient::new(transport, "mgr")
+        let duplex = LoopbackDuplex::new(move |bytes: &[u8]| server.process_request(bytes));
+        RdsClient::new(duplex, "mgr")
     }
 
     #[test]
@@ -414,42 +408,48 @@ mod tests {
             None,
         ));
         let s1 = Arc::clone(&server);
-        let trusted = RdsClient::new(
-            LoopbackTransport::new(move |b: &[u8]| s1.process_request(b)),
-            "trusted",
-        );
+        let trusted =
+            RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| s1.process_request(b)), "trusted");
         let s2 = Arc::clone(&server);
-        let stranger = RdsClient::new(
-            LoopbackTransport::new(move |b: &[u8]| s2.process_request(b)),
-            "stranger",
-        );
+        let stranger =
+            RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| s2.process_request(b)), "stranger");
         trusted.delegate("dp", "fn main() { return 0; }").unwrap();
         let err = stranger.delegate("dp2", "fn main() { return 0; }").unwrap_err();
         assert!(matches!(err, RdsError::Remote { code: ErrorCode::AccessDenied, .. }));
     }
 
     #[test]
-    fn threaded_server_over_channel_transport() {
-        let process = ElasticProcess::new(ElasticConfig::default());
-        let server = Arc::new(MbdServer::open(process));
-        let (client_t, server_t) = ChannelTransport::pair();
-        let s = Arc::clone(&server);
-        let handle = std::thread::spawn(move || s.serve_channel(&server_t));
-
-        let c = RdsClient::new(client_t, "mgr");
+    fn threaded_server_over_tcp() {
+        let server = Arc::new(MbdServer::open(ElasticProcess::new(ElasticConfig::default())));
+        let tcp =
+            TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap();
+        let c = Arc::new(RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr"));
         c.delegate("f", "fn main(x) { return x * x; }").unwrap();
         let dpi = c.instantiate("f").unwrap();
-        assert_eq!(c.invoke(dpi, "main", &[BerValue::Integer(9)]).unwrap(), BerValue::Integer(81));
-        drop(c);
-        handle.join().unwrap();
+        // Four threads share the one client: each gets its own answer.
+        let handles: Vec<_> = (1..=4i64)
+            .map(|x| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for _ in 0..10 {
+                        let v = c.invoke(dpi, "main", &[BerValue::Integer(x)]).unwrap();
+                        assert_eq!(v, BerValue::Integer(x * x));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        tcp.shutdown();
     }
 
     #[test]
     fn requests_are_journaled_with_traces_and_bytes_charged() {
         let process = ElasticProcess::new(ElasticConfig::default());
         let server = Arc::new(MbdServer::open(process.clone()));
-        let transport = LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes));
-        let c = RdsClient::new(transport, "mgr");
+        let duplex = LoopbackDuplex::new(move |bytes: &[u8]| server.process_request(bytes));
+        let c = RdsClient::new(duplex, "mgr");
         c.delegate("f", "fn main() { return 7; }").unwrap();
         let dpi = c.instantiate("f").unwrap();
         c.invoke(dpi, "main", &[]).unwrap();
@@ -488,20 +488,10 @@ mod tests {
 
     #[test]
     fn retried_frames_replay_instead_of_reexecuting() {
-        use rds::{codec, Transport};
+        use rds::codec;
         let process = ElasticProcess::new(ElasticConfig::default());
-        let server = Arc::new(MbdServer::open(process.clone()));
-        let s = Arc::clone(&server);
-        let transport = LoopbackTransport::new(move |bytes: &[u8]| s.process_request(bytes));
-
-        let c = RdsClient::new(
-            LoopbackTransport::new({
-                let s = Arc::clone(&server);
-                move |bytes: &[u8]| s.process_request(bytes)
-            }),
-            "mgr",
-        );
-        c.delegate("f", "fn main() { return 1; }").unwrap();
+        let server = MbdServer::open(process.clone());
+        process.delegate("f", "fn main() { return 1; }").unwrap();
 
         // A manager whose instantiate response was lost re-sends the
         // identical frame: the server must not create a second dpi.
@@ -511,8 +501,8 @@ mod tests {
             99,
             None,
         );
-        let first = transport.request(&frame).unwrap();
-        let retry = transport.request(&frame).unwrap();
+        let first = server.process_request(&frame);
+        let retry = server.process_request(&frame);
         assert_eq!(first, retry, "byte-identical replay");
         assert_eq!(process.stats().instantiations, 1, "the effect ran exactly once");
         assert_eq!(server.dedup_hits(), 1);

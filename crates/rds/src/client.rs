@@ -1,123 +1,75 @@
-use crate::retry::splitmix64;
 use crate::{
-    codec, AuditRecord, DpiId, DpiSummary, RdsError, RdsRequest, RdsResponse, RetryPolicy,
-    TraceContext, Transport,
+    AuditRecord, DpiId, DpiSummary, FrameDuplex, RdsError, RdsPipeline, RdsRequest, RdsResponse,
+    RetryPolicy,
 };
 use ber::BerValue;
 use mbd_auth::Principal;
-use mbd_telemetry::{Counter, Telemetry};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Distinguishes clients constructed in the same wall-clock instant (or
-/// after the clock fallback): each construction consumes one value, and
-/// the seed mixes it in, so two clients can never share a trace-id
-/// stream.
-static CLIENT_SEQ: AtomicU64 = AtomicU64::new(1);
-
-pub(crate) fn trace_seed() -> u64 {
-    let wall = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x5EED);
-    splitmix64(wall) ^ splitmix64(CLIENT_SEQ.fetch_add(1, Ordering::Relaxed))
-}
+use mbd_telemetry::Telemetry;
+use parking_lot::Mutex;
 
 /// A delegating manager's stub for one elastic process.
 ///
-/// The client owns the request-id counter and the (optional) shared key;
-/// every verb is a typed method over [`Transport::request`].
+/// The client is an [`RdsPipeline`] at window 1 behind typed verbs:
+/// each verb submits one request and drains it, so retries, backoff,
+/// deadlines, reply routing and trace ids are the pipeline's. The
+/// pipeline sits behind a lock, so one client may be shared by threads
+/// (each request waits its turn on the one connection).
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use rds::{RdsClient, LoopbackTransport};
+/// use rds::{RdsClient, LoopbackDuplex};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// # let transport = LoopbackTransport::new(|_: &[u8]| Vec::new());
-/// let client = RdsClient::new(transport, "noc-mgr");
+/// # let duplex = LoopbackDuplex::new(|_: &[u8]| Vec::new());
+/// let client = RdsClient::new(duplex, "noc-mgr");
 /// client.delegate("health", "fn health() { return 100; }")?;
 /// let dpi = client.instantiate("health")?;
 /// let v = client.invoke(dpi, "health", &[])?;
 /// # Ok(())
 /// # }
 /// ```
-pub struct RdsClient<T> {
-    transport: T,
+#[derive(Debug)]
+pub struct RdsClient<D> {
+    pipe: Mutex<RdsPipeline<D>>,
     principal: Principal,
-    key: Option<Vec<u8>>,
-    next_id: AtomicI64,
-    trace_seed: u64,
-    last_trace: AtomicU64,
-    retry: RetryPolicy,
-    retries: AtomicU64,
-    retry_counter: Option<Counter>,
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for RdsClient<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RdsClient")
-            .field("transport", &self.transport)
-            .field("principal", &self.principal)
-            .field("authenticated", &self.key.is_some())
-            .finish()
-    }
-}
-
-impl<T: Transport> RdsClient<T> {
+impl<D: FrameDuplex> RdsClient<D> {
     /// Creates an unauthenticated client acting as `principal`.
-    pub fn new(transport: T, principal: &str) -> RdsClient<T> {
-        RdsClient {
-            transport,
-            principal: Principal::new(principal),
-            key: None,
-            next_id: AtomicI64::new(1),
-            trace_seed: trace_seed(),
-            last_trace: AtomicU64::new(0),
-            retry: RetryPolicy::none(),
-            retries: AtomicU64::new(0),
-            retry_counter: None,
-        }
+    pub fn new(duplex: D, principal: &str) -> RdsClient<D> {
+        RdsClient::over(RdsPipeline::new(duplex, principal), principal)
     }
 
     /// Creates a client that signs requests with `key` (MD5 keyed digest).
-    pub fn with_key(transport: T, principal: &str, key: Vec<u8>) -> RdsClient<T> {
-        RdsClient {
-            transport,
-            principal: Principal::new(principal),
-            key: Some(key),
-            next_id: AtomicI64::new(1),
-            trace_seed: trace_seed(),
-            last_trace: AtomicU64::new(0),
-            retry: RetryPolicy::none(),
-            retries: AtomicU64::new(0),
-            retry_counter: None,
-        }
+    pub fn with_key(duplex: D, principal: &str, key: Vec<u8>) -> RdsClient<D> {
+        RdsClient::over(RdsPipeline::with_key(duplex, principal, key), principal)
     }
 
-    /// Installs a retry policy: delivery failures (transport errors,
-    /// damaged responses, `Busy` sheds) are retried with the policy's
-    /// backoff until its attempt or deadline budget runs out. Retries
+    fn over(pipe: RdsPipeline<D>, principal: &str) -> RdsClient<D> {
+        RdsClient { pipe: Mutex::new(pipe.with_window(1)), principal: Principal::new(principal) }
+    }
+
+    /// Installs a retry policy (see [`RdsPipeline::with_retry`]): retries
     /// re-send the **identical encoded frame** — same request id and
     /// trace id — so a server with duplicate suppression replays the
     /// original response instead of re-executing the effect.
     #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> RdsClient<T> {
-        self.retry = policy;
-        self
+    pub fn with_retry(self, policy: RetryPolicy) -> RdsClient<D> {
+        RdsClient { pipe: Mutex::new(self.pipe.into_inner().with_retry(policy)), ..self }
     }
 
     /// Counts this client's retries into `telemetry` as `rds.retries`
-    /// (also readable via [`RdsClient::retries`]).
+    /// (also readable via [`RdsClient::retries`]) and its reconnects as
+    /// `rds.reconnects`.
     #[must_use]
-    pub fn instrument(mut self, telemetry: &Telemetry) -> RdsClient<T> {
-        self.retry_counter = Some(telemetry.counter("rds.retries"));
-        self
+    pub fn instrument(self, telemetry: &Telemetry) -> RdsClient<D> {
+        RdsClient { pipe: Mutex::new(self.pipe.into_inner().instrument(telemetry)), ..self }
     }
 
     /// Re-sent frames since this client was created.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.pipe.lock().retries()
     }
 
     /// This client's principal handle.
@@ -125,76 +77,24 @@ impl<T: Transport> RdsClient<T> {
         &self.principal
     }
 
-    /// The underlying transport — e.g. to read a
-    /// [`FaultTransport`](crate::FaultTransport)'s injection counters or
-    /// a [`TcpTransport`](crate::TcpTransport)'s reconnect count.
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
     /// The trace id of the most recent request this client sent (0
     /// before the first request). Correlate it with the server's
     /// telemetry spans, `mbdDpiAccounting` row, and audit journal.
     pub fn last_trace_id(&self) -> u64 {
-        self.last_trace.load(Ordering::Relaxed)
+        self.pipe.lock().last_trace_id()
     }
 
-    /// A fresh non-zero trace id for request `id`.
-    fn fresh_trace_id(&self, id: i64) -> u64 {
-        let mixed = splitmix64(self.trace_seed ^ (id as u64).rotate_left(32));
-        if mixed == 0 {
-            1
-        } else {
-            mixed
-        }
+    /// The pipeline underneath — e.g. to read a
+    /// [`FaultDuplex`](crate::FaultDuplex)'s injection counters.
+    pub fn into_pipeline(self) -> RdsPipeline<D> {
+        self.pipe.into_inner()
     }
 
     fn roundtrip(&self, req: &RdsRequest) -> Result<RdsResponse, RdsError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let trace = TraceContext { trace_id: self.fresh_trace_id(id), parent_span_id: 0 };
-        self.last_trace.store(trace.trace_id, Ordering::Relaxed);
-        // Encoded once: every attempt re-sends these exact bytes, so the
-        // request id and trace id are stable across retries and the
-        // server's dedup cache can recognize a replay.
-        let bytes =
-            codec::encode_request_traced(req, &self.principal, id, self.key.as_deref(), trace);
-        let started = Instant::now();
-        let mut attempt = 1u32;
-        loop {
-            match self.exchange(&bytes, id) {
-                Ok(resp) => return Ok(resp),
-                Err(err) => {
-                    let out_of_attempts = attempt >= self.retry.max_attempts.max(1);
-                    let expired = self.retry.deadline.is_some_and(|d| started.elapsed() >= d);
-                    if out_of_attempts || expired || !RetryPolicy::is_retryable(&err) {
-                        return Err(err);
-                    }
-                    let backoff = self.retry.backoff_for(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(counter) = &self.retry_counter {
-                        counter.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    /// One send/receive of an already-encoded frame.
-    fn exchange(&self, bytes: &[u8], id: i64) -> Result<RdsResponse, RdsError> {
-        let resp_bytes = self.transport.request(bytes)?;
-        let (resp, resp_id, _echo) =
-            codec::decode_response_traced(&resp_bytes, self.key.as_deref())?;
-        if let RdsResponse::Error { code, message } = resp {
-            return Err(RdsError::Remote { code, message });
-        }
-        if resp_id != id {
-            return Err(RdsError::RequestIdMismatch { expected: id, found: resp_id });
-        }
-        Ok(resp)
+        let mut pipe = self.pipe.lock();
+        pipe.submit(req);
+        let (_, result) = pipe.drain().pop().expect("a window-1 drain completes its one request");
+        result
     }
 
     fn expect_ok(&self, req: &RdsRequest) -> Result<(), RdsError> {
@@ -411,8 +311,10 @@ fn unexpected(resp: &RdsResponse) -> RdsError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ErrorCode, LoopbackTransport, RdsHandler, RdsServer};
+    use crate::tcp::{TcpServer, TcpServerConfig};
+    use crate::{ErrorCode, LoopbackDuplex, RdsHandler, RdsServer, TcpDuplex};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn demo_server() -> Arc<RdsServer<impl RdsHandler + Send + Sync>> {
         Arc::new(RdsServer::open(|_p: &Principal, req: RdsRequest| match req {
@@ -433,9 +335,8 @@ mod tests {
 
     fn client_for(
         server: Arc<RdsServer<impl RdsHandler + Send + Sync + 'static>>,
-    ) -> RdsClient<LoopbackTransport> {
-        let transport = LoopbackTransport::new(move |bytes: &[u8]| server.process(bytes));
-        RdsClient::new(transport, "mgr")
+    ) -> RdsClient<LoopbackDuplex> {
+        RdsClient::new(LoopbackDuplex::new(move |bytes: &[u8]| server.process(bytes)), "mgr")
     }
 
     #[test]
@@ -478,18 +379,15 @@ mod tests {
             Some(b"secret".to_vec()),
         ));
         let s2 = Arc::clone(&server);
-        let transport = LoopbackTransport::new(move |bytes: &[u8]| s2.process(bytes));
-        let client = RdsClient::with_key(transport, "mgr", b"secret".to_vec());
+        let duplex = LoopbackDuplex::new(move |bytes: &[u8]| s2.process(bytes));
+        let client = RdsClient::with_key(duplex, "mgr", b"secret".to_vec());
         client.delegate("dp", "x").unwrap();
 
         // A client with the wrong key cannot even read the error response.
         let s3 = Arc::clone(&server);
-        let transport = LoopbackTransport::new(move |bytes: &[u8]| s3.process(bytes));
-        let bad = RdsClient::with_key(transport, "mgr", b"wrong".to_vec());
-        assert!(matches!(
-            bad.delegate("dp", "x").unwrap_err(),
-            RdsError::BadDigest | RdsError::Remote { .. }
-        ));
+        let duplex = LoopbackDuplex::new(move |bytes: &[u8]| s3.process(bytes));
+        let bad = RdsClient::with_key(duplex, "mgr", b"wrong".to_vec());
+        assert_eq!(bad.delegate("dp", "x").unwrap_err(), RdsError::BadDigest);
     }
 
     #[test]
@@ -529,40 +427,26 @@ mod tests {
         assert_eq!(client.read_journal(16).unwrap(), vec![record]);
     }
 
-    /// A transport that fails the first `failures` requests, then
-    /// delegates to a demo server.
-    fn flaky_transport(
-        failures: u64,
-        server: Arc<RdsServer<impl RdsHandler + Send + Sync + 'static>>,
-    ) -> LoopbackTransport {
-        use std::sync::atomic::AtomicU64;
-        let remaining = AtomicU64::new(failures);
-        LoopbackTransport::new(move |bytes: &[u8]| {
-            if remaining
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                panic!("simulated transport failure");
+    /// A client whose first `failures` replies arrive empty (damaged),
+    /// then are answered by a demo server.
+    fn flaky_client(mut failures: u64) -> RdsClient<LoopbackDuplex> {
+        let server = demo_server();
+        let duplex = LoopbackDuplex::new(move |bytes: &[u8]| {
+            let reply = server.process(bytes);
+            if failures == 0 {
+                return reply;
             }
-            server.process(bytes)
-        })
+            failures -= 1;
+            Vec::new()
+        });
+        RdsClient::new(duplex, "mgr")
     }
 
-    /// LoopbackTransport propagates handler panics as panics, so wrap it
-    /// to surface them as transport errors instead.
-    struct Catching(LoopbackTransport);
-    impl Transport for Catching {
-        fn request(&self, bytes: &[u8]) -> Result<Vec<u8>, RdsError> {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.0.request(bytes)))
-                .unwrap_or_else(|_| Err(RdsError::Transport { message: "link failed".to_string() }))
-        }
-    }
-
-    fn fast_retry(attempts: u32) -> crate::RetryPolicy {
-        crate::RetryPolicy {
+    fn fast_retry(attempts: u32) -> RetryPolicy {
+        RetryPolicy {
             max_attempts: attempts,
-            base_backoff: std::time::Duration::ZERO,
-            max_backoff: std::time::Duration::ZERO,
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
             deadline: None,
             jitter_seed: 1,
         }
@@ -570,24 +454,21 @@ mod tests {
 
     #[test]
     fn retry_policy_survives_transient_transport_failures() {
-        let t = Catching(flaky_transport(2, demo_server()));
-        let client = RdsClient::new(t, "mgr").with_retry(fast_retry(4));
+        let client = flaky_client(2).with_retry(fast_retry(4));
         assert_eq!(client.list_programs().unwrap(), vec!["dp".to_string()]);
         assert_eq!(client.retries(), 2, "two failures cost two retries");
     }
 
     #[test]
     fn attempts_are_bounded() {
-        let t = Catching(flaky_transport(10, demo_server()));
-        let client = RdsClient::new(t, "mgr").with_retry(fast_retry(3));
+        let client = flaky_client(10).with_retry(fast_retry(3));
         assert!(matches!(client.list_programs().unwrap_err(), RdsError::Transport { .. }));
         assert_eq!(client.retries(), 2, "3 attempts = first try + 2 retries");
     }
 
     #[test]
     fn remote_errors_are_not_retried() {
-        let client = client_for(demo_server());
-        let client = client.with_retry(fast_retry(5));
+        let client = client_for(demo_server()).with_retry(fast_retry(5));
         assert!(matches!(
             client.delegate("bad", "###").unwrap_err(),
             RdsError::Remote { code: ErrorCode::TranslationFailed, .. }
@@ -597,10 +478,8 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_stops_retrying() {
-        let t = Catching(flaky_transport(10, demo_server()));
-        let policy =
-            crate::RetryPolicy { deadline: Some(std::time::Duration::ZERO), ..fast_retry(5) };
-        let client = RdsClient::new(t, "mgr").with_retry(policy);
+        let policy = RetryPolicy { deadline: Some(Duration::ZERO), ..fast_retry(5) };
+        let client = flaky_client(10).with_retry(policy);
         assert!(client.list_programs().is_err());
         assert_eq!(client.retries(), 0, "deadline expired before the first retry");
     }
@@ -608,27 +487,26 @@ mod tests {
     #[test]
     fn retries_reach_shared_telemetry() {
         let tel = mbd_telemetry::Telemetry::new();
-        let t = Catching(flaky_transport(1, demo_server()));
-        let client = RdsClient::new(t, "mgr").with_retry(fast_retry(4)).instrument(&tel);
+        let client = flaky_client(1).with_retry(fast_retry(4)).instrument(&tel);
         client.list_programs().unwrap();
         assert_eq!(tel.snapshot().counter("rds.retries"), Some(1));
     }
 
     #[test]
     fn retries_preserve_request_and_trace_ids() {
-        use parking_lot::Mutex;
-        // Record every frame the transport carries; fail the first one.
+        // Record every frame the duplex carries; lose the first reply.
         let frames: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
         let seen = Arc::clone(&frames);
         let server = demo_server();
-        let t = Catching(LoopbackTransport::new(move |bytes: &[u8]| {
-            seen.lock().push(bytes.to_vec());
-            if seen.lock().len() == 1 {
-                panic!("first delivery lost");
+        let duplex = LoopbackDuplex::new(move |bytes: &[u8]| {
+            let mut seen = seen.lock();
+            seen.push(bytes.to_vec());
+            if seen.len() == 1 {
+                return Vec::new();
             }
             server.process(bytes)
-        }));
-        let client = RdsClient::new(t, "mgr").with_retry(fast_retry(3));
+        });
+        let client = RdsClient::new(duplex, "mgr").with_retry(fast_retry(3));
         client.list_programs().unwrap();
         let frames = frames.lock();
         assert_eq!(frames.len(), 2);
@@ -663,5 +541,25 @@ mod tests {
         let list = client.list_instances().unwrap();
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].state, DpiState::Running);
+    }
+
+    #[test]
+    fn accept_time_busy_surfaces_without_retry() {
+        let server = TcpServer::spawn_with(
+            "127.0.0.1:0",
+            TcpServerConfig { max_connections: 1, ..TcpServerConfig::default() },
+            {
+                let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok);
+                move |bytes: &[u8]| rds.process(bytes)
+            },
+        )
+        .unwrap();
+        let keeper = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "keeper");
+        keeper.delete("dp").unwrap();
+        let shed = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "shed");
+        let err = shed.delete("dp").unwrap_err();
+        assert!(matches!(err, RdsError::Remote { code: ErrorCode::Busy, .. }), "{err:?}");
+        assert_eq!(shed.retries(), 0);
+        server.shutdown();
     }
 }

@@ -101,13 +101,6 @@ pub enum RdsError {
         /// Detail text.
         message: String,
     },
-    /// The response's request id did not match the request.
-    RequestIdMismatch {
-        /// Id we sent.
-        expected: i64,
-        /// Id we got back.
-        found: i64,
-    },
     /// A received message failed digest verification.
     BadDigest,
     /// Unknown operation tag on the wire.
@@ -120,9 +113,6 @@ impl fmt::Display for RdsError {
             RdsError::Codec(e) => write!(f, "codec error: {e}"),
             RdsError::Transport { message } => write!(f, "transport error: {message}"),
             RdsError::Remote { code, message } => write!(f, "remote error ({code}): {message}"),
-            RdsError::RequestIdMismatch { expected, found } => {
-                write!(f, "response id {found} does not match request id {expected}")
-            }
             RdsError::BadDigest => write!(f, "message digest verification failed"),
             RdsError::UnknownOperation(op) => write!(f, "unknown RDS operation tag {op}"),
         }

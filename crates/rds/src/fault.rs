@@ -1,36 +1,45 @@
-//! Deterministic fault injection for any [`Transport`].
+//! Deterministic fault injection for any [`FrameDuplex`].
 //!
-//! [`FaultTransport`] wraps a transport and, driven by a seeded
-//! splitmix64 stream, injects the classic unreliable-channel faults:
-//! dropped requests, dropped responses (the effect executed but the
-//! answer is lost — the case that makes naive retry double-execute),
-//! duplicated deliveries, delays, truncated responses and broken
-//! connections. The schedule is a pure function of the seed, so every
-//! chaos run replays bit-for-bit, and a bounded **fault budget**
-//! guarantees the channel eventually heals — the property the chaos
-//! proptest relies on to demand convergence for *every* seed.
+//! [`FaultDuplex`] wraps a duplex and, driven by a seeded splitmix64
+//! stream, injects the classic unreliable-channel faults at frame
+//! granularity: dropped requests, dropped responses (the effect
+//! executed but the answer is lost — the case that makes naive retry
+//! double-execute), duplicated deliveries, delays, truncated responses
+//! and broken connections. The schedule is a pure function of the seed,
+//! so every chaos run replays bit-for-bit, and a bounded **fault
+//! budget** guarantees the channel eventually heals.
+//!
+//! That budget is what lets the chaos proptests demand convergence for
+//! *every* seed: each fault costs the [`RdsPipeline`](crate::RdsPipeline)
+//! at most one re-send of the request it hits. A swallowed request or
+//! reply shows up as a stall and is re-probed once; a truncated reply
+//! fails to decode and is re-sent once after a reconnect; a disconnect
+//! fails the send, and the reconnect that heals it re-sends once; a
+//! duplicate or a delay costs nothing (the second reply is stale and
+//! dropped by id). A broken channel draws no further faults, and the
+//! pipeline reconnects at once. So a client allowed more attempts than
+//! `max_faults` always sees a clean exchange.
 
 use crate::retry::splitmix64;
-use crate::{RdsError, Transport};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::{FrameDuplex, RdsError};
 use std::time::Duration;
 
-/// The fault kinds a [`FaultTransport`] can inject.
+/// The fault kinds a [`FaultDuplex`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The request never reaches the server.
     DropRequest,
     /// The server executes the request but the response is lost.
     DropResponse,
-    /// The request is delivered twice (the second delivery's response is
-    /// returned — with server-side dedup it is a byte-identical replay).
+    /// The request is delivered twice (with server-side dedup the
+    /// second reply is a byte-identical replay).
     Duplicate,
     /// Delivery succeeds after a short deterministic delay.
     Delay,
     /// The response arrives damaged (truncated to half its length).
     Truncate,
-    /// The connection breaks: this request is lost and the next one
-    /// fails too before the channel heals.
+    /// The connection breaks: this request is lost and the channel
+    /// stays broken until it is reconnected.
     Disconnect,
 }
 
@@ -43,10 +52,10 @@ const FAULT_KINDS: [Fault; 6] = [
     Fault::Disconnect,
 ];
 
-/// Shape of a [`FaultTransport`]'s schedule.
+/// Shape of a [`FaultDuplex`]'s schedule.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
-    /// Probability (per mille, 0..=1000) that a request draws a fault.
+    /// Probability (per mille, 0..=1000) that a sent frame draws a fault.
     pub fault_per_mille: u32,
     /// Faults injected in total before the channel heals for good. A
     /// finite budget makes convergence provable: a client retrying more
@@ -63,166 +72,11 @@ impl Default for FaultConfig {
     }
 }
 
-/// A [`Transport`] decorator injecting deterministic faults (see the
-/// module docs).
-pub struct FaultTransport<T> {
-    inner: T,
-    config: FaultConfig,
-    /// Position in the seeded splitmix64 stream; advanced per decision.
-    cursor: AtomicU64,
-    seed: u64,
-    /// Faults injected so far (stops at `config.max_faults`).
-    injected: AtomicU64,
-    /// Requests that must still fail because of an earlier Disconnect.
-    broken: AtomicU64,
-    drops: AtomicU64,
-    duplicates: AtomicU64,
-    delays: AtomicU64,
-    truncations: AtomicU64,
-    disconnects: AtomicU64,
-}
-
-impl<T> FaultTransport<T> {
-    /// Wraps `inner` with the fault schedule derived from `seed`.
-    pub fn new(inner: T, seed: u64, config: FaultConfig) -> FaultTransport<T> {
-        FaultTransport {
-            inner,
-            config,
-            cursor: AtomicU64::new(0),
-            seed,
-            injected: AtomicU64::new(0),
-            broken: AtomicU64::new(0),
-            drops: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
-            delays: AtomicU64::new(0),
-            truncations: AtomicU64::new(0),
-            disconnects: AtomicU64::new(0),
-        }
-    }
-
-    /// Total faults injected.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Requests or responses dropped (incl. truncations and the lost
-    /// deliveries of disconnects).
-    pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
-    /// Requests delivered twice.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates.load(Ordering::Relaxed)
-    }
-
-    /// Requests delayed.
-    pub fn delays(&self) -> u64 {
-        self.delays.load(Ordering::Relaxed)
-    }
-
-    /// Responses truncated.
-    pub fn truncations(&self) -> u64 {
-        self.truncations.load(Ordering::Relaxed)
-    }
-
-    /// Connections broken.
-    pub fn disconnects(&self) -> u64 {
-        self.disconnects.load(Ordering::Relaxed)
-    }
-
-    /// The next value of the seeded decision stream.
-    fn draw(&self) -> u64 {
-        let pos = self.cursor.fetch_add(1, Ordering::Relaxed);
-        splitmix64(self.seed.wrapping_add(pos.wrapping_mul(0xA076_1D64_78BD_642F)))
-    }
-
-    /// Decides the fault (if any) for the current request, consuming
-    /// budget. `None` means deliver cleanly.
-    fn next_fault(&self) -> Option<Fault> {
-        if self.injected.load(Ordering::Relaxed) >= u64::from(self.config.max_faults) {
-            return None;
-        }
-        let roll = self.draw() % 1000;
-        if roll >= u64::from(self.config.fault_per_mille.min(1000)) {
-            return None;
-        }
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        Some(FAULT_KINDS[(self.draw() % FAULT_KINDS.len() as u64) as usize])
-    }
-
-    fn lost(&self, what: &str) -> RdsError {
-        self.drops.fetch_add(1, Ordering::Relaxed);
-        RdsError::Transport { message: format!("fault injected: {what}") }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for FaultTransport<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultTransport")
-            .field("inner", &self.inner)
-            .field("seed", &self.seed)
-            .field("injected", &self.injected())
-            .finish()
-    }
-}
-
-impl<T: Transport> Transport for FaultTransport<T> {
-    fn request(&self, bytes: &[u8]) -> Result<Vec<u8>, RdsError> {
-        // A broken connection fails requests until its breakage is spent
-        // — but only while fault budget remains, so the channel always
-        // heals once the budget is exhausted.
-        if self.broken.load(Ordering::Relaxed) > 0 {
-            if self.injected.load(Ordering::Relaxed) < u64::from(self.config.max_faults) {
-                self.broken.fetch_sub(1, Ordering::Relaxed);
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return Err(self.lost("connection still broken"));
-            }
-            self.broken.store(0, Ordering::Relaxed);
-        }
-        match self.next_fault() {
-            None => self.inner.request(bytes),
-            Some(Fault::DropRequest) => Err(self.lost("request dropped")),
-            Some(Fault::DropResponse) => {
-                // The server-side effect happens; the answer is lost.
-                let _ = self.inner.request(bytes)?;
-                Err(self.lost("response dropped"))
-            }
-            Some(Fault::Duplicate) => {
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-                let _ = self.inner.request(bytes)?;
-                self.inner.request(bytes)
-            }
-            Some(Fault::Delay) => {
-                self.delays.fetch_add(1, Ordering::Relaxed);
-                let ms = 1 + self.draw() % self.config.max_delay_ms.max(1);
-                std::thread::sleep(Duration::from_millis(ms));
-                self.inner.request(bytes)
-            }
-            Some(Fault::Truncate) => {
-                self.truncations.fetch_add(1, Ordering::Relaxed);
-                let resp = self.inner.request(bytes)?;
-                Ok(resp[..resp.len() / 2].to_vec())
-            }
-            Some(Fault::Disconnect) => {
-                self.disconnects.fetch_add(1, Ordering::Relaxed);
-                self.broken.store(1, Ordering::Relaxed);
-                Err(self.lost("connection broken"))
-            }
-        }
-    }
-}
-
-/// [`FaultDuplex`]'s analogue of [`FaultTransport`] for the pipelined
-/// path: wraps a [`FrameDuplex`](crate::FrameDuplex) and injects the
-/// same seeded, budgeted fault kinds at frame granularity. Because the
-/// halves are decoupled, the faults map differently: a dropped request
-/// is swallowed at send (the pipeline's stall probe recovers it), a
-/// dropped or truncated *response* is applied to the next received
-/// frame, and a disconnect breaks the channel until the pipeline
-/// reconnects. The schedule is a pure function of the seed and the
-/// budget is finite, so every run replays bit-for-bit and the channel
-/// provably heals.
+/// A [`FrameDuplex`] decorator injecting deterministic faults (see the
+/// module docs). Faults are drawn per sent frame; because the halves
+/// are decoupled, a dropped request is swallowed at send, a dropped or
+/// truncated *response* is applied to the next received frame, and a
+/// disconnect breaks the channel until the next `reconnect`.
 pub struct FaultDuplex<D> {
     inner: D,
     config: FaultConfig,
@@ -292,12 +146,15 @@ impl<D> FaultDuplex<D> {
         self.disconnects
     }
 
+    /// The next value of the seeded decision stream.
     fn draw(&mut self) -> u64 {
         let pos = self.cursor;
         self.cursor += 1;
         splitmix64(self.seed.wrapping_add(pos.wrapping_mul(0xA076_1D64_78BD_642F)))
     }
 
+    /// Decides the fault (if any) for the current frame, consuming
+    /// budget. `None` means deliver cleanly.
     fn next_fault(&mut self) -> Option<Fault> {
         if self.injected >= u64::from(self.config.max_faults) {
             return None;
@@ -321,7 +178,7 @@ impl<D: std::fmt::Debug> std::fmt::Debug for FaultDuplex<D> {
     }
 }
 
-impl<D: crate::FrameDuplex> crate::FrameDuplex for FaultDuplex<D> {
+impl<D: FrameDuplex> FrameDuplex for FaultDuplex<D> {
     fn send_frame(&mut self, bytes: &[u8]) -> Result<(), RdsError> {
         if self.broken {
             return Err(RdsError::Transport { message: "fault injected: channel broken".into() });
@@ -396,22 +253,37 @@ impl<D: crate::FrameDuplex> crate::FrameDuplex for FaultDuplex<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LoopbackTransport;
+    use crate::LoopbackDuplex;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn echo() -> LoopbackTransport {
-        LoopbackTransport::new(|bytes: &[u8]| bytes.to_vec())
+    fn faulty(seed: u64, config: FaultConfig) -> FaultDuplex<LoopbackDuplex> {
+        FaultDuplex::new(LoopbackDuplex::new(|bytes: &[u8]| bytes.to_vec()), seed, config)
+    }
+
+    fn always(max_faults: u32) -> FaultConfig {
+        FaultConfig { fault_per_mille: 1000, max_faults, max_delay_ms: 1 }
+    }
+
+    /// One exchange of `bytes`: every reply that is ready, or `None`
+    /// when the send failed (the channel is reconnected for the next).
+    fn exchange(t: &mut FaultDuplex<LoopbackDuplex>, bytes: &[u8]) -> Option<Vec<Vec<u8>>> {
+        if t.send_frame(bytes).is_err() {
+            t.reconnect().unwrap();
+            return None;
+        }
+        let mut replies = Vec::new();
+        while let Some(frame) = t.recv_frame(Duration::ZERO).unwrap() {
+            replies.push(frame);
+        }
+        Some(replies)
     }
 
     #[test]
     fn clean_when_probability_is_zero() {
-        let t = FaultTransport::new(
-            echo(),
-            1,
-            FaultConfig { fault_per_mille: 0, ..FaultConfig::default() },
-        );
+        let mut t = faulty(1, FaultConfig { fault_per_mille: 0, ..FaultConfig::default() });
         for _ in 0..50 {
-            assert_eq!(t.request(&[1, 2]).unwrap(), vec![1, 2]);
+            assert_eq!(exchange(&mut t, &[1, 2]), Some(vec![vec![1, 2]]));
         }
         assert_eq!(t.injected(), 0);
     }
@@ -419,12 +291,8 @@ mod tests {
     #[test]
     fn schedules_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let t = FaultTransport::new(
-                echo(),
-                seed,
-                FaultConfig { max_delay_ms: 1, ..FaultConfig::default() },
-            );
-            (0..30).map(|i| t.request(&[i]).is_ok()).collect::<Vec<_>>()
+            let mut t = faulty(seed, FaultConfig { max_delay_ms: 1, ..FaultConfig::default() });
+            (0..30u8).map(|i| exchange(&mut t, &[i, i])).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7), "same seed, same schedule");
         assert_ne!(run(7), run(8), "different seeds diverge");
@@ -432,61 +300,53 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_heals_the_channel() {
-        let t = FaultTransport::new(
-            echo(),
-            3,
-            FaultConfig { fault_per_mille: 1000, max_faults: 5, max_delay_ms: 1 },
-        );
-        // Eventually every request succeeds — the budget is finite.
+        let mut t = faulty(3, always(5));
+        // Every exchange draws a fault until the budget is gone; each
+        // fault spoils at most that one exchange.
         let mut failures = 0;
         for i in 0..40u8 {
-            if t.request(&[i]).is_err() {
+            let replies = exchange(&mut t, &[i, i]).unwrap_or_default();
+            if !replies.contains(&vec![i, i]) {
                 failures += 1;
             }
         }
-        assert!(t.injected() <= 5);
+        assert_eq!(t.injected(), 5);
         assert!(failures <= 5, "at most one failure per budgeted fault");
-        assert_eq!(t.request(&[99]).unwrap(), vec![99], "healed channel is clean");
+        assert_eq!(exchange(&mut t, &[99]), Some(vec![vec![99]]), "healed channel is clean");
     }
 
     #[test]
-    fn disconnect_breaks_the_next_request_too() {
+    fn disconnect_stays_broken_until_reconnect() {
         // Force Disconnect deterministically by scanning seeds.
         for seed in 0..200u64 {
-            let t = FaultTransport::new(
-                echo(),
-                seed,
-                FaultConfig { fault_per_mille: 1000, max_faults: 10, max_delay_ms: 1 },
-            );
-            let _ = t.request(&[1]);
-            if t.disconnects() == 1 && t.injected() == 1 {
-                assert!(t.request(&[2]).is_err(), "follow-on request fails while broken");
-                assert_eq!(t.injected(), 2, "the follow-on failure consumes budget");
-                return;
+            let mut t = faulty(seed, always(1));
+            if t.send_frame(&[1]).is_ok() || t.disconnects() != 1 {
+                continue;
             }
+            assert!(t.send_frame(&[2]).is_err(), "sends fail while broken");
+            assert!(t.recv_frame(Duration::ZERO).is_err(), "receives fail while broken");
+            assert_eq!(t.injected(), 1, "a broken channel draws no further faults");
+            t.reconnect().unwrap();
+            assert_eq!(exchange(&mut t, &[3]), Some(vec![vec![3]]), "reconnect heals it");
+            return;
         }
         panic!("no seed in 0..200 drew Disconnect first — schedule generator is broken");
     }
 
     #[test]
-    fn duplicate_delivers_twice_to_the_inner_transport() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    fn duplicate_delivers_twice_to_the_inner_duplex() {
         for seed in 0..400u64 {
             let deliveries = Arc::new(AtomicU64::new(0));
             let seen = Arc::clone(&deliveries);
-            let inner = LoopbackTransport::new(move |bytes: &[u8]| {
+            let inner = LoopbackDuplex::new(move |bytes: &[u8]| {
                 seen.fetch_add(1, Ordering::Relaxed);
                 bytes.to_vec()
             });
-            let t = FaultTransport::new(
-                inner,
-                seed,
-                FaultConfig { fault_per_mille: 1000, max_faults: 1, max_delay_ms: 1 },
-            );
-            let out = t.request(&[5]);
+            let mut t = FaultDuplex::new(inner, seed, always(1));
+            let replies = exchange(&mut t, &[5]);
             if t.duplicates() == 1 {
                 assert_eq!(deliveries.load(Ordering::Relaxed), 2);
-                assert_eq!(out.unwrap(), vec![5]);
+                assert_eq!(replies, Some(vec![vec![5], vec![5]]));
                 return;
             }
         }
@@ -494,16 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn truncate_damages_the_response() {
+    fn truncate_halves_the_next_reply() {
         for seed in 0..400u64 {
-            let t = FaultTransport::new(
-                echo(),
-                seed,
-                FaultConfig { fault_per_mille: 1000, max_faults: 1, max_delay_ms: 1 },
-            );
-            let out = t.request(&[1, 2, 3, 4]);
+            let mut t = faulty(seed, always(1));
+            let replies = exchange(&mut t, &[1, 2, 3, 4]);
             if t.truncations() == 1 {
-                assert_eq!(out.unwrap(), vec![1, 2], "half the response survives");
+                assert_eq!(replies, Some(vec![vec![1, 2]]), "half the reply survives");
                 return;
             }
         }

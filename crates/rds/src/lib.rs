@@ -17,29 +17,31 @@
 //! | `SendMessage`     | post to a dpi's mailbox |
 //! | `ListPrograms` / `ListInstances` | introspection |
 //!
-//! The crate is transport-neutral: [`Transport`] abstracts the
-//! request/response channel, with [`LoopbackTransport`] (in-process) and
-//! [`ChannelTransport`] (cross-thread, used by the threaded MbD server)
-//! provided. Performance experiments run the same codec over `netsim`.
+//! The crate is transport-neutral: clients talk through a
+//! [`FrameDuplex`] — [`TcpDuplex`] over a socket, [`LoopbackDuplex`] to
+//! an in-process server. Performance experiments run the same codec
+//! over `netsim`.
 //!
-//! The session layer is fault-tolerant (see `docs/RDS.md`): clients
-//! retry delivery failures under a [`RetryPolicy`] (bounded attempts,
-//! seeded-jitter backoff, per-request deadline), re-sending identical
-//! frames; servers suppress the resulting duplicates with a bounded
-//! per-principal [`DedupCache`] that replays the original encoded
-//! response (exactly-once effects); a saturated [`TcpServer`] sheds
-//! individual requests with an explicit `Busy` frame carrying the shed
-//! request's id and exposes its [`ServerHealth`]; and
-//! [`FaultTransport`] / [`FaultDuplex`] inject deterministic seeded
-//! faults (drop, duplicate, delay, truncate, disconnect) around any
-//! channel for chaos testing.
+//! There is one client engine, the windowed [`RdsPipeline`]: many
+//! requests in flight on one connection, answered out of order,
+//! matched by request id. [`RdsClient`] is that pipeline at window 1
+//! behind typed verbs.
+//!
+//! The session layer is fault-tolerant (see `docs/RDS.md`): the
+//! pipeline retries delivery failures under a [`RetryPolicy`] (bounded
+//! attempts, seeded-jitter backoff, per-request deadline), re-sending
+//! identical frames; servers suppress the resulting duplicates with a
+//! bounded per-principal [`DedupCache`] that replays the original
+//! encoded response (exactly-once effects); a saturated [`TcpServer`]
+//! sheds individual requests with an explicit `Busy` frame carrying the
+//! shed request's id and exposes its [`ServerHealth`]; and
+//! [`FaultDuplex`] injects deterministic seeded faults (drop,
+//! duplicate, delay, truncate, disconnect) around any duplex for chaos
+//! testing.
 //!
 //! Over TCP the server is a readiness-driven [`reactor`]: one event
 //! loop owns every socket (idle connections cost a file descriptor,
-//! not a thread) and a bounded worker pool executes handlers. A
-//! connection may *pipeline* requests — many in flight, answered out
-//! of order, matched by request id — via the windowed [`RdsPipeline`]
-//! client; the serial [`RdsClient`] keeps working unchanged.
+//! not a thread) and a bounded worker pool executes handlers.
 //!
 //! # Examples
 //!
@@ -72,13 +74,13 @@ mod transport;
 pub use client::RdsClient;
 pub use dedup::{frame_fingerprint, DedupCache, DedupOutcome, DEFAULT_DEDUP_CAPACITY};
 pub use error::{ErrorCode, RdsError};
-pub use fault::{Fault, FaultConfig, FaultDuplex, FaultTransport};
+pub use fault::{Fault, FaultConfig, FaultDuplex};
 pub use msg::{
     AlertStatus, AuditRecord, DpiId, DpiState, DpiSummary, MetricPoint, MetricSeries, RdsRequest,
     RdsResponse, SpanRecord, TraceContext,
 };
-pub use pipeline::{FrameDuplex, RdsPipeline, TcpDuplex};
+pub use pipeline::RdsPipeline;
 pub use retry::RetryPolicy;
 pub use server::{AuditEvent, RdsHandler, RdsServer};
-pub use tcp::{ServerHealth, TcpServer, TcpServerConfig, TcpTransport};
-pub use transport::{ChannelTransport, ChannelTransportServer, LoopbackTransport, Transport};
+pub use tcp::{ServerHealth, TcpServer, TcpServerConfig};
+pub use transport::{FrameDuplex, LoopbackDuplex, TcpDuplex};

@@ -1,210 +1,55 @@
-//! Pipelined RDS client: N requests in flight on one connection.
+//! The RDS client engine: N requests in flight on one [`FrameDuplex`].
 //!
-//! [`crate::RdsClient`] is strictly serial — each verb blocks until its
-//! response returns, so one connection's throughput is bounded by the
-//! round-trip time. The reactor server completes requests out of order
-//! (replies are matched by request id, not position), which this module
-//! exploits from the client side:
+//! The reactor server completes requests out of order (replies are
+//! matched by request id, not position), which [`RdsPipeline`] exploits
+//! from the client side: up to `window` encoded requests outstanding,
+//! replies accepted in any order. It is the crate's only retry loop —
+//! [`crate::RdsClient`] is this pipeline at window 1 behind typed verbs.
+//! Every re-send is the **identical encoded frame** (same request id,
+//! same trace id), so the server's dedup cache replays instead of
+//! re-executing, and `Busy` sheds back off under the configured
+//! [`RetryPolicy`].
 //!
-//! * [`FrameDuplex`] — a frame channel whose send and receive halves
-//!   are decoupled (unlike [`crate::Transport`], which is lockstep);
-//! * [`TcpDuplex`] — the TCP implementation, reusing the reactor's
-//!   [`FrameAssembler`](crate::reactor::FrameAssembler) for incremental
-//!   reassembly and able to re-dial its peer;
-//! * [`RdsPipeline`] — a windowed client: up to `window` encoded
-//!   requests outstanding, replies accepted in any order, with the same
-//!   fault-tolerance contract as the serial client — every re-send is
-//!   the **identical encoded frame** (same request id, same trace id),
-//!   so the server's dedup cache replays instead of re-executing, and
-//!   `Busy` sheds back off under the configured [`RetryPolicy`].
+//! Replies are routed by request id:
 //!
-//! Late or duplicated replies (a retried request can be answered twice)
-//! are recognized by id and dropped silently; an undecodable reply means
-//! the stream's framing can no longer be trusted, so the pipeline
-//! reconnects and re-sends everything still pending. See `docs/RDS.md`
-//! for the full framing/pipelining state machine.
+//! * a late or duplicated reply (a retried request can be answered
+//!   twice) carries an id no longer pending and is dropped silently;
+//! * an `Error` under id 0 answers a request the server could not read
+//!   (bad digest, unauthenticated, shed at accept) and is charged to the
+//!   oldest pending request;
+//! * a reply that fails digest verification is an answer, not damage:
+//!   an unsigned `Busy` (a shed without the key) is handled like any
+//!   `Busy`, anything else completes every pending request with
+//!   [`RdsError::BadDigest`] — the two ends hold different keys;
+//! * any other undecodable reply means the stream's framing can no
+//!   longer be trusted, so the pipeline reconnects and re-sends
+//!   everything still pending.
+//!
+//! A failure that expires every pending request leaves the connection
+//! down until the next [`submit`](RdsPipeline::submit) re-dials.
+//!
+//! See `docs/RDS.md` for the full framing/pipelining state machine.
 
-use crate::reactor::FrameAssembler;
 use crate::retry::splitmix64;
-use crate::tcp::write_frame;
-use crate::{codec, RdsError, RdsRequest, RdsResponse, RetryPolicy, TraceContext};
+use crate::{codec, FrameDuplex, RdsError, RdsRequest, RdsResponse, RetryPolicy, TraceContext};
 use mbd_auth::Principal;
 use mbd_telemetry::{Counter, Telemetry};
-use std::collections::{HashMap, VecDeque};
-use std::io::Read;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-fn io_err(e: std::io::Error) -> RdsError {
-    RdsError::Transport { message: e.to_string() }
-}
+/// Distinguishes pipelines constructed in the same wall-clock instant
+/// (or after the clock fallback): each construction consumes one value,
+/// and the seed mixes it in, so two clients never share a trace-id
+/// stream.
+static CLIENT_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// A bidirectional frame channel with decoupled halves: frames are sent
-/// without awaiting a reply, and received in whatever order the peer
-/// produces them.
-pub trait FrameDuplex {
-    /// Queues/writes one frame toward the peer.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures as [`RdsError::Transport`].
-    fn send_frame(&mut self, bytes: &[u8]) -> Result<(), RdsError>;
-
-    /// Waits up to `timeout` for one frame; `Ok(None)` when none
-    /// arrived in time (the connection is still fine). A zero timeout
-    /// is a pure poll: return whatever is already available without
-    /// waiting at all.
-    ///
-    /// # Errors
-    ///
-    /// A broken or closed connection — after which [`reconnect`]
-    /// (if supported) must be called before further use.
-    ///
-    /// [`reconnect`]: FrameDuplex::reconnect
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, RdsError>;
-
-    /// Re-establishes the channel after an error. Implementations that
-    /// cannot (e.g. an accepted socket) keep the default.
-    ///
-    /// # Errors
-    ///
-    /// [`RdsError::Transport`] when unsupported or the peer is gone.
-    fn reconnect(&mut self) -> Result<(), RdsError> {
-        Err(RdsError::Transport { message: "this duplex cannot reconnect".to_string() })
-    }
-}
-
-/// [`FrameDuplex`] over TCP: blocking writes, timeout-bounded reads
-/// through a [`FrameAssembler`] (a read deadline may split a frame; the
-/// assembler keeps the partial bytes), and re-dialing of the original
-/// peer on demand.
-#[derive(Debug)]
-pub struct TcpDuplex {
-    stream: Option<TcpStream>,
-    peer: SocketAddr,
-    assembler: FrameAssembler,
-    /// Complete frames read but not yet handed out.
-    ready: VecDeque<Vec<u8>>,
-    reconnects: u64,
-}
-
-impl TcpDuplex {
-    /// Connects to an RDS server.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures as [`RdsError::Transport`].
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<TcpDuplex, RdsError> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let peer = stream.peer_addr().map_err(io_err)?;
-        Ok(TcpDuplex {
-            stream: Some(stream),
-            peer,
-            assembler: FrameAssembler::new(),
-            ready: VecDeque::new(),
-            reconnects: 0,
-        })
-    }
-
-    /// The server's address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Successful re-dials after the initial connection.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-}
-
-impl FrameDuplex for TcpDuplex {
-    fn send_frame(&mut self, bytes: &[u8]) -> Result<(), RdsError> {
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| RdsError::Transport { message: "not connected".to_string() })?;
-        write_frame(stream, bytes).inspect_err(|_| self.stream = None)
-    }
-
-    fn recv_frame(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, RdsError> {
-        if let Some(frame) = self.ready.pop_front() {
-            return Ok(Some(frame));
-        }
-        // A zero timeout is a pure poll: read in nonblocking mode so a
-        // quiet socket costs nothing (a 1 ms "short" read timeout per
-        // poll would dominate a pipelined submit loop).
-        let nonblocking = timeout.is_zero();
-        let deadline = Instant::now() + timeout;
-        loop {
-            let Some(stream) = self.stream.as_mut() else {
-                return Err(RdsError::Transport { message: "not connected".to_string() });
-            };
-            if nonblocking {
-                stream.set_nonblocking(true).map_err(io_err)?;
-            } else {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Ok(None);
-                }
-                // set_read_timeout rejects zero; 1 ms is the floor.
-                stream
-                    .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                    .map_err(io_err)?;
-            }
-            let mut chunk = [0u8; 64 * 1024];
-            let read = stream.read(&mut chunk);
-            if nonblocking {
-                // Leave the socket blocking for send_frame and for any
-                // later timed receive.
-                stream.set_nonblocking(false).map_err(io_err)?;
-            }
-            match read {
-                Ok(0) => {
-                    self.stream = None;
-                    return Err(RdsError::Transport {
-                        message: "server closed the connection".to_string(),
-                    });
-                }
-                Ok(n) => match self.assembler.push(&chunk[..n]) {
-                    Ok(frames) => {
-                        self.ready.extend(frames);
-                        if let Some(frame) = self.ready.pop_front() {
-                            return Ok(Some(frame));
-                        }
-                        // Partial frame — keep reading until the deadline.
-                    }
-                    Err(e) => {
-                        self.stream = None;
-                        return Err(e);
-                    }
-                },
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.stream = None;
-                    return Err(io_err(e));
-                }
-            }
-        }
-    }
-
-    fn reconnect(&mut self) -> Result<(), RdsError> {
-        self.stream = None;
-        // Any partial frame belonged to the dead connection; complete
-        // frames already assembled are still valid responses.
-        self.assembler = FrameAssembler::new();
-        let stream = TcpStream::connect(self.peer).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        self.stream = Some(stream);
-        self.reconnects += 1;
-        Ok(())
-    }
+fn trace_seed() -> u64 {
+    let wall = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0x5EED);
+    splitmix64(wall) ^ splitmix64(CLIENT_SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
 struct Pending {
@@ -226,7 +71,7 @@ struct Pending {
 /// let duplex = TcpDuplex::connect("127.0.0.1:4700")?;
 /// let mut pipe = RdsPipeline::new(duplex, "noc-mgr").with_window(8);
 /// for _ in 0..100 {
-///     pipe.submit(&RdsRequest::ListPrograms)?;
+///     pipe.submit(&RdsRequest::ListPrograms);
 /// }
 /// for (id, result) in pipe.drain() {
 ///     println!("#{id}: {:?}", result?);
@@ -244,11 +89,18 @@ pub struct RdsPipeline<D> {
     /// How long one blocking receive waits before the pipeline treats
     /// the stream as stalled and re-probes (re-sends) what is pending.
     recv_timeout: Duration,
-    pending: HashMap<i64, Pending>,
+    /// Outstanding requests by id; ids grow monotonically, so the first
+    /// entry is the oldest.
+    pending: BTreeMap<i64, Pending>,
     completed: Vec<(i64, Result<RdsResponse, RdsError>)>,
     trace_seed: u64,
+    last_trace: u64,
     retries: u64,
+    /// A failure expired every pending request before the connection
+    /// was re-established; the next submit reconnects first.
+    broken: bool,
     retry_counter: Option<Counter>,
+    reconnect_counter: Option<Counter>,
 }
 
 impl<D: std::fmt::Debug> std::fmt::Debug for RdsPipeline<D> {
@@ -256,6 +108,7 @@ impl<D: std::fmt::Debug> std::fmt::Debug for RdsPipeline<D> {
         f.debug_struct("RdsPipeline")
             .field("duplex", &self.duplex)
             .field("principal", &self.principal)
+            .field("authenticated", &self.key.is_some())
             .field("window", &self.window)
             .field("in_flight", &self.pending.len())
             .finish()
@@ -274,11 +127,14 @@ impl<D: FrameDuplex> RdsPipeline<D> {
             window: 8,
             retry: RetryPolicy::none(),
             recv_timeout: Duration::from_secs(5),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             completed: Vec::new(),
-            trace_seed: crate::client::trace_seed(),
+            trace_seed: trace_seed(),
+            last_trace: 0,
             retries: 0,
+            broken: false,
             retry_counter: None,
+            reconnect_counter: None,
         }
     }
 
@@ -292,18 +148,17 @@ impl<D: FrameDuplex> RdsPipeline<D> {
 
     /// Bounds the in-flight window: [`submit`](RdsPipeline::submit)
     /// blocks (completing older requests) once `window` requests are
-    /// outstanding. A window of 1 degenerates to the serial client.
+    /// outstanding. A window of 1 is [`crate::RdsClient`].
     #[must_use]
     pub fn with_window(mut self, window: usize) -> RdsPipeline<D> {
         self.window = window.max(1);
         self
     }
 
-    /// Installs a retry policy, with the same semantics as
-    /// [`crate::RdsClient::with_retry`]: delivery failures (stalled
-    /// stream, broken connection, damaged reply, `Busy` shed) re-send
-    /// the identical encoded frame until the attempt or deadline budget
-    /// runs out — dedup-safe by construction.
+    /// Installs a retry policy: delivery failures (stalled stream,
+    /// broken connection, damaged reply, `Busy` shed) re-send the
+    /// identical encoded frame until the attempt or deadline budget runs
+    /// out — dedup-safe by construction.
     #[must_use]
     pub fn with_retry(mut self, policy: RetryPolicy) -> RdsPipeline<D> {
         self.retry = policy;
@@ -319,10 +174,12 @@ impl<D: FrameDuplex> RdsPipeline<D> {
     }
 
     /// Counts this pipeline's re-sends into `telemetry` as
-    /// `rds.retries` (also readable via [`RdsPipeline::retries`]).
+    /// `rds.retries` (also readable via [`RdsPipeline::retries`]) and
+    /// its successful reconnects as `rds.reconnects`.
     #[must_use]
     pub fn instrument(mut self, telemetry: &Telemetry) -> RdsPipeline<D> {
         self.retry_counter = Some(telemetry.counter("rds.retries"));
+        self.reconnect_counter = Some(telemetry.counter("rds.reconnects"));
         self
     }
 
@@ -336,67 +193,55 @@ impl<D: FrameDuplex> RdsPipeline<D> {
         self.retries
     }
 
+    /// The trace id of the most recent request submitted (0 before the
+    /// first). Correlate it with the server's telemetry spans,
+    /// `mbdDpiAccounting` row and audit journal.
+    pub fn last_trace_id(&self) -> u64 {
+        self.last_trace
+    }
+
     /// The underlying duplex — e.g. to read a [`TcpDuplex`]'s reconnect
-    /// count.
+    /// count or a [`FaultDuplex`](crate::FaultDuplex)'s injections.
+    ///
+    /// [`TcpDuplex`]: crate::TcpDuplex
     pub fn duplex(&self) -> &D {
         &self.duplex
     }
 
-    fn count_retry(&mut self) {
-        self.retries += 1;
-        if let Some(counter) = &self.retry_counter {
-            counter.inc();
-        }
-    }
-
     /// Encodes and sends `req`, returning its request id immediately;
-    /// the response is collected later by [`drain`](RdsPipeline::drain)
-    /// (or an interleaved blocking receive when the window is full).
-    ///
-    /// # Errors
-    ///
-    /// Unrecoverable transport failures; per-request failures surface
-    /// in `drain`'s results instead.
-    pub fn submit(&mut self, req: &RdsRequest) -> Result<i64, RdsError> {
+    /// the response — or the failure that ended its retry budget — is
+    /// collected later by [`drain`](RdsPipeline::drain) (or an
+    /// interleaved blocking receive when the window is full).
+    pub fn submit(&mut self, req: &RdsRequest) -> i64 {
         while self.pending.len() >= self.window {
-            self.pump(true)?;
+            self.pump(true);
         }
         let id = self.next_id;
         self.next_id += 1;
         let mixed = splitmix64(self.trace_seed ^ (id as u64).rotate_left(32));
         let trace = TraceContext { trace_id: mixed.max(1), parent_span_id: 0 };
-        let bytes =
+        self.last_trace = trace.trace_id;
+        let frame =
             codec::encode_request_traced(req, &self.principal, id, self.key.as_deref(), trace);
-        self.pending.insert(id, Pending { frame: bytes, started: Instant::now(), attempts: 1 });
-        let frame = self.pending[&id].frame.clone();
-        if self.duplex.send_frame(&frame).is_err() {
-            self.recover()?;
+        // Dialing before a request's first send is not a re-send, so it
+        // is owed even under a single-attempt policy.
+        let ready = if std::mem::take(&mut self.broken) { self.reconnect() } else { Ok(()) };
+        let sent = ready.and_then(|()| self.duplex.send_frame(&frame));
+        self.pending.insert(id, Pending { frame, started: Instant::now(), attempts: 1 });
+        if let Err(e) = sent {
+            self.recover(e);
         }
-        Ok(id)
+        id
     }
 
     /// Completes every outstanding request and returns all collected
     /// `(request id, result)` pairs in submission (= id) order. Requests
-    /// that exhausted their retry budget yield `Err` entries; the call
-    /// itself never fails.
+    /// that exhausted their retry budget yield `Err` entries.
     pub fn drain(&mut self) -> Vec<(i64, Result<RdsResponse, RdsError>)> {
         while !self.pending.is_empty() {
-            if let Err(e) = self.pump(true) {
-                // recover() already expired what it could; an error here
-                // means the channel is gone for good — fail the rest.
-                let msg = e.to_string();
-                let mut dead: Vec<i64> = self.pending.drain().map(|(id, _)| id).collect();
-                dead.sort_unstable();
-                for id in dead {
-                    self.completed.push((
-                        id,
-                        Err(RdsError::Transport { message: format!("connection lost: {msg}") }),
-                    ));
-                }
-            }
+            self.pump(true);
         }
-        self.completed.sort_by_key(|(id, _)| *id);
-        std::mem::take(&mut self.completed)
+        self.take_completed()
     }
 
     /// Collects any responses that have already arrived without
@@ -405,201 +250,167 @@ impl<D: FrameDuplex> RdsPipeline<D> {
         // Drain everything immediately available, then hand out results.
         loop {
             let before = (self.pending.len(), self.completed.len());
-            let _ = self.pump(false);
+            self.pump(false);
             if (self.pending.len(), self.completed.len()) == before {
                 break;
             }
         }
+        self.take_completed()
+    }
+
+    fn take_completed(&mut self) -> Vec<(i64, Result<RdsResponse, RdsError>)> {
         self.completed.sort_by_key(|(id, _)| *id);
         std::mem::take(&mut self.completed)
     }
 
     /// One receive step: `block` waits up to the recv timeout, else
     /// returns immediately when no frame is ready.
-    fn pump(&mut self, block: bool) -> Result<(), RdsError> {
+    fn pump(&mut self, block: bool) {
         let timeout = if block { self.recv_timeout } else { Duration::ZERO };
         match self.duplex.recv_frame(timeout) {
             Ok(Some(frame)) => self.dispatch(&frame),
-            Ok(None) => {
-                if block {
-                    self.on_stall()
-                } else {
-                    Ok(())
-                }
-            }
-            Err(_) => self.recover(),
+            Ok(None) if block => self.on_stall(),
+            Ok(None) => {}
+            Err(e) => self.recover(e),
         }
     }
 
-    /// Routes one received frame to its pending request.
-    fn dispatch(&mut self, frame: &[u8]) -> Result<(), RdsError> {
-        let Ok((resp, id, _trace)) = codec::decode_response_traced(frame, self.key.as_deref())
-        else {
-            // Damaged or unverifiable bytes: the stream's framing can no
-            // longer be trusted — resynchronize wholesale.
-            return self.recover();
-        };
-        if !self.pending.contains_key(&id) {
-            // A stale reply: a re-sent request was answered twice, or the
-            // request already expired locally. Ignoring it is what makes
-            // retries safe — ids are never reused within a pipeline.
-            return Ok(());
+    /// Whether `entry` has used up its attempts or its deadline.
+    fn spent(&self, entry: &Pending) -> bool {
+        entry.attempts >= self.retry.max_attempts.max(1)
+            || self.retry.deadline.is_some_and(|d| entry.started.elapsed() >= d)
+    }
+
+    fn complete(&mut self, id: i64, result: Result<RdsResponse, RdsError>) {
+        self.pending.remove(&id);
+        self.completed.push((id, result));
+    }
+
+    /// Re-sends pending request `id`'s identical frame, charging it one
+    /// attempt.
+    fn resend(&mut self, id: i64) -> Result<(), RdsError> {
+        self.retries += 1;
+        if let Some(counter) = &self.retry_counter {
+            counter.inc();
         }
+        let entry = self.pending.get_mut(&id).expect("only pending requests are re-sent");
+        entry.attempts += 1;
+        self.duplex.send_frame(&entry.frame)
+    }
+
+    fn reconnect(&mut self) -> Result<(), RdsError> {
+        self.duplex.reconnect()?;
+        if let Some(counter) = &self.reconnect_counter {
+            counter.inc();
+        }
+        Ok(())
+    }
+
+    /// Routes one received frame to its pending request (see the module
+    /// docs for the rules).
+    fn dispatch(&mut self, frame: &[u8]) {
+        let (resp, id) = match codec::decode_response_traced(frame, self.key.as_deref()) {
+            Ok((resp, id, _trace)) => (resp, id),
+            // `tcp::default_shed_response` sheds unsigned; a `Busy` only
+            // asks for a dedup-safe re-send, so it needs no signature.
+            Err(RdsError::BadDigest) => match codec::decode_response(frame, None) {
+                Ok((resp @ RdsResponse::Error { code: crate::ErrorCode::Busy, .. }, id)) => {
+                    (resp, id)
+                }
+                _ => {
+                    let pending = std::mem::take(&mut self.pending);
+                    let failed = pending.into_keys().map(|id| (id, Err(RdsError::BadDigest)));
+                    return self.completed.extend(failed);
+                }
+            },
+            Err(e) => return self.recover(e),
+        };
+        let id = match (&resp, self.pending.first_key_value()) {
+            (RdsResponse::Error { .. }, Some((&oldest, _))) if id == 0 => oldest,
+            _ => id,
+        };
+        // Not pending: a re-sent request answered twice, or one already
+        // expired locally. Ignoring it is what makes retries safe — ids
+        // are never reused within a pipeline.
+        let Some(entry) = self.pending.get(&id) else { return };
         match resp {
             RdsResponse::Error { code, message } => {
                 let err = RdsError::Remote { code, message };
-                let entry = &self.pending[&id];
-                let expired = self.retry.deadline.is_some_and(|d| entry.started.elapsed() >= d);
-                let exhausted = entry.attempts >= self.retry.max_attempts.max(1);
-                if RetryPolicy::is_retryable(&err) && !expired && !exhausted {
+                if RetryPolicy::is_retryable(&err) && !self.spent(entry) {
                     // Busy: the server promises no effect happened. Back
                     // off, then re-send the identical frame.
                     let backoff = self.retry.backoff_for(entry.attempts);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    let frame = entry.frame.clone();
-                    self.pending.get_mut(&id).expect("checked above").attempts += 1;
-                    self.count_retry();
-                    if self.duplex.send_frame(&frame).is_err() {
-                        return self.recover();
+                    if let Err(e) = self.resend(id) {
+                        self.recover(e);
                     }
                 } else {
-                    self.pending.remove(&id);
-                    self.completed.push((id, Err(err)));
+                    self.complete(id, Err(err));
                 }
             }
-            other => {
-                self.pending.remove(&id);
-                self.completed.push((id, Ok(other)));
-            }
+            other => self.complete(id, Ok(other)),
         }
-        Ok(())
     }
 
     /// Nothing arrived for a full recv window: assume in-flight frames
     /// (or their replies) were lost and re-probe, expiring requests
     /// whose budget ran out. Re-sent bytes are identical, so a server
     /// that *did* execute them replays from its dedup cache.
-    fn on_stall(&mut self) -> Result<(), RdsError> {
-        let mut resend = Vec::new();
-        for (&id, entry) in &self.pending {
-            let expired = self.retry.deadline.is_some_and(|d| entry.started.elapsed() >= d);
-            if expired || entry.attempts >= self.retry.max_attempts.max(1) {
-                resend.push((id, None));
-            } else {
-                resend.push((id, Some(entry.frame.clone())));
+    fn on_stall(&mut self) {
+        let ids: Vec<i64> = self.pending.keys().copied().collect();
+        for id in ids {
+            let entry = &self.pending[&id];
+            if self.spent(entry) {
+                let message =
+                    format!("request {id} got no response after {} attempt(s)", entry.attempts);
+                self.complete(id, Err(RdsError::Transport { message }));
+            } else if let Err(e) = self.resend(id) {
+                return self.recover(e);
             }
         }
-        resend.sort_unstable_by_key(|(id, _)| *id);
-        for (id, frame) in resend {
-            match frame {
-                None => {
-                    let entry = self.pending.remove(&id).expect("collected from pending");
-                    self.completed.push((
-                        id,
-                        Err(RdsError::Transport {
-                            message: format!(
-                                "request {id} got no response after {} attempt(s)",
-                                entry.attempts
-                            ),
-                        }),
-                    ));
-                }
-                Some(frame) => {
-                    self.pending.get_mut(&id).expect("still pending").attempts += 1;
-                    self.count_retry();
-                    if self.duplex.send_frame(&frame).is_err() {
-                        return self.recover();
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
-    /// The connection failed: expire out-of-budget requests, reconnect,
-    /// and re-send everything still pending (byte-identical).
-    ///
-    /// # Errors
-    ///
-    /// When reconnecting keeps failing until no pending request has
-    /// budget left (the last connect error).
-    fn recover(&mut self) -> Result<(), RdsError> {
+    /// The connection failed with `cause`: expire out-of-budget
+    /// requests, reconnect, and re-send everything still pending
+    /// (byte-identical). A failed reconnect consumes one attempt from
+    /// every pending request, so this loop ends.
+    fn recover(&mut self, mut cause: RdsError) {
         loop {
-            // Expire requests whose budget is gone.
-            let mut expired: Vec<i64> = self
+            let spent: Vec<(i64, u32)> = self
                 .pending
                 .iter()
-                .filter(|(_, e)| {
-                    e.attempts >= self.retry.max_attempts.max(1)
-                        || self.retry.deadline.is_some_and(|d| e.started.elapsed() >= d)
-                })
-                .map(|(&id, _)| id)
+                .filter(|(_, entry)| self.spent(entry))
+                .map(|(&id, entry)| (id, entry.attempts))
                 .collect();
-            expired.sort_unstable();
-            for id in expired {
-                let entry = self.pending.remove(&id).expect("collected from pending");
-                self.completed.push((
-                    id,
-                    Err(RdsError::Transport {
-                        message: format!(
-                            "connection lost; request {id} out of budget after {} attempt(s)",
-                            entry.attempts
-                        ),
-                    }),
-                ));
+            for (id, attempts) in spent {
+                let message = format!("request {id} failed after {attempts} attempt(s): {cause}");
+                self.complete(id, Err(RdsError::Transport { message }));
             }
-            if self.pending.is_empty() {
-                return Ok(());
-            }
-            let min_attempts =
-                self.pending.values().map(|e| e.attempts).min().expect("pending non-empty");
+            let Some(min_attempts) = self.pending.values().map(|e| e.attempts).min() else {
+                self.broken = true;
+                return;
+            };
             let backoff = self.retry.backoff_for(min_attempts);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            match self.duplex.reconnect() {
+            match self.reconnect() {
                 Ok(()) => {
-                    let mut ids: Vec<i64> = self.pending.keys().copied().collect();
-                    ids.sort_unstable();
-                    let mut send_failed = false;
-                    for id in ids {
-                        let frame = self.pending[&id].frame.clone();
-                        self.pending.get_mut(&id).expect("still pending").attempts += 1;
-                        self.count_retry();
-                        if self.duplex.send_frame(&frame).is_err() {
-                            send_failed = true;
-                            break;
-                        }
+                    let ids: Vec<i64> = self.pending.keys().copied().collect();
+                    match ids.into_iter().try_for_each(|id| self.resend(id)) {
+                        Ok(()) => return,
+                        // The fresh connection died mid-resend: expire
+                        // by the budgets just spent and go again.
+                        Err(e) => cause = e,
                     }
-                    if !send_failed {
-                        return Ok(());
-                    }
-                    // Fresh connection died mid-resend — loop and expire
-                    // by the budgets just spent.
                 }
                 Err(e) => {
-                    // A failed reconnect consumes one attempt from every
-                    // pending request, so this loop terminates.
                     for entry in self.pending.values_mut() {
                         entry.attempts += 1;
                     }
-                    let all_spent =
-                        self.pending.values().all(|p| p.attempts >= self.retry.max_attempts.max(1));
-                    if all_spent {
-                        let mut ids: Vec<i64> = self.pending.drain().map(|(id, _)| id).collect();
-                        ids.sort_unstable();
-                        for id in ids {
-                            self.completed.push((
-                                id,
-                                Err(RdsError::Transport {
-                                    message: format!("connection lost: {e}"),
-                                }),
-                            ));
-                        }
-                        return Err(e);
-                    }
+                    cause = e;
                 }
             }
         }
@@ -610,7 +421,8 @@ impl<D: FrameDuplex> RdsPipeline<D> {
 mod tests {
     use super::*;
     use crate::tcp::{TcpServer, TcpServerConfig};
-    use crate::{ErrorCode, RdsServer};
+    use crate::{ErrorCode, RdsServer, TcpDuplex};
+    use std::collections::VecDeque;
     use std::sync::Arc;
 
     fn rds_tcp_server(workers: usize, backlog: usize) -> TcpServer {
@@ -634,6 +446,18 @@ mod tests {
         .unwrap()
     }
 
+    fn keyed_tcp_server() -> TcpServer {
+        TcpServer::spawn("127.0.0.1:0", {
+            let rds = Arc::new(RdsServer::with_policy(
+                |_p: &Principal, _req: RdsRequest| RdsResponse::Ok,
+                mbd_auth::Acl::allow_by_default(),
+                Some(b"secret".to_vec()),
+            ));
+            move |bytes: &[u8]| rds.process(bytes)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn window_of_requests_completes_out_of_order_delivery() {
         let server = rds_tcp_server(4, 64);
@@ -641,7 +465,7 @@ mod tests {
         let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(8);
         let mut submitted = Vec::new();
         for i in 0..40u32 {
-            submitted.push(pipe.submit(&RdsRequest::ReadJournal { max_records: i }).unwrap());
+            submitted.push(pipe.submit(&RdsRequest::ReadJournal { max_records: i }));
         }
         let results = pipe.drain();
         assert_eq!(results.len(), 40);
@@ -659,7 +483,7 @@ mod tests {
         let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
         let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(3);
         for i in 0..10u32 {
-            pipe.submit(&RdsRequest::ReadJournal { max_records: i }).unwrap();
+            pipe.submit(&RdsRequest::ReadJournal { max_records: i });
             assert!(pipe.in_flight() <= 3, "window respected");
         }
         assert_eq!(pipe.drain().len(), 10);
@@ -672,7 +496,7 @@ mod tests {
         let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
         let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(1);
         for _ in 0..5 {
-            pipe.submit(&RdsRequest::ListPrograms).unwrap();
+            pipe.submit(&RdsRequest::ListPrograms);
         }
         let results = pipe.drain();
         assert!(results.iter().all(|(_, r)| matches!(r, Ok(RdsResponse::Programs { .. }))));
@@ -683,38 +507,49 @@ mod tests {
     fn busy_sheds_are_retried_with_identical_frames() {
         // One worker, one queue slot: a window of 6 slow requests
         // guarantees sheds. With retries enabled every request must
-        // still complete exactly once.
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
-            {
-                let rds = Arc::new(RdsServer::open(|_p: &Principal, _req: RdsRequest| {
-                    std::thread::sleep(Duration::from_millis(20));
-                    RdsResponse::Ok
-                }));
-                move |bytes: &[u8]| rds.process(bytes)
-            },
-        )
-        .unwrap();
-        let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
-        let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(6).with_retry(RetryPolicy {
-            max_attempts: 50,
-            base_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(40),
-            deadline: Some(Duration::from_secs(30)),
-            jitter_seed: 11,
-        });
-        for _ in 0..12 {
-            pipe.submit(&RdsRequest::ListInstances).unwrap();
+        // still complete exactly once — keyed too, though the default
+        // shed frame is unsigned.
+        for key in [None, Some(b"secret".to_vec())] {
+            let server = TcpServer::spawn_with(
+                "127.0.0.1:0",
+                TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
+                {
+                    let rds = Arc::new(RdsServer::with_policy(
+                        |_p: &Principal, _req: RdsRequest| {
+                            std::thread::sleep(Duration::from_millis(20));
+                            RdsResponse::Ok
+                        },
+                        mbd_auth::Acl::allow_by_default(),
+                        key.clone(),
+                    ));
+                    move |bytes: &[u8]| rds.process(bytes)
+                },
+            )
+            .unwrap();
+            let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
+            let mut pipe = match key {
+                Some(k) => RdsPipeline::with_key(duplex, "mgr", k),
+                None => RdsPipeline::new(duplex, "mgr"),
+            };
+            pipe = pipe.with_window(6).with_retry(RetryPolicy {
+                max_attempts: 50,
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(40),
+                deadline: Some(Duration::from_secs(30)),
+                jitter_seed: 11,
+            });
+            for _ in 0..12 {
+                pipe.submit(&RdsRequest::ListInstances);
+            }
+            let results = pipe.drain();
+            assert_eq!(results.len(), 12);
+            for (id, result) in &results {
+                assert!(matches!(result, Ok(RdsResponse::Ok)), "#{id}: {result:?}");
+            }
+            assert!(server.sheds() > 0, "the tiny tier must have shed something");
+            assert!(pipe.retries() >= server.sheds(), "every shed was retried");
+            server.shutdown();
         }
-        let results = pipe.drain();
-        assert_eq!(results.len(), 12);
-        for (id, result) in &results {
-            assert!(matches!(result, Ok(RdsResponse::Ok)), "#{id}: {result:?}");
-        }
-        assert!(server.sheds() > 0, "the tiny tier must have shed something");
-        assert!(pipe.retries() >= server.sheds(), "every shed was retried");
-        server.shutdown();
     }
 
     #[test]
@@ -734,7 +569,7 @@ mod tests {
         let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
         let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(8);
         for _ in 0..8 {
-            pipe.submit(&RdsRequest::ListInstances).unwrap();
+            pipe.submit(&RdsRequest::ListInstances);
         }
         let results = pipe.drain();
         let busy = results
@@ -748,7 +583,6 @@ mod tests {
 
     #[test]
     fn reconnect_resends_pending_and_dedup_keeps_effects_exactly_once() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         // Handler counts executions; the server's dedup cache must absorb
         // the re-sent frames after we kill the connection mid-window.
         let executions = Arc::new(AtomicU64::new(0));
@@ -780,13 +614,13 @@ mod tests {
             });
         let dpi = crate::DpiId(1);
         for i in 0..4u8 {
-            pipe.submit(&RdsRequest::SendMessage { dpi, payload: vec![i] }).unwrap();
+            pipe.submit(&RdsRequest::SendMessage { dpi, payload: vec![i] });
         }
         // Let the server answer, then stall the stream so the pipeline
         // re-probes; dedup replays rather than re-executes.
         std::thread::sleep(Duration::from_millis(50));
         for i in 4..8u8 {
-            pipe.submit(&RdsRequest::SendMessage { dpi, payload: vec![i] }).unwrap();
+            pipe.submit(&RdsRequest::SendMessage { dpi, payload: vec![i] });
         }
         let results = pipe.drain();
         assert_eq!(results.len(), 8);
@@ -799,20 +633,11 @@ mod tests {
 
     #[test]
     fn keyed_pipeline_round_trips() {
-        let key = b"secret".to_vec();
-        let server = TcpServer::spawn("127.0.0.1:0", {
-            let rds = Arc::new(RdsServer::with_policy(
-                |_p: &Principal, _req: RdsRequest| RdsResponse::Ok,
-                mbd_auth::Acl::allow_by_default(),
-                Some(b"secret".to_vec()),
-            ));
-            move |bytes: &[u8]| rds.process(bytes)
-        })
-        .unwrap();
+        let server = keyed_tcp_server();
         let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
-        let mut pipe = RdsPipeline::with_key(duplex, "mgr", key).with_window(4);
+        let mut pipe = RdsPipeline::with_key(duplex, "mgr", b"secret".to_vec()).with_window(4);
         for _ in 0..8 {
-            pipe.submit(&RdsRequest::ListInstances).unwrap();
+            pipe.submit(&RdsRequest::ListInstances);
         }
         let results = pipe.drain();
         assert!(results.iter().all(|(_, r)| r.is_ok()), "{results:?}");
@@ -845,11 +670,68 @@ mod tests {
         let duplex = Doubling(TcpDuplex::connect(server.local_addr()).unwrap(), VecDeque::new());
         let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(4);
         for _ in 0..10 {
-            pipe.submit(&RdsRequest::ListPrograms).unwrap();
+            pipe.submit(&RdsRequest::ListPrograms);
         }
         let results = pipe.drain();
         assert_eq!(results.len(), 10, "duplicates add no extra outcomes");
         assert!(results.iter().all(|(_, r)| r.is_ok()));
+        server.shutdown();
+    }
+
+    #[test]
+    fn id_zero_errors_answer_the_oldest_pending_request() {
+        // The keyed server cannot authenticate an unkeyed frame, so it
+        // answers under id 0; each such reply settles one request.
+        let server = keyed_tcp_server();
+        for window in [1, 4] {
+            let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
+            let mut pipe = RdsPipeline::new(duplex, "mgr").with_window(window);
+            let begin = Instant::now();
+            for _ in 0..6 {
+                pipe.submit(&RdsRequest::ListPrograms);
+            }
+            let results = pipe.drain();
+            assert!(begin.elapsed() < Duration::from_secs(1), "window {window}: no stall wait");
+            assert_eq!(results.len(), 6);
+            for (id, result) in &results {
+                assert!(
+                    matches!(result, Err(RdsError::Remote { code: ErrorCode::AuthFailed, .. })),
+                    "window {window} #{id}: {result:?}"
+                );
+            }
+        }
+        // `RdsClient` is this pipeline at window 1.
+        let client = crate::RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "m");
+        let err = client.list_programs().unwrap_err();
+        assert!(matches!(err, RdsError::Remote { code: ErrorCode::AuthFailed, .. }), "{err:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_failing_digest_verification_is_final() {
+        let server = keyed_tcp_server();
+        for window in [1, 4] {
+            let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
+            let mut pipe = RdsPipeline::with_key(duplex, "mgr", b"wrong".to_vec())
+                .with_window(window)
+                .with_retry(RetryPolicy {
+                    max_attempts: 4,
+                    base_backoff: Duration::ZERO,
+                    max_backoff: Duration::ZERO,
+                    deadline: None,
+                    jitter_seed: 5,
+                });
+            for _ in 0..6 {
+                pipe.submit(&RdsRequest::ListPrograms);
+            }
+            let results = pipe.drain();
+            assert_eq!(results.len(), 6);
+            for (id, result) in &results {
+                assert!(matches!(result, Err(RdsError::BadDigest)), "window {window} #{id}");
+            }
+            assert_eq!(pipe.retries(), 0, "window {window}: a key mismatch is not re-sent");
+            assert_eq!(pipe.duplex().reconnects(), 0, "window {window}: nor reconnected");
+        }
         server.shutdown();
     }
 }

@@ -20,7 +20,8 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// How an [`RdsClient`](crate::RdsClient) reacts to delivery failures.
+/// How an [`RdsPipeline`](crate::RdsPipeline) — and so an
+/// [`RdsClient`](crate::RdsClient) — reacts to delivery failures.
 ///
 /// The policy bounds *attempts* (first try included), spaces them with
 /// exponential backoff whose jitter is derived deterministically from
@@ -55,8 +56,8 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The seed's behaviour before this PR: a single attempt, no
-    /// backoff, no deadline.
+    /// A single attempt, no backoff, no deadline: nothing is ever
+    /// re-sent.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
@@ -65,11 +66,6 @@ impl RetryPolicy {
             deadline: None,
             jitter_seed: 0,
         }
-    }
-
-    /// Whether this policy ever retries.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
     }
 
     /// Backoff before retry number `retry` (1-based): exponential from
@@ -100,9 +96,6 @@ impl RetryPolicy {
             // The response was damaged in flight; the request may or may
             // not have executed — dedup disambiguates.
             RdsError::Codec(_) => true,
-            // A stale or foreign response surfaced on the stream (e.g.
-            // after a reconnect); ours may still be obtainable.
-            RdsError::RequestIdMismatch { .. } => true,
             // The server shed the request before doing any work.
             RdsError::Remote { code, .. } => code.is_retryable(),
             // Authoritative failures (bad digest, unknown operation, …):
@@ -120,7 +113,7 @@ mod tests {
     #[test]
     fn none_never_retries() {
         let p = RetryPolicy::none();
-        assert!(!p.retries_enabled());
+        assert_eq!(p.max_attempts, 1);
         assert_eq!(p.backoff_for(1), Duration::ZERO);
     }
 
@@ -153,7 +146,6 @@ mod tests {
     #[test]
     fn retryability_classification() {
         assert!(RetryPolicy::is_retryable(&RdsError::Transport { message: "gone".into() }));
-        assert!(RetryPolicy::is_retryable(&RdsError::RequestIdMismatch { expected: 1, found: 2 }));
         assert!(RetryPolicy::is_retryable(&RdsError::Remote {
             code: ErrorCode::Busy,
             message: String::new(),

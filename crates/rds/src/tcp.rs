@@ -3,25 +3,21 @@
 //! Messages are framed with a 4-byte big-endian length prefix (BER
 //! messages are self-delimiting, but an explicit frame keeps the reader
 //! trivial and bounds allocation). One TCP connection carries a sequence
-//! of request/response exchanges; a serial client awaits each reply, a
-//! pipelining client ([`crate::RdsPipeline`]) keeps several requests in
-//! flight and matches replies by request id.
+//! of request/response exchanges; the client ([`crate::RdsPipeline`]
+//! over a [`crate::TcpDuplex`]) keeps one or several requests in flight
+//! and matches replies by request id.
 //!
 //! The server side lives in [`crate::reactor`]: a readiness-driven
 //! event loop owns every socket and hands complete frames to a bounded
 //! execution tier, so idle connections cost a file descriptor instead
 //! of a thread. This module keeps the wire-level pieces — framing
-//! helpers, the re-dialing [`TcpTransport`] client, [`ServerHealth`]
-//! and [`TcpServerConfig`] — and re-exports [`TcpServer`] so the
-//! public path is unchanged from the worker-pool era. Frames are
-//! byte-identical to the blocking implementation.
+//! helpers, [`ServerHealth`] and [`TcpServerConfig`] — and re-exports
+//! [`TcpServer`] so the public path is unchanged from the worker-pool
+//! era. Frames are byte-identical to the blocking implementation.
 
-use crate::{RdsError, Transport};
-use mbd_telemetry::{Counter, Telemetry};
-use parking_lot::Mutex;
+use crate::RdsError;
+use mbd_telemetry::Telemetry;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,115 +82,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, RdsError> {
         remaining -= take;
     }
     Ok(Some(buf))
-}
-
-/// Client side: a persistent connection to an RDS server over TCP that
-/// **re-dials on broken connections**.
-///
-/// The connection serializes exchanges under a lock, so one
-/// `TcpTransport` may be shared by threads (each request waits its turn,
-/// as with the prototype's single connection per manager). When an
-/// exchange fails mid-flight the transport discards the connection
-/// (its framing state is unknown), dials the peer once more and re-sends
-/// the same frame — the caller's request-id stream is untouched, so a
-/// deduplicating server recognizes any effect that already executed.
-/// Reconnects are counted ([`TcpTransport::reconnects`]) and optionally
-/// recorded into telemetry as `rds.reconnects`.
-#[derive(Debug)]
-pub struct TcpTransport {
-    stream: Mutex<Option<TcpStream>>,
-    peer: SocketAddr,
-    reconnects: AtomicU64,
-    reconnect_counter: Option<Counter>,
-}
-
-impl TcpTransport {
-    /// Connects to an RDS server.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures as [`RdsError::Transport`].
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<TcpTransport, RdsError> {
-        let stream = dial(&addr)?;
-        let peer = stream.peer_addr().map_err(io_err)?;
-        Ok(TcpTransport {
-            stream: Mutex::new(Some(stream)),
-            peer,
-            reconnects: AtomicU64::new(0),
-            reconnect_counter: None,
-        })
-    }
-
-    /// Counts this transport's re-dials into `telemetry` as
-    /// `rds.reconnects` (also readable via [`TcpTransport::reconnects`]).
-    #[must_use]
-    pub fn instrument(mut self, telemetry: &Telemetry) -> TcpTransport {
-        self.reconnect_counter = Some(telemetry.counter("rds.reconnects"));
-        self
-    }
-
-    /// The server's address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Successful re-dials after the initial connection.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
-    }
-
-    fn count_reconnect(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
-        if let Some(counter) = &self.reconnect_counter {
-            counter.inc();
-        }
-    }
-}
-
-fn dial<A: ToSocketAddrs>(addr: &A) -> Result<TcpStream, RdsError> {
-    let stream = TcpStream::connect(addr).map_err(io_err)?;
-    stream.set_nodelay(true).map_err(io_err)?;
-    Ok(stream)
-}
-
-fn exchange(stream: &mut TcpStream, bytes: &[u8]) -> Result<Vec<u8>, RdsError> {
-    write_frame(stream, bytes)?;
-    read_frame(stream)?
-        .ok_or_else(|| RdsError::Transport { message: "server closed the connection".to_string() })
-}
-
-impl Transport for TcpTransport {
-    fn request(&self, bytes: &[u8]) -> Result<Vec<u8>, RdsError> {
-        let mut guard = self.stream.lock();
-        let redialed = guard.is_none();
-        if guard.is_none() {
-            *guard = Some(dial(&self.peer)?);
-            self.count_reconnect();
-        }
-        let stream = guard.as_mut().expect("stream just ensured");
-        match exchange(stream, bytes) {
-            Ok(resp) => Ok(resp),
-            Err(first_err) => {
-                // The connection's framing state is unknown — drop it.
-                // If it was freshly dialed, the peer is likely down;
-                // otherwise re-dial once and re-send the same frame.
-                *guard = None;
-                if redialed {
-                    return Err(first_err);
-                }
-                *guard = Some(dial(&self.peer)?);
-                self.count_reconnect();
-                let stream = guard.as_mut().expect("stream just ensured");
-                match exchange(stream, bytes) {
-                    Ok(resp) => Ok(resp),
-                    Err(e) => {
-                        *guard = None;
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A [`TcpServer`]'s coarse health, derived from execution-queue
@@ -349,8 +236,33 @@ pub fn default_shed_response(request_id: i64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RdsClient;
+    use crate::{
+        codec, ErrorCode, RdsClient, RdsRequest, RdsResponse, RdsServer, RetryPolicy, TcpDuplex,
+    };
+    use mbd_auth::Principal;
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
+
+    /// Waits up to 1 s for the server to hold `n` open connections;
+    /// returns the count it last saw.
+    fn await_open(server: &TcpServer, n: u64) -> u64 {
+        for _ in 0..200 {
+            if server.open_connections() == n {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.open_connections()
+    }
+
+    /// One request/response exchange on a raw connection.
+    fn exchange(stream: &mut TcpStream, bytes: &[u8]) -> Result<Vec<u8>, RdsError> {
+        write_frame(stream, bytes)?;
+        read_frame(stream)?.ok_or_else(|| RdsError::Transport {
+            message: "server closed the connection".to_string(),
+        })
+    }
 
     #[test]
     fn frame_round_trip() {
@@ -408,9 +320,9 @@ mod tests {
             v
         })
         .unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap();
-        assert_eq!(t.request(&[1, 2, 3]).unwrap(), vec![3, 2, 1]);
-        assert_eq!(t.request(&[9]).unwrap(), vec![9]);
+        let mut t = TcpStream::connect(server.local_addr()).unwrap();
+        assert_eq!(exchange(&mut t, &[1, 2, 3]).unwrap(), vec![3, 2, 1]);
+        assert_eq!(exchange(&mut t, &[9]).unwrap(), vec![9]);
         server.shutdown();
     }
 
@@ -421,9 +333,9 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let t = TcpTransport::connect(addr).unwrap();
+                    let mut t = TcpStream::connect(addr).unwrap();
                     for j in 0..20u8 {
-                        assert_eq!(t.request(&[i, j]).unwrap(), vec![i, j]);
+                        assert_eq!(exchange(&mut t, &[i, j]).unwrap(), vec![i, j]);
                     }
                 })
             })
@@ -439,19 +351,16 @@ mod tests {
         // Full protocol over a real socket with a handler that answers
         // ListPrograms.
         let server = TcpServer::spawn("127.0.0.1:0", {
-            let rds =
-                crate::RdsServer::open(
-                    |_p: &mbd_auth::Principal, req: crate::RdsRequest| match req {
-                        crate::RdsRequest::ListPrograms => {
-                            crate::RdsResponse::Programs { names: vec!["over-tcp".to_string()] }
-                        }
-                        _ => crate::RdsResponse::Ok,
-                    },
-                );
+            let rds = RdsServer::open(|_p: &Principal, req: RdsRequest| match req {
+                RdsRequest::ListPrograms => {
+                    RdsResponse::Programs { names: vec!["over-tcp".to_string()] }
+                }
+                _ => RdsResponse::Ok,
+            });
             move |bytes: &[u8]| rds.process(bytes)
         })
         .unwrap();
-        let client = RdsClient::new(TcpTransport::connect(server.local_addr()).unwrap(), "tcp-mgr");
+        let client = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "tcp-mgr");
         assert_eq!(client.list_programs().unwrap(), vec!["over-tcp".to_string()]);
         server.shutdown();
     }
@@ -459,11 +368,11 @@ mod tests {
     #[test]
     fn request_after_shutdown_fails() {
         let server = TcpServer::spawn("127.0.0.1:0", |req| req.to_vec()).unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap();
-        t.request(&[1]).unwrap();
+        let mut t = TcpStream::connect(server.local_addr()).unwrap();
+        exchange(&mut t, &[1]).unwrap();
         server.shutdown();
         // Either the write or the read must fail once the server is gone.
-        assert!(t.request(&[2]).is_err() || t.request(&[3]).is_err());
+        assert!(exchange(&mut t, &[2]).is_err() || exchange(&mut t, &[3]).is_err());
     }
 
     #[test]
@@ -477,14 +386,14 @@ mod tests {
         let addr = server.local_addr();
         // Leave a connection open mid-conversation; shutdown must still
         // return (the reactor closes it during the bounded drain).
-        let t = TcpTransport::connect(addr).unwrap();
-        t.request(&[7]).unwrap();
+        let mut t = TcpStream::connect(addr).unwrap();
+        exchange(&mut t, &[7]).unwrap();
         server.shutdown();
         // The listener is gone: fresh connections are refused or die on
         // first use.
-        match TcpTransport::connect(addr) {
+        match TcpStream::connect(addr) {
             Err(_) => {}
-            Ok(t2) => assert!(t2.request(&[1]).is_err()),
+            Ok(mut t2) => assert!(exchange(&mut t2, &[1]).is_err()),
         }
     }
 
@@ -507,13 +416,7 @@ mod tests {
         let idle: Vec<std::net::TcpStream> =
             (0..64).map(|_| std::net::TcpStream::connect(addr).unwrap()).collect();
         // Wait until the reactor has actually registered them.
-        for _ in 0..200 {
-            if server.open_connections() == idle.len() as u64 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(server.open_connections(), idle.len() as u64);
+        assert_eq!(await_open(&server, idle.len() as u64), idle.len() as u64);
         let begin = Instant::now();
         server.shutdown();
         assert!(
@@ -536,16 +439,14 @@ mod tests {
         .unwrap();
         let addr = server.local_addr();
 
-        let poisoned = TcpTransport::connect(addr).unwrap();
-        assert!(poisoned.request(&[66]).is_err(), "panicked handler drops the connection");
+        let mut poisoned = TcpStream::connect(addr).unwrap();
+        assert!(exchange(&mut poisoned, &[66]).is_err(), "panicked handler drops the connection");
 
         // The server keeps serving new connections afterwards.
-        let healthy = TcpTransport::connect(addr).unwrap();
-        assert_eq!(healthy.request(&[1, 2]).unwrap(), vec![1, 2]);
-        // The reconnecting transport re-delivered the poison frame once
-        // on a fresh connection, so the handler panicked twice.
-        assert_eq!(server.handler_panics(), 2);
-        assert_eq!(poisoned.reconnects(), 1);
+        let mut healthy = TcpStream::connect(addr).unwrap();
+        assert_eq!(exchange(&mut healthy, &[1, 2]).unwrap(), vec![1, 2]);
+        // The poison frame was delivered once, so it panicked once.
+        assert_eq!(server.handler_panics(), 1);
         server.shutdown();
     }
 
@@ -558,9 +459,9 @@ mod tests {
             |req| req.to_vec(),
         )
         .unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap();
-        t.request(&[1]).unwrap();
-        t.request(&[2]).unwrap();
+        let mut t = TcpStream::connect(server.local_addr()).unwrap();
+        exchange(&mut t, &[1]).unwrap();
+        exchange(&mut t, &[2]).unwrap();
         drop(t);
         server.shutdown();
         let snap = tel.snapshot();
@@ -586,11 +487,10 @@ mod tests {
             },
         )
         .unwrap();
-        let poisoned = TcpTransport::connect(server.local_addr()).unwrap();
-        assert!(poisoned.request(&[66]).is_err());
+        let mut poisoned = TcpStream::connect(server.local_addr()).unwrap();
+        assert!(exchange(&mut poisoned, &[66]).is_err());
         server.shutdown();
-        // Two deliveries (initial + transparent reconnect), two panics.
-        assert_eq!(tel.snapshot().counter("rds.tcp.handler_panics"), Some(2));
+        assert_eq!(tel.snapshot().counter("rds.tcp.handler_panics"), Some(1));
     }
 
     #[test]
@@ -611,47 +511,42 @@ mod tests {
             },
         )
         .unwrap();
-        let poisoned = TcpTransport::connect(server.local_addr()).unwrap();
-        assert!(poisoned.request(&[66]).is_err());
+        let mut poisoned = TcpStream::connect(server.local_addr()).unwrap();
+        assert!(exchange(&mut poisoned, &[66]).is_err());
         server.shutdown();
-        // Two deliveries (initial + transparent reconnect), two panics.
-        assert_eq!(fired.load(Ordering::Relaxed), 2);
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn reconnecting_transport_survives_a_dropped_connection() {
-        // The handler panics on the poison frame, dropping the
-        // connection server-side; the next request on the same transport
-        // transparently re-dials.
-        let server = TcpServer::spawn("127.0.0.1:0", |req| {
-            assert!(req != [66], "poison request");
-            req.to_vec()
-        })
+    fn clients_survive_an_idle_reap_and_count_reconnects() {
+        let server = TcpServer::spawn_with(
+            "127.0.0.1:0",
+            TcpServerConfig {
+                idle_timeout: Some(Duration::from_millis(80)),
+                idle_poll: Duration::from_millis(10),
+                ..TcpServerConfig::default()
+            },
+            {
+                let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok);
+                move |bytes: &[u8]| rds.process(bytes)
+            },
+        )
         .unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap();
-        assert_eq!(t.request(&[1]).unwrap(), vec![1]);
-        let _ = t.request(&[66]); // kills both connection attempts
-        let before = t.reconnects();
-        assert_eq!(t.request(&[2]).unwrap(), vec![2], "later requests heal the transport");
-        assert!(t.reconnects() > before);
+        // The request that meets the closed connection is re-sent only
+        // under a retry policy; either way the client re-dials.
+        for max_attempts in [1, 2] {
+            let tel = Telemetry::new();
+            let client = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "mgr")
+                .with_retry(RetryPolicy { max_attempts, ..RetryPolicy::none() })
+                .instrument(&tel);
+            client.delete("dp").unwrap();
+            assert_eq!(await_open(&server, 0), 0, "the server reaped the idle connection");
+            assert_eq!(client.delete("dp").is_ok(), max_attempts > 1);
+            client.delete("dp").unwrap();
+            assert_eq!(client.retries(), u64::from(max_attempts - 1));
+            assert_eq!(tel.snapshot().counter("rds.reconnects"), Some(1));
+        }
         server.shutdown();
-    }
-
-    #[test]
-    fn reconnects_reach_shared_telemetry() {
-        let tel = Telemetry::new();
-        let server = TcpServer::spawn("127.0.0.1:0", |req| {
-            assert!(req != [66], "poison request");
-            req.to_vec()
-        })
-        .unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap().instrument(&tel);
-        let _ = t.request(&[66]);
-        t.request(&[1]).unwrap();
-        server.shutdown();
-        let counted = tel.snapshot().counter("rds.reconnects").unwrap_or(0);
-        assert_eq!(counted, t.reconnects());
-        assert!(counted >= 1);
     }
 
     #[test]
@@ -681,36 +576,33 @@ mod tests {
 
         // Occupy the single worker…
         let blocker = std::thread::spawn(move || {
-            let t = TcpTransport::connect(addr).unwrap();
-            t.request(&[9]).unwrap();
+            let mut t = TcpStream::connect(addr).unwrap();
+            exchange(&mut t, &[9]).unwrap();
         });
         std::thread::sleep(Duration::from_millis(150));
         // …fill the one-deep execution queue with a second slow request…
         let filler = std::thread::spawn(move || {
-            let t = TcpTransport::connect(addr).unwrap();
-            t.request(&[9]).unwrap();
+            let mut t = TcpStream::connect(addr).unwrap();
+            exchange(&mut t, &[9]).unwrap();
         });
         std::thread::sleep(Duration::from_millis(150));
         assert_eq!(server.health(), ServerHealth::Degraded, "queue at capacity degrades health");
 
         // …and the next request is shed with an explicit Busy frame.
         // The connection survives (request-level shedding).
-        let shed = TcpTransport::connect(addr).unwrap();
-        let frame = shed.request(&[2]).expect("shed frame arrives on the live connection");
-        let (resp, id) = crate::codec::decode_response(&frame, None).unwrap();
+        let mut shed = TcpStream::connect(addr).unwrap();
+        let frame = exchange(&mut shed, &[2]).expect("shed frame arrives on the live connection");
+        let (resp, id) = codec::decode_response(&frame, None).unwrap();
         assert_eq!(id, 0, "a raw (non-RDS) frame has no request id to correlate with");
-        assert!(
-            matches!(resp, crate::RdsResponse::Error { code: crate::ErrorCode::Busy, .. }),
-            "got {resp:?}"
-        );
+        assert!(matches!(resp, RdsResponse::Error { code: ErrorCode::Busy, .. }), "got {resp:?}");
         assert_eq!(server.sheds(), 1);
         assert_eq!(sheds_seen.load(Ordering::Relaxed), 1, "on_shed hook fired");
 
         blocker.join().unwrap();
         filler.join().unwrap();
-        // The shed connection is still usable once the tier drains.
-        assert_eq!(shed.request(&[5]).unwrap(), vec![5]);
-        assert_eq!(shed.reconnects(), 0, "shedding never cost the connection");
+        // The same socket is still usable once the tier drains:
+        // shedding never cost the connection.
+        assert_eq!(exchange(&mut shed, &[5]).unwrap(), vec![5]);
         server.shutdown();
     }
 
@@ -724,24 +616,18 @@ mod tests {
             "127.0.0.1:0",
             TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
             {
-                let rds =
-                    crate::RdsServer::open(|_p: &mbd_auth::Principal, _req: crate::RdsRequest| {
-                        std::thread::sleep(Duration::from_millis(400));
-                        crate::RdsResponse::Ok
-                    });
+                let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| {
+                    std::thread::sleep(Duration::from_millis(400));
+                    RdsResponse::Ok
+                });
                 move |bytes: &[u8]| rds.process(bytes)
             },
         )
         .unwrap();
-        let principal = mbd_auth::Principal::new("pipeliner");
+        let principal = Principal::new("pipeliner");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         for id in 1..=3i64 {
-            let frame = crate::codec::encode_request(
-                &crate::RdsRequest::ListPrograms,
-                &principal,
-                id,
-                None,
-            );
+            let frame = codec::encode_request(&RdsRequest::ListPrograms, &principal, id, None);
             write_frame(&mut stream, &frame).unwrap();
             // Stagger so #1 is *executing* and #2 is queued when #3
             // arrives — otherwise which request fills the one-deep
@@ -751,8 +637,8 @@ mod tests {
         let mut ids = Vec::new();
         for _ in 0..3 {
             let frame = read_frame(&mut stream).unwrap().expect("three responses");
-            let (resp, id) = crate::codec::decode_response(&frame, None).unwrap();
-            if matches!(resp, crate::RdsResponse::Error { code: crate::ErrorCode::Busy, .. }) {
+            let (resp, id) = codec::decode_response(&frame, None).unwrap();
+            if matches!(resp, RdsResponse::Error { code: ErrorCode::Busy, .. }) {
                 assert_eq!(id, 3, "the shed Busy frame names the request it sheds");
             }
             ids.push(id);
@@ -769,36 +655,35 @@ mod tests {
             "127.0.0.1:0",
             TcpServerConfig { workers: 4, ..TcpServerConfig::default() },
             {
-                let rds =
-                    crate::RdsServer::open(|_p: &mbd_auth::Principal, req: crate::RdsRequest| {
-                        match req {
-                            crate::RdsRequest::ReadJournal { max_records } => {
-                                // Stagger completions so replies interleave.
-                                std::thread::sleep(Duration::from_millis(
-                                    u64::from(max_records % 3) * 20,
-                                ));
-                                crate::RdsResponse::Ok
-                            }
-                            _ => crate::RdsResponse::Ok,
+                let rds = RdsServer::open(|_p: &Principal, req: RdsRequest| {
+                    match req {
+                        RdsRequest::ReadJournal { max_records } => {
+                            // Stagger completions so replies interleave.
+                            std::thread::sleep(Duration::from_millis(
+                                u64::from(max_records % 3) * 20,
+                            ));
+                            RdsResponse::Ok
                         }
-                    });
+                        _ => RdsResponse::Ok,
+                    }
+                });
                 move |bytes: &[u8]| rds.process(bytes)
             },
         )
         .unwrap();
-        let principal = mbd_auth::Principal::new("pipeliner");
+        let principal = Principal::new("pipeliner");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         const N: i64 = 24;
         for id in 1..=N {
-            let req = crate::RdsRequest::ReadJournal { max_records: id as u32 };
-            let frame = crate::codec::encode_request(&req, &principal, id, None);
+            let req = RdsRequest::ReadJournal { max_records: id as u32 };
+            let frame = codec::encode_request(&req, &principal, id, None);
             write_frame(&mut stream, &frame).unwrap();
         }
         let mut ids = Vec::new();
         for _ in 0..N {
             let frame = read_frame(&mut stream).unwrap().expect("a response per request");
-            let (resp, id) = crate::codec::decode_response(&frame, None).unwrap();
-            assert!(matches!(resp, crate::RdsResponse::Ok), "got {resp:?}");
+            let (resp, id) = codec::decode_response(&frame, None).unwrap();
+            assert!(matches!(resp, RdsResponse::Ok), "got {resp:?}");
             ids.push(id);
         }
         let mut sorted = ids.clone();
@@ -816,19 +701,19 @@ mod tests {
         )
         .unwrap();
         let addr = server.local_addr();
-        let keeper = TcpTransport::connect(addr).unwrap();
-        keeper.request(&[1]).unwrap();
+        let mut keeper = TcpStream::connect(addr).unwrap();
+        exchange(&mut keeper, &[1]).unwrap();
 
         // The table is full: the next connection gets Busy-and-close.
         let mut shed = TcpStream::connect(addr).unwrap();
         let frame = read_frame(&mut shed).unwrap().expect("busy frame before close");
-        let (resp, id) = crate::codec::decode_response(&frame, None).unwrap();
+        let (resp, id) = codec::decode_response(&frame, None).unwrap();
         assert_eq!(id, 0);
-        assert!(matches!(resp, crate::RdsResponse::Error { code: crate::ErrorCode::Busy, .. }));
+        assert!(matches!(resp, RdsResponse::Error { code: ErrorCode::Busy, .. }));
         assert_eq!(server.connections_rejected(), 1);
 
         // The established connection is unaffected.
-        assert_eq!(keeper.request(&[2]).unwrap(), vec![2]);
+        assert_eq!(exchange(&mut keeper, &[2]).unwrap(), vec![2]);
         server.shutdown();
     }
 
@@ -844,18 +729,10 @@ mod tests {
             |req| req.to_vec(),
         )
         .unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap();
-        t.request(&[1]).unwrap();
-        for _ in 0..100 {
-            if server.open_connections() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.open_connections(), 0, "idle connection reaped without a thread");
-        // The re-dialing transport simply reconnects on next use.
-        assert_eq!(t.request(&[2]).unwrap(), vec![2]);
-        assert_eq!(t.reconnects(), 1);
+        let mut t = TcpStream::connect(server.local_addr()).unwrap();
+        exchange(&mut t, &[1]).unwrap();
+        assert_eq!(await_open(&server, 0), 0, "idle connection reaped without a thread");
+        assert_eq!(read_frame(&mut t).unwrap(), None, "the client sees the close");
         server.shutdown();
     }
 
@@ -871,8 +748,8 @@ mod tests {
         hostile.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         assert!(matches!(hostile.read_to_end(&mut probe), Ok(0)), "connection closed");
         // …and keeps serving others.
-        let t = TcpTransport::connect(addr).unwrap();
-        assert_eq!(t.request(&[4]).unwrap(), vec![4]);
+        let mut t = TcpStream::connect(addr).unwrap();
+        assert_eq!(exchange(&mut t, &[4]).unwrap(), vec![4]);
         server.shutdown();
     }
 
@@ -885,8 +762,8 @@ mod tests {
             |req| req.to_vec(),
         )
         .unwrap();
-        let t = TcpTransport::connect(server.local_addr()).unwrap();
-        t.request(&[1]).unwrap();
+        let mut t = TcpStream::connect(server.local_addr()).unwrap();
+        exchange(&mut t, &[1]).unwrap();
         drop(t);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("rds.shed"), Some(0));
@@ -919,10 +796,10 @@ mod tests {
         // Six *simultaneous* connections over two workers: with the old
         // pool the extras would queue whole-connection; the reactor
         // serves them all concurrently.
-        let transports: Vec<TcpTransport> =
-            (0..6).map(|_| TcpTransport::connect(addr).unwrap()).collect();
-        for (i, t) in transports.iter().enumerate() {
-            assert_eq!(t.request(&[i as u8]).unwrap(), vec![i as u8]);
+        let mut streams: Vec<TcpStream> =
+            (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        for (i, t) in streams.iter_mut().enumerate() {
+            assert_eq!(exchange(t, &[i as u8]).unwrap(), vec![i as u8]);
         }
         assert_eq!(server.connections_rejected(), 0);
         server.shutdown();

@@ -16,7 +16,7 @@
 //! the accepting band.
 
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
-use mbd::rds::{RdsClient, ServerHealth, TcpServer, TcpServerConfig, TcpTransport};
+use mbd::rds::{RdsClient, ServerHealth, TcpDuplex, TcpServer, TcpServerConfig};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 const DEFAULT_CONNS: usize = 3000;
 
 fn drive_all_verbs(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let client = RdsClient::new(TcpTransport::connect(addr)?, "flood-mgr");
+    let client = RdsClient::new(TcpDuplex::connect(addr)?, "flood-mgr");
     client.delegate("flood", "var n = 0; fn bump() { n = n + 1; return n; }")?;
     let dpi = client.instantiate("flood")?;
     assert_eq!(client.invoke(dpi, "bump", &[])?, mbd::ber::BerValue::Integer(1));

@@ -19,7 +19,7 @@
 
 use ber::BerValue;
 use mbd::core::{DpiAccountRow, ElasticConfig, ElasticProcess, MbdServer};
-use mbd::rds::{DpiId, ErrorCode, RdsClient, RdsError, TcpServer, TcpTransport};
+use mbd::rds::{DpiId, ErrorCode, RdsClient, RdsError, TcpDuplex, TcpServer};
 use std::sync::Arc;
 
 const COUNTER: &str = r#"
@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ElasticProcess::new(ElasticConfig { keep_terminated: false, ..ElasticConfig::default() });
     let server_a = spawn_server(&process_a)?;
     let server_b = spawn_server(&process_b)?;
-    let noc_a = RdsClient::new(TcpTransport::connect(server_a.local_addr())?, "noc");
-    let noc_b = RdsClient::new(TcpTransport::connect(server_b.local_addr())?, "noc");
+    let noc_a = RdsClient::new(TcpDuplex::connect(server_a.local_addr())?, "noc");
+    let noc_b = RdsClient::new(TcpDuplex::connect(server_b.local_addr())?, "noc");
     println!("server A on {}, server B on {}", server_a.local_addr(), server_b.local_addr());
 
     // --- 1-2: a stateful agent accumulates on A -------------------------

@@ -8,7 +8,7 @@
 
 use ber::BerValue;
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
-use mbd::rds::{LoopbackTransport, RdsClient};
+use mbd::rds::{LoopbackDuplex, RdsClient};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,11 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The manager side talks RDS. (In the experiments the same bytes run
     // over a simulated WAN; here the transport is an in-process loop.)
-    let transport = {
+    let duplex = {
         let server = Arc::clone(&server);
-        LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes))
+        LoopbackDuplex::new(move |bytes: &[u8]| server.process_request(bytes))
     };
-    let client = RdsClient::new(transport, "noc-operator");
+    let client = RdsClient::new(duplex, "noc-operator");
 
     // 1. Delegate: ship the agent's *code* to the server. The server's
     //    translator checks it against the allowed host functions and

@@ -18,7 +18,7 @@
 use mbd::ber::BerValue;
 use mbd::core::ocp::{mbd_accounting_root, SnmpOcp};
 use mbd::core::{DpiQuota, ElasticConfig, ElasticProcess, MbdServer};
-use mbd::rds::{LoopbackTransport, RdsClient};
+use mbd::rds::{LoopbackDuplex, RdsClient};
 use std::sync::Arc;
 
 /// The runaway: every call spins a counter, burning VM fuel.
@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ElasticConfig::default()
     });
     let server = Arc::new(MbdServer::open(process.clone()));
-    let transport = LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes));
-    let client = RdsClient::new(transport, "noc");
+    let duplex = LoopbackDuplex::new(move |bytes: &[u8]| server.process_request(bytes));
+    let client = RdsClient::new(duplex, "noc");
 
     client.delegate("spinner", SPINNER)?;
     let dpi = client.instantiate("spinner")?;

@@ -19,7 +19,7 @@
 
 use mbd::core::ocp::SnmpOcp;
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
-use mbd::rds::{LoopbackTransport, RdsClient};
+use mbd::rds::{LoopbackDuplex, RdsClient};
 use std::sync::Arc;
 
 /// The delegated self-health agent. It resolves history rows by *name*
@@ -89,8 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A manager drives ordinary RDS traffic so the latency histograms
     // have something to say.
     let s = Arc::clone(&server);
-    let client =
-        RdsClient::new(LoopbackTransport::new(move |b: &[u8]| s.process_request(b)), "noc");
+    let client = RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| s.process_request(b)), "noc");
     client.delegate(
         "work",
         "fn main(n) { var s = 0; for (i in range(n)) { s = s + i; } return s; }",

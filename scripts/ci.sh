@@ -16,7 +16,11 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo build --release (bench/e2e: the frozen benchmark still compiles)"
+# Its lock file is frozen too, but cargo rewrites it whenever the
+# workspace's dependency edges moved since: put the committed one back.
+E2E_LOCK="$(cat bench/e2e/Cargo.lock)"
 cargo build --release --manifest-path bench/e2e/Cargo.toml
+printf '%s\n' "$E2E_LOCK" > bench/e2e/Cargo.lock
 
 echo "==> telemetry smoke: integration tests (histograms + OCP walk)"
 # Drives RDS verbs through the protocol front-end, asserts non-zero
@@ -246,11 +250,11 @@ grep -q "server degraded" "$SMOKE_DIR/self_health.out" || {
 }
 
 echo "==> chaos smoke: seeded fault injection (exactly-once under retries)"
-# A fixed-seed fault schedule (drops, delays, dedup replays) driven
+# A fixed-seed fault schedule (every fault kind, dedup replays) driven
 # through the retrying client; the example exits non-zero unless the
 # workflow converges exactly-once AND the schedule forced at least one
 # retry and one dedup replay.
-cargo run --release -q --example fault_injection 3 > "$SMOKE_DIR/chaos.out" || {
+cargo run --release -q --example fault_injection 44 > "$SMOKE_DIR/chaos.out" || {
     echo "chaos smoke FAILED:"
     cat "$SMOKE_DIR/chaos.out"
     exit 1

@@ -3,14 +3,14 @@
 
 use ber::BerValue;
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer, PeriodicDriver};
-use mbd::rds::{ChannelTransport, ErrorCode, LoopbackTransport, RdsClient, RdsError};
+use mbd::rds::{ErrorCode, LoopbackDuplex, RdsClient, RdsError, TcpDuplex, TcpServer};
 use mbd::snmp::mib2;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn loopback_client(server: Arc<MbdServer>) -> RdsClient<LoopbackTransport> {
-    let transport = LoopbackTransport::new(move |bytes: &[u8]| server.process_request(bytes));
-    RdsClient::new(transport, "it-manager")
+fn loopback_client(server: Arc<MbdServer>) -> RdsClient<LoopbackDuplex> {
+    let duplex = LoopbackDuplex::new(move |bytes: &[u8]| server.process_request(bytes));
+    RdsClient::new(duplex, "it-manager")
 }
 
 #[test]
@@ -59,7 +59,7 @@ fn authenticated_manager_and_server_interoperate() {
     ));
     let s = Arc::clone(&server);
     let client = RdsClient::with_key(
-        LoopbackTransport::new(move |bytes: &[u8]| s.process_request(bytes)),
+        LoopbackDuplex::new(move |bytes: &[u8]| s.process_request(bytes)),
         "sec-manager",
         b"sharedkey".to_vec(),
     );
@@ -69,10 +69,8 @@ fn authenticated_manager_and_server_interoperate() {
 
     // An unauthenticated client is locked out.
     let s = Arc::clone(&server);
-    let rogue = RdsClient::new(
-        LoopbackTransport::new(move |bytes: &[u8]| s.process_request(bytes)),
-        "rogue",
-    );
+    let rogue =
+        RdsClient::new(LoopbackDuplex::new(move |bytes: &[u8]| s.process_request(bytes)), "rogue");
     assert!(rogue.list_programs().is_err());
 }
 
@@ -81,11 +79,9 @@ fn threaded_server_supports_concurrent_managers() {
     let process = ElasticProcess::new(ElasticConfig::default());
     process.delegate("counter", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
     let server = Arc::new(MbdServer::open(process));
-    let (client_t, server_t) = ChannelTransport::pair();
-    let srv = Arc::clone(&server);
-    let server_thread = std::thread::spawn(move || srv.serve_channel(&server_t));
+    let tcp = TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap();
 
-    let shared = Arc::new(RdsClient::new(client_t, "mgr"));
+    let shared = Arc::new(RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr"));
     let dpi = shared.instantiate("counter").unwrap();
     let mut handles = Vec::new();
     for _ in 0..4 {
@@ -102,8 +98,7 @@ fn threaded_server_supports_concurrent_managers() {
     // 100 serialized increments on the shared dpi state.
     let final_n = shared.invoke(dpi, "bump", &[]).unwrap();
     assert_eq!(final_n, BerValue::Integer(101));
-    drop(shared);
-    server_thread.join().unwrap();
+    tcp.shutdown();
 }
 
 #[test]

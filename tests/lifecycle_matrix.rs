@@ -13,18 +13,18 @@
 //! server to agree with the model after every step.
 
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
-use mbd::rds::{DpiId, DpiState, ErrorCode, LoopbackTransport, RdsClient, RdsError};
+use mbd::rds::{DpiId, DpiState, ErrorCode, LoopbackDuplex, RdsClient, RdsError};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const PROGRAM: &str = "fn main() { return 0; }";
 
-fn fixture(keep_terminated: bool) -> (RdsClient<LoopbackTransport>, ElasticProcess) {
+fn fixture(keep_terminated: bool) -> (RdsClient<LoopbackDuplex>, ElasticProcess) {
     let process =
         ElasticProcess::new(ElasticConfig { keep_terminated, ..ElasticConfig::default() });
     let server = Arc::new(MbdServer::open(process.clone()));
     let client =
-        RdsClient::new(LoopbackTransport::new(move |b: &[u8]| server.process_request(b)), "matrix");
+        RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| server.process_request(b)), "matrix");
     client.delegate("noop", PROGRAM).expect("delegates");
     (client, process)
 }
@@ -52,7 +52,7 @@ const VERBS: [Verb; 7] = [
     Verb::Checkpoint,
 ];
 
-fn apply(client: &RdsClient<LoopbackTransport>, dpi: DpiId, verb: Verb) -> Result<(), RdsError> {
+fn apply(client: &RdsClient<LoopbackDuplex>, dpi: DpiId, verb: Verb) -> Result<(), RdsError> {
     match verb {
         Verb::Invoke => client.invoke(dpi, "main", &[]).map(|_| ()),
         Verb::Suspend => client.suspend(dpi),
@@ -86,7 +86,7 @@ fn matrix(state: DpiState, verb: Verb) -> (bool, DpiState) {
 }
 
 /// Drives a fresh dpi into `state`.
-fn reach(client: &RdsClient<LoopbackTransport>, state: DpiState) -> DpiId {
+fn reach(client: &RdsClient<LoopbackDuplex>, state: DpiState) -> DpiId {
     let dpi = client.instantiate("noop").expect("instantiates");
     match state {
         DpiState::Ready => {}

@@ -5,9 +5,9 @@
 
 use ber::BerValue;
 use mbd::core::{DpiQuota, ElasticConfig, ElasticProcess, MbdServer};
+use mbd::rds::tcp::{read_frame, write_frame};
 use mbd::rds::{
     codec, RdsClient, RdsPipeline, RdsRequest, RdsResponse, ServerHealth, TcpDuplex, TcpServer,
-    TcpTransport, Transport,
 };
 use mbd_auth::Principal;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn spawn_server(key: Option<Vec<u8>>) -> (TcpServer, ElasticProcess) {
 #[test]
 fn full_stack_over_tcp() {
     let (tcp, _process) = spawn_server(None);
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "tcp-mgr");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "tcp-mgr");
 
     client.delegate("sysname", r#"fn read() { return mib_get("1.3.6.1.2.1.1.1.0"); }"#).unwrap();
     let dpi = client.instantiate("sysname").unwrap();
@@ -44,7 +44,7 @@ fn full_stack_over_tcp() {
 fn authenticated_tcp_stack() {
     let (tcp, _process) = spawn_server(Some(b"wire-secret".to_vec()));
     let good = RdsClient::with_key(
-        TcpTransport::connect(tcp.local_addr()).unwrap(),
+        TcpDuplex::connect(tcp.local_addr()).unwrap(),
         "good",
         b"wire-secret".to_vec(),
     );
@@ -53,7 +53,7 @@ fn authenticated_tcp_stack() {
     assert_eq!(good.invoke(dpi, "main", &[]).unwrap(), BerValue::Integer(9));
 
     // Unauthenticated client over the same socket server is rejected.
-    let bad = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "bad");
+    let bad = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "bad");
     assert!(bad.list_programs().is_err());
     tcp.shutdown();
 }
@@ -61,7 +61,7 @@ fn authenticated_tcp_stack() {
 #[test]
 fn agent_side_delegation_visible_to_remote_manager() {
     let (tcp, process) = spawn_server(None);
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "mgr");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr");
     client
         .delegate(
             "mother",
@@ -92,7 +92,7 @@ fn agent_side_delegation_visible_to_remote_manager() {
 fn one_request_carries_one_trace_id_everywhere() {
     let (tcp, process) = spawn_server(None);
     process.telemetry().enable_tracing(256);
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "noc");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "noc");
     client.delegate("t", r#"fn main() { log("ping"); return 1; }"#).unwrap();
     let dpi = client.instantiate("t").unwrap();
     client.invoke(dpi, "main", &[]).unwrap();
@@ -136,7 +136,7 @@ fn read_profile_returns_the_full_waterfall_for_a_slow_request() {
         ..mbd::telemetry::TraceStoreConfig::default()
     });
 
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "prof-mgr");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "prof-mgr");
     client
         .delegate(
             "spin",
@@ -228,7 +228,7 @@ fn runtime_spans_are_children_on_the_request_tree() {
         ..mbd::telemetry::TraceStoreConfig::default()
     });
 
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "exec-mgr");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "exec-mgr");
     client
         .delegate(
             "spin",
@@ -271,7 +271,7 @@ fn legacy_untraced_frames_interoperate_over_tcp() {
     let (tcp, _process) = spawn_server(None);
     // A pre-trace manager encodes with the legacy envelope (no trace
     // context) and still round-trips against the traced server.
-    let old_mgr = TcpTransport::connect(tcp.local_addr()).unwrap();
+    let mut old_mgr = std::net::TcpStream::connect(tcp.local_addr()).unwrap();
     let req = codec::encode_request(
         &RdsRequest::DelegateProgram {
             dp_name: "old".to_string(),
@@ -282,13 +282,14 @@ fn legacy_untraced_frames_interoperate_over_tcp() {
         1,
         None,
     );
-    let resp = old_mgr.request(&req).unwrap();
+    write_frame(&mut old_mgr, &req).unwrap();
+    let resp = read_frame(&mut old_mgr).unwrap().expect("a reply before close");
     let (decoded, id) = codec::decode_response(&resp, None).unwrap();
     assert_eq!(id, 1);
     assert!(matches!(decoded, RdsResponse::Ok));
 
     // A modern traced client shares the same server and program.
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "new");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "new");
     let dpi = client.instantiate("old").unwrap();
     assert_eq!(client.invoke(dpi, "main", &[]).unwrap(), BerValue::Integer(4));
 
@@ -309,7 +310,7 @@ fn quota_breach_over_tcp_correlates_by_trace() {
         ..ElasticConfig::default()
     };
     let (tcp, process) = spawn_server_with(config, None);
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "noc");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "noc");
     client.delegate("f", "fn main() { return 1; }").unwrap();
     let dpi = client.instantiate("f").unwrap();
     client.invoke(dpi, "main", &[]).unwrap();
@@ -350,7 +351,7 @@ fn alert_fires_and_clears_with_hysteresis_over_tcp() {
             mbd::telemetry::AlertRule::parse("mbd.queue.depth>10:for=2,clear=2").unwrap()
         ]);
     let depth = telemetry.gauge("mbd.queue.depth");
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "slo-mgr");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "slo-mgr");
 
     // Play the server binary's 1 Hz duty cycle by hand: set the level,
     // sample + evaluate, and journal each edge the way `mbd-server`
@@ -420,7 +421,7 @@ fn alert_fires_and_clears_with_hysteresis_over_tcp() {
 #[test]
 fn many_sequential_exchanges_on_one_connection() {
     let (tcp, _process) = spawn_server(None);
-    let client = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "mgr");
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr");
     client.delegate("inc", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
     let dpi = client.instantiate("inc").unwrap();
     for expected in 1..=200i64 {
@@ -435,7 +436,7 @@ fn pipelined_invocations_over_the_full_stack() {
     // arrive out of order, but exactly-once execution means the
     // returned totals form exactly the set 1..=50.
     let (tcp, process) = spawn_server(None);
-    let serial = RdsClient::new(TcpTransport::connect(tcp.local_addr()).unwrap(), "mgr");
+    let serial = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr");
     serial.delegate("inc", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
     let dpi = serial.instantiate("inc").unwrap();
 
@@ -443,8 +444,7 @@ fn pipelined_invocations_over_the_full_stack() {
         RdsPipeline::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "pipe-mgr").with_window(8);
     const N: i64 = 50;
     for _ in 0..N {
-        pipe.submit(&RdsRequest::Invoke { dpi, entry: "bump".to_string(), args: Vec::new() })
-            .unwrap();
+        pipe.submit(&RdsRequest::Invoke { dpi, entry: "bump".to_string(), args: Vec::new() });
     }
     let mut totals: Vec<i64> = pipe
         .drain()
@@ -483,7 +483,7 @@ fn hundreds_of_idle_connections_do_not_starve_active_ones() {
     assert_eq!(tcp.connections_rejected(), 0);
 
     // Full protocol still round-trips promptly on a fresh connection.
-    let client = RdsClient::new(TcpTransport::connect(addr).unwrap(), "active");
+    let client = RdsClient::new(TcpDuplex::connect(addr).unwrap(), "active");
     client.delegate("f", "fn main() { return 7; }").unwrap();
     let dpi = client.instantiate("f").unwrap();
     assert_eq!(client.invoke(dpi, "main", &[]).unwrap(), BerValue::Integer(7));

@@ -8,7 +8,7 @@ use mbd::ber::BerValue;
 use mbd::core::ocp::{self, SnmpOcp};
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
 use mbd::dpl::Value;
-use mbd::rds::{LoopbackTransport, RdsClient};
+use mbd::rds::{LoopbackDuplex, RdsClient};
 use mbd::snmp::manager::SnmpManager;
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ fn busy_server() -> (ElasticProcess, SnmpOcp) {
     let process = ElasticProcess::new(ElasticConfig::default());
     let server = Arc::new(MbdServer::open(process.clone()));
     let s = Arc::clone(&server);
-    let client = RdsClient::new(LoopbackTransport::new(move |b: &[u8]| s.process_request(b)), "m");
+    let client = RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| s.process_request(b)), "m");
     client.delegate("w", "fn main() { return 1; }").unwrap();
     let dpi = client.instantiate("w").unwrap();
     for _ in 0..20 {
