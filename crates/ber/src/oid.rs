@@ -171,17 +171,44 @@ fn encode_subidentifier(out: &mut Vec<u8>, value: u32) {
 }
 
 impl fmt::Display for Oid {
+    /// Dotted decimal. The text is assembled in a stack buffer and handed
+    /// to the formatter with one `write_str` per buffer (one in all for
+    /// OIDs under ~60 characters) instead of two `write!`s per arc.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for arc in &self.arcs {
-            if !first {
-                write!(f, ".")?;
+        /// The longest arc text: a dot and `u32::MAX`'s ten digits.
+        const ARC_MAX: usize = 11;
+        let mut buf = [0u8; 64];
+        let mut len = 0;
+        for (i, &arc) in self.arcs.iter().enumerate() {
+            if len + ARC_MAX > buf.len() {
+                f.write_str(ascii(&buf[..len]))?;
+                len = 0;
             }
-            write!(f, "{arc}")?;
-            first = false;
+            if i > 0 {
+                buf[len] = b'.';
+                len += 1;
+            }
+            let mut digits = [0u8; 10];
+            let mut start = digits.len();
+            let mut rest = arc;
+            loop {
+                start -= 1;
+                digits[start] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            let digits = &digits[start..];
+            buf[len..len + digits.len()].copy_from_slice(digits);
+            len += digits.len();
         }
-        Ok(())
+        f.write_str(ascii(&buf[..len]))
     }
+}
+
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("OID text is ASCII digits and dots")
 }
 
 /// Error returned when parsing an OID from dotted-decimal text fails.
@@ -241,6 +268,51 @@ mod tests {
     fn parse_and_display_round_trip() {
         for s in ["1.3.6.1.2.1", "0.0", "2.999.3", "1.3.6.1.4.1.45.1.3.2"] {
             assert_eq!(oid(s).to_string(), s);
+        }
+    }
+
+    /// The reference rendering: each arc's `Display`, joined by dots.
+    fn joined(arcs: &[u32]) -> String {
+        arcs.iter().map(u32::to_string).collect::<Vec<_>>().join(".")
+    }
+
+    #[test]
+    fn display_text_is_exact() {
+        assert_eq!(Oid::new().to_string(), "");
+        assert_eq!(Oid::from_slice(&[7]).to_string(), "7");
+        assert_eq!(Oid::from_slice(&[0, 0]).to_string(), "0.0");
+        assert_eq!(Oid::from_slice(&[u32::MAX]).to_string(), "4294967295");
+        assert_eq!(
+            Oid::from_slice(&[1, u32::MAX, 0, u32::MAX]).to_string(),
+            "1.4294967295.0.4294967295"
+        );
+        // Long enough to fill and flush the formatting buffer many times,
+        // with arcs of every digit count.
+        let arcs: Vec<u32> =
+            (0..128u32).map(|i| i.wrapping_mul(2_654_435_761) >> (i % 32)).collect();
+        assert_eq!(Oid::from_slice(&arcs).to_string(), joined(&arcs));
+        let maxed = vec![u32::MAX; 128];
+        assert_eq!(Oid::from_slice(&maxed).to_string(), joined(&maxed));
+        // Padding flags are ignored, as they were with per-arc `write!`s.
+        assert_eq!(format!("{:>12}", Oid::from_slice(&[1, 3])), "1.3");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn display_parses_back(
+            arcs in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::arbitrary::any::<u32>(),
+                    0u32..10,
+                    proptest::strategy::Just(u32::MAX),
+                ],
+                0..160,
+            )
+        ) {
+            let o = Oid::from(arcs);
+            let text = o.to_string();
+            proptest::prop_assert_eq!(&text, &joined(o.as_slice()));
+            proptest::prop_assert_eq!(text.parse::<Oid>().unwrap(), o);
         }
     }
 

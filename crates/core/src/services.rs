@@ -130,11 +130,11 @@ pub fn standard_registry() -> HostRegistry<ServerCtx> {
         if rows.len() > WALK_LIMIT {
             return Err(format!("walk of {} exceeds limit {WALK_LIMIT}", rows.len()));
         }
-        let mut map = std::collections::BTreeMap::new();
-        for (oid, v) in rows {
-            map.insert(oid.to_string(), convert::from_ber(&v));
-        }
-        Ok(Value::map(map))
+        // `collect` sorts once and bulk-builds the map: cheaper than one
+        // `insert` per row, and the same map.
+        Ok(Value::map(
+            rows.into_iter().map(|(oid, v)| (oid.to_string(), convert::from_ber(&v))).collect(),
+        ))
     });
 
     // `mib_snapshot` is an instantaneous consistent copy; `mib_walk` has
@@ -143,21 +143,13 @@ pub fn standard_registry() -> HostRegistry<ServerCtx> {
     reg.register("mib_snapshot", 1, |ctx, args| {
         let prefix = parse_oid(&args[0])?;
         let snap = ctx.mib.snapshot(&prefix);
-        let mut map = std::collections::BTreeMap::new();
-        let mut count = 0usize;
-        let mut overflow = false;
-        snap.for_each(|oid, v| {
-            count += 1;
-            if count > WALK_LIMIT {
-                overflow = true;
-            } else {
-                map.insert(oid.to_string(), convert::from_ber(v));
-            }
-        });
-        if overflow {
+        let count = snap.len();
+        if count > WALK_LIMIT {
             return Err(format!("snapshot of {count} entries exceeds limit {WALK_LIMIT}"));
         }
-        Ok(Value::map(map))
+        let mut rows = Vec::with_capacity(count);
+        snap.for_each(|oid, v| rows.push((oid.to_string(), convert::from_ber(v))));
+        Ok(Value::map(rows.into_iter().collect()))
     });
 
     reg.register("mib_set", 2, |ctx, args| {
@@ -246,6 +238,10 @@ mod tests {
         snmp::mib2::install_system(&mib, "test dev", "t1").unwrap();
         snmp::mib2::install_concentrator(&mib).unwrap();
         mib.counter_add(&snmp::mib2::s3_enet_conc_rx_ok(), 1234).unwrap();
+        ctx_over(mib)
+    }
+
+    fn ctx_over(mib: MibStore) -> ServerCtx {
         ServerCtx {
             mib,
             mailbox: Arc::new(Mutex::new(VecDeque::new())),
@@ -399,6 +395,66 @@ mod tests {
         run("fn main() { log(\"a\"); log(\"b\"); log(\"c\"); return 0; }", &mut c).unwrap();
         assert_eq!(c.account.snapshot().queue_drops, 2);
         assert_eq!(c.log.snapshot(), vec!["dpi-1: c"]);
+    }
+
+    /// The table-compression filter `bench/e2e` runs as `table_scan`.
+    const SCAN_DP: &str = r#"
+fn filter(threshold) {
+    var out = [];
+    var dropped = mib_walk("1.3.6.1.4.1.353.2.5.1.3");
+    for (oid in dropped) {
+        if (dropped[oid] > threshold) {
+            out = push(out, [oid, dropped[oid]]);
+        }
+    }
+    return out;
+}
+"#;
+
+    /// One first invocation (initializers included) of the scan over an
+    /// ATM VC table of `rows` rows: the result and the VM's counters.
+    fn scan(rows: u32, threshold: i64) -> (Result<Value, dpl::RuntimeError>, dpl::VmStats) {
+        let mib = MibStore::new();
+        snmp::mib2::install_atm_vc_table(&mib, rows).unwrap();
+        let mut c = ctx_over(mib);
+        let reg = standard_registry();
+        let program = dpl::compile_program(SCAN_DP, &reg).expect("compiles");
+        let mut inst = Instance::new(Arc::new(program));
+        let out = inst.invoke("filter", &[Value::Int(threshold)], &mut c, &reg, Budget::default());
+        (out, inst.last_stats())
+    }
+
+    /// The scan's accounting is observable behaviour (docs/DPL.md): rows,
+    /// fuel, memory cells and host calls are pinned exactly, and so are
+    /// the 1 000-row scans the default budget refuses.
+    #[test]
+    fn table_scan_accounting_is_pinned() {
+        let expected = [
+            (86, 2620, 24894, 87),
+            (72, 2522, 18062, 73),
+            (58, 2424, 12406, 59),
+            (44, 2326, 7926, 45),
+            (29, 2221, 4431, 30),
+            (14, 2116, 2286, 15),
+            (0, 2018, 1502, 1),
+        ];
+        for (threshold, want) in expected.into_iter().enumerate() {
+            let (out, stats) = scan(100, threshold as i64);
+            let rows = out.unwrap().as_list().expect("a list of rows").len();
+            let got = (rows, stats.fuel_used, stats.memory_used, stats.host_calls);
+            assert_eq!(got, want, "threshold {threshold}");
+        }
+        for (threshold, fuel, memory) in
+            [(0, 17194, 1002516), (1, 19854, 1003314), (2, 23687, 1001023)]
+        {
+            let (out, stats) = scan(1000, threshold);
+            assert_eq!(out.unwrap_err(), dpl::RuntimeError::OutOfMemory, "threshold {threshold}");
+            assert_eq!(
+                (stats.fuel_used, stats.memory_used),
+                (fuel, memory),
+                "threshold {threshold}"
+            );
+        }
     }
 
     #[test]

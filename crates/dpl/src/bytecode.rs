@@ -18,6 +18,10 @@ pub(crate) enum Op {
     Bool(bool),
     /// Push a copy of local slot `i`.
     LoadLocal(u16),
+    /// Move local slot `i` onto the stack, leaving `nil` behind. Emitted
+    /// only where the slot is overwritten before anything can read it
+    /// again (see `compile::takes`); costs and charges as `LoadLocal`.
+    TakeLocal(u16),
     /// Pop into local slot `i`.
     StoreLocal(u16),
     /// Push a copy of global slot `i`.

@@ -197,16 +197,23 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
                 let slot = self.declare(name);
                 self.emit(Op::StoreLocal(slot));
             }
-            StmtKind::Assign { name, value } => {
-                self.expr(value);
-                match self.lookup_local(name) {
-                    Some(slot) => self.emit(Op::StoreLocal(slot)),
-                    None => {
-                        let slot = self.shared.global_slots[name.as_str()];
-                        self.emit(Op::StoreGlobal(slot))
+            StmtKind::Assign { name, value } => match self.lookup_local(name) {
+                Some(slot) => {
+                    if takes(name, value) {
+                        self.expr_taking(value, slot);
+                    } else {
+                        self.expr(value);
                     }
-                };
-            }
+                    self.emit(Op::StoreLocal(slot));
+                }
+                None => {
+                    // Globals are never taken: a faulted invocation must
+                    // leave them as it found them.
+                    self.expr(value);
+                    let slot = self.shared.global_slots[name.as_str()];
+                    self.emit(Op::StoreGlobal(slot));
+                }
+            },
             StmtKind::IndexAssign { base, index, value } => {
                 // Flatten the place chain: root variable + index path.
                 let mut indices = Vec::new();
@@ -432,15 +439,78 @@ impl<'a, 'b> FnCompiler<'a, 'b> {
                 for a in args {
                     self.expr(a);
                 }
-                let argc = u8::try_from(args.len()).expect("too many arguments");
-                if let Some(&func) = self.shared.fn_by_name.get(name) {
-                    self.emit(Op::Call { func: func as u16, argc });
-                } else {
-                    let host = self.shared.host_slot(name);
-                    self.emit(Op::CallHost { host, argc });
-                }
+                self.call(name, args.len());
             }
         }
+    }
+
+    /// Compiles `value`, for which [`takes`] holds, moving its first
+    /// operand out of local `slot` instead of copying it. Nothing can
+    /// observe the emptied slot: the rest of `value` does not name it,
+    /// the assignment refills it, and a fault in between aborts the
+    /// whole invocation (DPL has no exception handling).
+    fn expr_taking(&mut self, value: &Expr, slot: u16) {
+        self.emit(Op::TakeLocal(slot));
+        match &value.kind {
+            ExprKind::Call { name, args } => {
+                for a in &args[1..] {
+                    self.expr(a);
+                }
+                self.call(name, args.len());
+            }
+            ExprKind::Binary { op: BinOp::Add, rhs, .. } => {
+                self.expr(rhs);
+                self.emit(Op::Add);
+            }
+            other => unreachable!("`takes` admits no {other:?}"),
+        }
+    }
+
+    /// Emits the call of `name` over the `argc` values on the stack.
+    fn call(&mut self, name: &str, argc: usize) {
+        let argc = u8::try_from(argc).expect("too many arguments");
+        if let Some(&func) = self.shared.fn_by_name.get(name) {
+            self.emit(Op::Call { func: func as u16, argc });
+        } else {
+            let host = self.shared.host_slot(name);
+            self.emit(Op::CallHost { host, argc });
+        }
+    }
+}
+
+/// Whether `name = value` may move `name` out of its slot: `value` is
+/// `f(name, rest…)` or `name + rhs`, and `name` occurs nowhere in
+/// `rest`/`rhs`. A syntactic check, and a sound one because expressions
+/// open no scopes: every `name` inside `value` is the assigned variable.
+fn takes(name: &str, value: &Expr) -> bool {
+    let (first, rest): (&Expr, &[Expr]) = match &value.kind {
+        ExprKind::Call { args, .. } => match args.split_first() {
+            Some(split) => split,
+            None => return false,
+        },
+        ExprKind::Binary { op: BinOp::Add, lhs, rhs } => (lhs, std::slice::from_ref(&**rhs)),
+        _ => return false,
+    };
+    matches!(&first.kind, ExprKind::Var(v) if v == name) && !rest.iter().any(|e| mentions(e, name))
+}
+
+/// Whether variable `name` occurs anywhere in `e`.
+fn mentions(e: &Expr, name: &str) -> bool {
+    match &e.kind {
+        ExprKind::Var(v) => v == name,
+        ExprKind::Int(_)
+        | ExprKind::Float(_)
+        | ExprKind::Str(_)
+        | ExprKind::Bool(_)
+        | ExprKind::Nil => false,
+        ExprKind::List(items) | ExprKind::Call { args: items, .. } => {
+            items.iter().any(|i| mentions(i, name))
+        }
+        ExprKind::Map(pairs) => pairs.iter().any(|(k, v)| mentions(k, name) || mentions(v, name)),
+        ExprKind::Index { base: a, index: b } | ExprKind::Binary { lhs: a, rhs: b, .. } => {
+            mentions(a, name) || mentions(b, name)
+        }
+        ExprKind::Unary { operand, .. } => mentions(operand, name),
     }
 }
 
@@ -497,6 +567,51 @@ mod tests {
         );
         // a/b and d share slots: max is params(1) + 2.
         assert_eq!(p.functions[0].n_locals, 3);
+    }
+
+    #[test]
+    fn accumulating_into_a_local_moves_it() {
+        let loads = |src: &str| -> Vec<Op> {
+            let p = compile_src(src);
+            p.functions[p.fn_by_name["f"]]
+                .code
+                .iter()
+                .copied()
+                .filter(|op| matches!(op, Op::LoadLocal(_) | Op::TakeLocal(_) | Op::LoadGlobal(_)))
+                .collect()
+        };
+        // Slots: `x` is 0, `out` is 1.
+        assert_eq!(
+            loads("fn f(x) { var out = []; out = push(out, x); return 0; }"),
+            [Op::TakeLocal(1), Op::LoadLocal(0)]
+        );
+        assert_eq!(
+            loads("fn f(x) { var out = []; out = out + [x]; return 0; }"),
+            [Op::TakeLocal(1), Op::LoadLocal(0)]
+        );
+        // A global is loaded, never taken.
+        assert_eq!(
+            loads("var out = []; fn f(x) { out = push(out, x); return 0; }"),
+            [Op::LoadGlobal(0), Op::LoadLocal(0)]
+        );
+        // Mentioned on the right: copied.
+        assert_eq!(
+            loads("fn f(x) { var out = []; out = push(out, len(out)); return 0; }"),
+            [Op::LoadLocal(1), Op::LoadLocal(1)]
+        );
+        assert_eq!(
+            loads("fn f(x) { var s = \"a\"; s = s + s; return 0; }"),
+            [Op::LoadLocal(1), Op::LoadLocal(1)]
+        );
+        // Not the first operand, or not an assignment back: copied.
+        assert_eq!(
+            loads("fn f(x) { var out = []; out = push(x, out); return 0; }"),
+            [Op::LoadLocal(0), Op::LoadLocal(1)]
+        );
+        assert_eq!(
+            loads("fn f(x) { var out = []; x = push(out, 1); return 0; }"),
+            [Op::LoadLocal(1)]
+        );
     }
 
     #[test]

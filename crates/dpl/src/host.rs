@@ -22,7 +22,11 @@ pub struct Signature {
     pub arity: usize,
 }
 
-type HostFn<C> = std::sync::Arc<dyn Fn(&mut C, &[Value]) -> Result<Value, String> + Send + Sync>;
+/// Host functions receive their arguments mutably so that an owning
+/// function (see [`HostRegistry::register_owned`]) can move them out
+/// instead of cloning; callers never read the argument slice again.
+type HostFn<C> =
+    std::sync::Arc<dyn Fn(&mut C, &mut [Value]) -> Result<Value, String> + Send + Sync>;
 
 /// Source of globally unique registry generations: every construction
 /// and every mutation stamps the registry with a fresh value, so two
@@ -107,6 +111,15 @@ impl<C> HostRegistry<C> {
     where
         F: Fn(&mut C, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     {
+        self.register_owned(name, arity, move |ctx, args| f(ctx, args));
+    }
+
+    /// Registers a host function that may take ownership of its
+    /// arguments (`std::mem::take`) instead of cloning them.
+    pub(crate) fn register_owned<F>(&mut self, name: &str, arity: usize, f: F)
+    where
+        F: Fn(&mut C, &mut [Value]) -> Result<Value, String> + Send + Sync + 'static,
+    {
         let sig = Signature { name: name.to_string(), arity };
         let f: HostFn<C> = std::sync::Arc::new(f);
         if let Some(&idx) = self.by_name.get(name) {
@@ -151,7 +164,8 @@ impl<C> HostRegistry<C> {
         self.fns.is_empty()
     }
 
-    /// Invokes function `idx` (from [`HostRegistry::index_of`]).
+    /// Invokes function `idx` (from [`HostRegistry::index_of`]). The
+    /// function may move values out of `args`, leaving `nil` behind.
     ///
     /// # Errors
     ///
@@ -160,7 +174,7 @@ impl<C> HostRegistry<C> {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn call(&self, idx: usize, ctx: &mut C, args: &[Value]) -> Result<Value, RuntimeError> {
+    pub fn call(&self, idx: usize, ctx: &mut C, args: &mut [Value]) -> Result<Value, RuntimeError> {
         let (sig, f) = &self.fns[idx];
         f(ctx, args).map_err(|message| RuntimeError::Host { name: sig.name.clone(), message })
     }
@@ -185,10 +199,12 @@ pub mod stdlib {
             Value::Map(m) => Ok(Value::Int(m.len() as i64)),
             other => Err(err(format!("len: unsupported type {}", other.type_name()))),
         });
-        reg.register("push", 2, |_, args| match &args[0] {
-            Value::List(v) => {
-                let mut v = v.clone();
-                std::sync::Arc::make_mut(&mut v).push(args[1].clone());
+        // Owns its arguments: when the compiler moved the list out of its
+        // local (`out = push(out, x)`), `make_mut` finds it unshared and
+        // appends in place instead of copying it.
+        reg.register_owned("push", 2, |_, args| match std::mem::take(&mut args[0]) {
+            Value::List(mut v) => {
+                std::sync::Arc::make_mut(&mut v).push(std::mem::take(&mut args[1]));
                 Ok(Value::List(v))
             }
             other => Err(err(format!("push: expected list, got {}", other.type_name()))),
@@ -377,7 +393,7 @@ mod tests {
     fn call(name: &str, args: &[Value]) -> Result<Value, RuntimeError> {
         let r = reg();
         let idx = r.index_of(name).unwrap();
-        r.call(idx, &mut (), args)
+        r.call(idx, &mut (), &mut args.to_vec())
     }
 
     #[test]
@@ -494,7 +510,7 @@ mod tests {
     fn host_error_carries_function_name() {
         let r = reg();
         let idx = r.index_of("sqrt").unwrap();
-        let e = r.call(idx, &mut (), &[Value::Int(-4)]).unwrap_err();
+        let e = r.call(idx, &mut (), &mut [Value::Int(-4)]).unwrap_err();
         match e {
             RuntimeError::Host { name, .. } => assert_eq!(name, "sqrt"),
             other => panic!("unexpected {other:?}"),
@@ -513,8 +529,8 @@ mod tests {
         });
         let mut ctx = Ctx { calls: 0 };
         let idx = r.index_of("tick").unwrap();
-        r.call(idx, &mut ctx, &[]).unwrap();
-        let v = r.call(idx, &mut ctx, &[]).unwrap();
+        r.call(idx, &mut ctx, &mut []).unwrap();
+        let v = r.call(idx, &mut ctx, &mut []).unwrap();
         assert_eq!(v, Value::Int(2));
         assert_eq!(ctx.calls, 2);
     }

@@ -355,7 +355,7 @@ impl<'a, C> Interp<'a, C> {
                         name: name.clone(),
                         message: "not registered on this server".to_string(),
                     })?;
-                    self.registry.call(idx, ctx, &vals)
+                    self.registry.call(idx, ctx, &mut vals)
                 }
             }
         }
@@ -389,50 +389,118 @@ mod tests {
     use super::*;
     use crate::Instance;
 
-    fn run_both(src: &str, entry: &str, args: &[Value]) -> (Value, Value) {
+    /// Invokes `calls` in order, each with `args`, on one VM instance and
+    /// one tree-walking instance of `src`. Every pair of outcomes must
+    /// agree: values exactly, errors by class. Returns the VM's outcomes.
+    fn agree(src: &str, calls: &[&str], args: &[Value]) -> Vec<Result<Value, RuntimeError>> {
         let reg: HostRegistry<()> = HostRegistry::with_stdlib();
         let program = crate::compile_program(src, &reg).expect("compiles");
         let mut vm = Instance::new(std::sync::Arc::new(program));
-        let vm_result = vm.invoke(entry, args, &mut (), &reg, Budget::default()).expect("vm runs");
         let mut tree = AstInstance::new(src, &reg).expect("parses");
-        let tree_result =
-            tree.invoke(entry, args, &mut (), &reg, Budget::default()).expect("interp runs");
-        (vm_result, tree_result)
+        let mut outcomes = Vec::new();
+        for entry in calls {
+            let v = vm.invoke(entry, args, &mut (), &reg, Budget::default());
+            let t = tree.invoke(entry, args, &mut (), &reg, Budget::default());
+            match (&v, &t) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{entry} on {src}"),
+                (Err(a), Err(b)) => assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "{entry} on {src}: {a:?} vs {b:?}"
+                ),
+                _ => panic!("{entry} on {src}: vm {v:?}, interpreter {t:?}"),
+            }
+            outcomes.push(v);
+        }
+        outcomes
     }
 
     #[test]
     fn interpreter_agrees_with_vm_on_programs() {
-        let cases: Vec<(&str, &str, Vec<Value>)> = vec![
-            ("fn main() { return 2 + 3 * 4; }", "main", vec![]),
+        let cases: Vec<(&str, &[&str], Vec<Value>)> = vec![
+            ("fn main() { return 2 + 3 * 4; }", &["main"], vec![]),
             (
                 "fn fact(n) { if (n <= 1) { return 1; } return n * fact(n - 1); } \
                  fn main() { return fact(10); }",
-                "main",
+                &["main"],
                 vec![],
             ),
             (
                 "fn main() { var t = 0; for (x in [1,2,3,4,5]) { if (x == 3) { continue; } \
                  if (x == 5) { break; } t = t + x; } return t; }",
-                "main",
+                &["main"],
                 vec![],
             ),
             (
                 "fn main() { var m = {\"a\": [1,2]}; m[\"a\"][1] = 9; return m[\"a\"][1]; }",
-                "main",
+                &["main"],
                 vec![],
             ),
             (
                 "fn main(s) { return join(sort(split(s, \",\")), \"-\"); }",
-                "main",
+                &["main"],
                 vec![Value::from("c,a,b")],
             ),
-            ("var g = 10; fn main() { g = g + 5; return g; }", "main", vec![]),
-            ("fn main() { return false && (1 / 0 == 1) || true; }", "main", vec![]),
+            ("var g = 10; fn main() { g = g + 5; return g; }", &["main"], vec![]),
+            ("fn main() { return false && (1 / 0 == 1) || true; }", &["main"], vec![]),
+            // Move on last use: the VM moves `x` out of its slot for
+            // `x = f(x, …)` and `x = x + …`, the interpreter copies.
+            // Aliasing: `b` keeps the list `a` had.
+            (
+                "fn main() { var a = [0]; var b = a; a = push(a, 1); return [a, b]; }",
+                &["main"],
+                vec![],
+            ),
+            (
+                "fn main() { var a = [0]; var b = a; a = a + [1]; return [a, b]; }",
+                &["main"],
+                vec![],
+            ),
+            // The variable also appears on the right: copied, not taken.
+            ("fn main() { var a = [7]; a = push(a, len(a)); return a; }", &["main"], vec![]),
+            ("fn main() { var s = \"ab\"; s = s + s; return s; }", &["main"], vec![]),
+            // A program-function callee.
+            (
+                "fn f(x) { return push(x, 2); } \
+                 fn main() { var a = [1]; var b = a; a = f(a); a = f(a); return [a, b]; }",
+                &["main"],
+                vec![],
+            ),
+            // A global accumulator, across invocations.
+            (
+                "var acc = []; fn main() { acc = push(acc, len(acc)); acc = acc + [9]; \
+                 return acc; }",
+                &["main", "main"],
+                vec![],
+            ),
+            // A loop variable, rebound each iteration.
+            (
+                "fn main() { var out = []; for (x in [[1], [2]]) { x = push(x, 0); \
+                 out = push(out, x); } return out; }",
+                &["main"],
+                vec![],
+            ),
         ];
-        for (src, entry, args) in cases {
-            let (vm, tree) = run_both(src, entry, &args);
-            assert_eq!(vm, tree, "mismatch on {src}");
+        for (src, calls, args) in &cases {
+            for outcome in agree(src, calls, args) {
+                assert!(outcome.is_ok(), "{src}: {outcome:?}");
+            }
         }
+
+        // Faults under move on last use: the same error class either way.
+        for src in [
+            "fn main() { var a = 3; a = push(a, 1); return a; }",
+            "fn main() { var a = [1]; a = push(a, [1][5]); return a; }",
+            "fn main() { var s = \"x\"; s = s + 1; return s; }",
+        ] {
+            assert!(agree(src, &["main"], &[])[0].is_err(), "{src}");
+        }
+        // A global is intact after a fault between its load and its store.
+        let src = "var acc = [1]; fn bad() { acc = push(acc, 1 / 0); return acc; } \
+                   fn main() { return acc; }";
+        let outcomes = agree(src, &["bad", "main"], &[]);
+        assert_eq!(outcomes[0], Err(RuntimeError::DivisionByZero));
+        assert_eq!(outcomes[1], Ok(Value::from(vec![1i64])));
     }
 
     #[test]
