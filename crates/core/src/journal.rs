@@ -7,38 +7,30 @@
 //! request that caused it, so a manager can reconstruct *who did what to
 //! which dpi and how it ended* after the fact.
 //!
-//! Storage follows the server's uniform backpressure discipline: a
-//! drop-oldest ring with a monotone sequence counter, so a journal
-//! nobody reads costs bounded memory, and gaps in `seq` are an honest
-//! record of eviction.
+//! Storage is the server's one drop-oldest [`Ring`], so a journal nobody
+//! reads costs bounded memory. Seqs are assigned under the ring's lock:
+//! they increase by one in ring order, and a gap is an honest record of
+//! eviction.
 
-use parking_lot::Mutex;
+use mbd_telemetry::Ring;
 use rds::AuditRecord;
-use std::collections::VecDeque;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A bounded drop-oldest ring of [`AuditRecord`]s.
+#[derive(Debug)]
 pub struct Journal {
-    ring: Mutex<VecDeque<AuditRecord>>,
-    capacity: usize,
-    next_seq: AtomicU64,
-    dropped: AtomicU64,
+    ring: Ring<AuditRecord>,
 }
 
 impl Journal {
     /// An empty journal holding at most `capacity` records (min 1).
     pub fn new(capacity: usize) -> Journal {
-        Journal {
-            ring: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            next_seq: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
-        }
+        Journal { ring: Ring::new(capacity) }
     }
 
     /// Appends a record, assigning and returning its sequence number
-    /// (evicting the oldest record at capacity).
+    /// (evicting the oldest record at capacity). Seqs count from 1, so
+    /// 0 is the [`Journal::since`] cursor of a reader that has read
+    /// nothing.
     #[allow(clippy::too_many_arguments)] // one argument per AuditRecord field
     pub fn record(
         &self,
@@ -50,9 +42,8 @@ impl Journal {
         ok: bool,
         detail: &str,
     ) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let rec = AuditRecord {
-            seq,
+            seq: 0,
             ticks,
             trace_id,
             principal: principal.to_string(),
@@ -61,63 +52,37 @@ impl Journal {
             ok,
             detail: detail.to_string(),
         };
-        let mut ring = self.ring.lock();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(rec);
-        seq
+        self.ring.push_with(|seq| AuditRecord { seq: seq + 1, ..rec }).0 + 1
     }
 
     /// The newest `max` records, oldest first (all of them when `max`
     /// is 0 or exceeds the ring).
     pub fn tail(&self, max: usize) -> Vec<AuditRecord> {
-        let ring = self.ring.lock();
-        let take = if max == 0 { ring.len() } else { max.min(ring.len()) };
-        ring.iter().skip(ring.len() - take).cloned().collect()
+        self.ring.read(|_, records| {
+            let take = if max == 0 { records.len() } else { max.min(records.len()) };
+            records.range(records.len() - take..).cloned().collect()
+        })
     }
 
     /// Records with `seq > after`, oldest first — the incremental read
-    /// used by `mbd-server --journal` to append only new records.
+    /// used by `mbd-server --journal` to append only new records. Found
+    /// by position: the ring's seqs are contiguous, so a reader passing
+    /// the last seq it saw gets every later record not yet evicted,
+    /// exactly once.
     pub fn since(&self, after: u64) -> Vec<AuditRecord> {
-        self.ring.lock().iter().filter(|r| r.seq > after).cloned().collect()
-    }
-
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records evicted since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Journal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Journal")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped())
-            .finish()
+        // Ring seq `s` is journal seq `s + 1`.
+        self.ring.read(|first, records| {
+            let skip = usize::try_from(after.saturating_sub(first)).unwrap_or(usize::MAX);
+            records.iter().skip(skip).cloned().collect()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     fn fill(j: &Journal, n: u64) {
         for i in 0..n {
@@ -138,17 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn overflow_drops_oldest_and_counts() {
-        let j = Journal::new(3);
-        fill(&j, 10);
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.dropped(), 7);
-        let tail = j.tail(0);
-        assert_eq!(tail[0].seq, 8, "oldest surviving record");
-        assert_eq!(tail[2].seq, 10);
-    }
-
-    #[test]
     fn tail_returns_the_newest_records() {
         let j = Journal::new(16);
         fill(&j, 5);
@@ -166,14 +120,62 @@ mod tests {
         assert_eq!(j.since(0).len(), 5);
         assert_eq!(j.since(3).iter().map(|r| r.seq).collect::<Vec<_>>(), vec![4, 5]);
         assert!(j.since(5).is_empty());
+        let small = Journal::new(3);
+        fill(&small, 10);
+        let seqs: Vec<u64> = small.since(0).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![8, 9, 10], "the gap 1..=7 is the eviction");
+    }
+
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 20_000;
+    const TOTAL: u64 = THREADS * PER_THREAD;
+
+    /// Four recorders racing on one journal big enough to evict nothing.
+    fn spawn_writers(j: &Arc<Journal>) -> Vec<JoinHandle<()>> {
+        (0..THREADS)
+            .map(|t| {
+                let j = Arc::clone(j);
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        j.record(i, t + 1, "mgr", "invoke", t, true, "");
+                    }
+                })
+            })
+            .collect()
     }
 
     #[test]
-    fn zero_capacity_is_clamped() {
-        let j = Journal::new(0);
-        fill(&j, 2);
-        assert_eq!(j.capacity(), 1);
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.tail(0)[0].seq, 2);
+    fn concurrent_records_are_contiguous_in_ring_order() {
+        let j = Arc::new(Journal::new(TOTAL as usize));
+        for w in spawn_writers(&j) {
+            w.join().unwrap();
+        }
+        let seqs: Vec<u64> = j.tail(0).iter().map(|r| r.seq).collect();
+        let breaks = seqs.windows(2).filter(|w| w[1] != w[0] + 1).count();
+        assert_eq!(breaks, 0, "ring order must be seq order, one apart");
+        assert_eq!(seqs.len() as u64, TOTAL);
+    }
+
+    /// The `mbd-server --journal` export loop, run while the writers
+    /// record: every seq must come out once — none skipped, none twice.
+    #[test]
+    fn since_reader_sees_every_seq_exactly_once() {
+        let j = Arc::new(Journal::new(TOTAL as usize));
+        let writers = spawn_writers(&j);
+        let (mut seen, mut last) = (Vec::new(), 0);
+        loop {
+            let done = writers.iter().all(|w| w.is_finished());
+            for r in j.since(last) {
+                last = r.seq;
+                seen.push(r.seq);
+            }
+            if done {
+                break;
+            }
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(seen == (1..=TOTAL).collect::<Vec<_>>(), "{} seqs read for {TOTAL}", seen.len());
     }
 }

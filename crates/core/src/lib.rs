@@ -59,7 +59,7 @@ pub use error::CoreError;
 pub use journal::Journal;
 pub use process::{
     DpiAccount, DpiAccountRow, DpiAccountSnapshot, DpiInfo, DpiQuota, ElasticConfig,
-    ElasticProcess, EventQueue, ProcessStats,
+    ElasticProcess, ProcessStats,
 };
 pub use repository::{Repository, StoredDp};
 #[doc(hidden)]
@@ -67,5 +67,9 @@ pub use server::ExecutorConfig;
 pub use server::MbdServer;
 pub use services::{Notification, PendingAction, ServerCtx};
 pub use worker::PeriodicDriver;
+
+/// The outbox type of [`ServerCtx`] under its earlier name
+/// (`bench/e2e` builds a `ServerCtx` with it).
+pub use mbd_telemetry::Ring as EventQueue;
 
 pub use rds::{AuditRecord, DpiId, DpiState};

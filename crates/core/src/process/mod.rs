@@ -2,7 +2,6 @@
 //!
 //! - [`table`] — the sharded instance table and per-slot atomic state;
 //! - [`stats`] — lock-free lifetime counters;
-//! - [`events`] — bounded manager-facing notification/log queues;
 //! - [`lifecycle`] — instantiate / suspend / resume / terminate /
 //!   messaging / introspection;
 //! - [`invoke`] — running entry points and applying agent-queued
@@ -13,7 +12,6 @@
 
 mod account;
 mod durability;
-pub(crate) mod events;
 mod invoke;
 mod lifecycle;
 mod stats;
@@ -23,7 +21,6 @@ mod table;
 mod tests;
 
 pub use account::{DpiAccount, DpiAccountRow, DpiAccountSnapshot, DpiQuota};
-pub use events::EventQueue;
 pub use stats::ProcessStats;
 
 use crate::durable::Durability;
@@ -31,7 +28,7 @@ use crate::journal::Journal;
 use crate::services::{self, Notification, ServerCtx};
 use crate::{CoreError, Repository};
 use dpl::{Budget, HostRegistry, Value};
-use mbd_telemetry::{Counter, Gauge, Telemetry, Timer};
+use mbd_telemetry::{Counter, Gauge, Ring, Telemetry, Timer};
 use parking_lot::{Mutex, RwLock};
 use rds::{DpiId, DpiState};
 use snmp::MibStore;
@@ -175,8 +172,8 @@ pub(in crate::process) struct Inner {
     pub dpis: ShardedTable,
     pub next_dpi: AtomicU64,
     pub mib: MibStore,
-    pub outbox: Arc<EventQueue<Notification>>,
-    pub log: Arc<EventQueue<String>>,
+    pub outbox: Arc<Ring<Notification>>,
+    pub log: Arc<Ring<String>>,
     pub ticks: Arc<AtomicU64>,
     pub stats: stats::AtomicStats,
     pub telemetry: Telemetry,
@@ -228,8 +225,8 @@ impl ElasticProcess {
     /// Creates a process managing an existing MIB (the managed device's
     /// instrumentation writes into the same store).
     pub fn with_mib(config: ElasticConfig, mib: MibStore) -> ElasticProcess {
-        let outbox = Arc::new(EventQueue::new(config.notification_capacity));
-        let log = Arc::new(EventQueue::new(config.log_capacity));
+        let outbox = Arc::new(Ring::new(config.notification_capacity));
+        let log = Arc::new(Ring::new(config.log_capacity));
         let telemetry = Telemetry::new();
         let metrics = EpMetrics::new(&telemetry);
         let journal = Arc::new(Journal::new(config.journal_capacity));

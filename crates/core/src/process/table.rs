@@ -281,8 +281,8 @@ mod tests {
         let ctx = ServerCtx {
             mib: snmp::MibStore::new(),
             mailbox: Arc::new(Mutex::new(VecDeque::new())),
-            outbox: Arc::new(crate::process::EventQueue::new(16)),
-            log: Arc::new(crate::process::EventQueue::new(16)),
+            outbox: Arc::new(mbd_telemetry::Ring::new(16)),
+            log: Arc::new(mbd_telemetry::Ring::new(16)),
             ticks: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             pending: Vec::new(),
             dpi: DpiId(1),

@@ -11,8 +11,9 @@
 //! delegation begins (see [`ElasticProcess::register_service`](crate::ElasticProcess::register_service)).
 
 use crate::convert;
-use crate::process::{DpiAccount, EventQueue};
+use crate::process::DpiAccount;
 use dpl::{HostRegistry, Value};
+use mbd_telemetry::Ring;
 use parking_lot::Mutex;
 use rds::DpiId;
 use snmp::{MibStore, Oid};
@@ -79,9 +80,9 @@ pub struct ServerCtx {
     /// This dpi's inbound mailbox.
     pub mailbox: Arc<Mutex<VecDeque<Vec<u8>>>>,
     /// Server-wide notification outbox (bounded, drop-oldest).
-    pub outbox: Arc<EventQueue<Notification>>,
+    pub outbox: Arc<Ring<Notification>>,
     /// Server-wide agent log (bounded, drop-oldest).
-    pub log: Arc<EventQueue<String>>,
+    pub log: Arc<Ring<String>>,
     /// Server uptime in ticks (hundredths of a second, like sysUpTime).
     pub ticks: Arc<AtomicU64>,
     /// Actions to apply once this invocation returns. A plain vector:
@@ -245,8 +246,8 @@ mod tests {
         ServerCtx {
             mib,
             mailbox: Arc::new(Mutex::new(VecDeque::new())),
-            outbox: Arc::new(EventQueue::new(1024)),
-            log: Arc::new(EventQueue::new(1024)),
+            outbox: Arc::new(Ring::new(1024)),
+            log: Arc::new(Ring::new(1024)),
             ticks: Arc::new(AtomicU64::new(500)),
             pending: Vec::new(),
             dpi: DpiId(1),
@@ -391,7 +392,7 @@ mod tests {
     #[test]
     fn queue_eviction_is_charged_to_the_pusher() {
         let mut c = ctx();
-        c.log = Arc::new(EventQueue::new(1));
+        c.log = Arc::new(Ring::new(1));
         run("fn main() { log(\"a\"); log(\"b\"); log(\"c\"); return 0; }", &mut c).unwrap();
         assert_eq!(c.account.snapshot().queue_drops, 2);
         assert_eq!(c.log.snapshot(), vec!["dpi-1: c"]);

@@ -14,9 +14,8 @@
 //! evaluations before it fires and hold clean for `clear` consecutive
 //! evaluations before it clears, so a flapping metric produces one
 //! fire/clear pair, not a storm. Transitions are returned to the caller
-//! *and* queued internally ([`AlertEngine::drain_transitions`]) so a
-//! background sampler thread can evaluate while the server's stats loop
-//! journals, notifies and trips the flight recorder.
+//! — `mbd-server`'s 1 s loop, which samples, evaluates, and then
+//! journals, notifies and trips the flight recorder in one iteration.
 //!
 //! Rule grammar (the `mbd-server --alert` flag):
 //!
@@ -166,16 +165,10 @@ struct AlertState {
     fired_count: u64,
 }
 
-#[derive(Debug, Default)]
-struct EngineInner {
-    states: Vec<AlertState>,
-    pending: Vec<AlertTransition>,
-}
-
 /// Evaluates a fixed rule set against the history store.
 #[derive(Debug, Default)]
 pub struct AlertEngine {
-    inner: Mutex<EngineInner>,
+    states: Mutex<Vec<AlertState>>,
 }
 
 impl AlertEngine {
@@ -188,7 +181,7 @@ impl AlertEngine {
     }
 
     pub fn add_rule(&self, rule: AlertRule) {
-        self.inner.lock().states.push(AlertState {
+        self.states.lock().push(AlertState {
             rule,
             firing: false,
             breach_streak: 0,
@@ -200,19 +193,17 @@ impl AlertEngine {
     }
 
     pub fn rule_count(&self) -> usize {
-        self.inner.lock().states.len()
+        self.states.lock().len()
     }
 
     /// Evaluates every rule against `history` at `now_s`. Returns the
-    /// transitions this evaluation produced; the same transitions are
-    /// also queued for [`AlertEngine::drain_transitions`].
+    /// transitions this evaluation produced.
     ///
     /// A rule whose series has no data in scope is skipped (streaks
     /// hold): absence of samples is not evidence of recovery.
     pub fn evaluate(&self, history: &History, now_s: u64) -> Vec<AlertTransition> {
-        let mut g = self.inner.lock();
         let mut edges = Vec::new();
-        for st in &mut g.states {
+        for st in self.states.lock().iter_mut() {
             let Some(value) = eval_value(history, &st.rule, now_s) else { continue };
             st.value = value;
             let breached = match st.rule.op {
@@ -251,21 +242,13 @@ impl AlertEngine {
                 });
             }
         }
-        g.pending.extend(edges.iter().cloned());
         edges
-    }
-
-    /// Takes the transitions accumulated since the last drain (the
-    /// stats-loop side of a background-sampler split).
-    pub fn drain_transitions(&self) -> Vec<AlertTransition> {
-        std::mem::take(&mut self.inner.lock().pending)
     }
 
     /// Every rule's current state.
     pub fn states(&self) -> Vec<AlertStateView> {
-        self.inner
+        self.states
             .lock()
-            .states
             .iter()
             .map(|st| AlertStateView {
                 rule: st.rule.text.clone(),
@@ -280,7 +263,7 @@ impl AlertEngine {
 
     /// Number of rules currently firing.
     pub fn firing_count(&self) -> usize {
-        self.inner.lock().states.iter().filter(|s| s.firing).count()
+        self.states.lock().iter().filter(|s| s.firing).count()
     }
 }
 
@@ -399,19 +382,5 @@ mod tests {
         let e = AlertEngine::new(vec![rule("absent>1:for=1,clear=1")]);
         assert!(e.evaluate(&h, 5).is_empty());
         assert_eq!(e.states()[0].value, 0);
-    }
-
-    #[test]
-    fn transitions_queue_for_the_drain_side() {
-        let h = History::new(HistoryConfig::default());
-        let e = AlertEngine::new(vec![rule("g>10:for=1,clear=1")]);
-        h.record("g", SeriesKind::Gauge, 1, 50);
-        e.evaluate(&h, 1);
-        h.record("g", SeriesKind::Gauge, 2, 0);
-        e.evaluate(&h, 2);
-        let drained = e.drain_transitions();
-        assert_eq!(drained.len(), 2);
-        assert!(drained[0].fired && !drained[1].fired);
-        assert!(e.drain_transitions().is_empty());
     }
 }

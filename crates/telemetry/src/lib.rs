@@ -13,13 +13,16 @@
 //! - [`span`] — RAII [`Timer`]/[`Span`] pairs recording into the
 //!   registry, optionally emitting structured [`TraceEvent`]s with
 //!   parent edges (span trees);
-//! - [`trace`] — the bounded drop-oldest [`TraceRing`] (the same queue
-//!   discipline as the elastic process's notification outbox), span-id
-//!   context and interned span names;
+//! - [`ring`] — the one bounded drop-oldest [`Ring`], numbering its
+//!   entries under its own lock, that every retained stream below (and
+//!   the elastic process's audit journal and outboxes) sits on;
+//! - [`trace`] — the trace ring of span events, span-id context and
+//!   interned span names;
 //! - [`store`] — tail-sampled retention of completed span trees plus
 //!   the flight recorder's frozen snapshots;
-//! - [`series`] — retained metrics history: a 1 Hz sampler snapshots
-//!   every counter rate / gauge / histogram quantile into fixed-capacity
+//! - [`series`] — retained metrics history: each [`Telemetry::sample_history`]
+//!   (once a second, from the embedder's loop) snapshots every counter
+//!   rate / gauge / histogram quantile into fixed-capacity
 //!   multi-resolution rings (1 s / 10 s / 60 s, downsampled
 //!   min/max/avg/last);
 //! - [`alert`] — SLO alert rules (threshold and windowed burn-rate,
@@ -52,6 +55,7 @@
 pub mod alert;
 pub mod hist;
 pub mod registry;
+pub mod ring;
 pub mod series;
 pub mod span;
 pub mod store;
@@ -60,6 +64,7 @@ pub mod trace;
 pub use alert::{AlertEngine, AlertOp, AlertRule, AlertStateView, AlertTransition};
 pub use hist::{bucket_bound_ns, HistSnapshot, Histogram, BUCKETS};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
+pub use ring::Ring;
 pub use series::{
     pattern_matches, History, HistoryConfig, Point, SeriesKind, SeriesView, RESOLUTIONS,
 };
@@ -67,11 +72,12 @@ pub use span::{OwnedSpan, Span, Timer};
 pub use store::{Keep, TraceStore, TraceStoreConfig, TraceTree};
 pub use trace::{
     current_span_id, current_trace_id, enter_trace, enter_trace_with_parent, next_span_id,
-    NameTable, TraceEvent, TraceRing, TraceScope,
+    NameTable, TraceEvent, TraceScope,
 };
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+use trace::TraceRing;
 
 #[derive(Debug)]
 pub(crate) struct TelemetryInner {
@@ -164,7 +170,7 @@ impl Telemetry {
     pub fn enable_tracing(&self, capacity: usize) -> bool {
         self.inner
             .ring
-            .set(Arc::new(TraceRing::with_names(capacity, Arc::clone(&self.inner.names))))
+            .set(Arc::new(TraceRing::new(capacity, Arc::clone(&self.inner.names))))
             .is_ok()
     }
 
@@ -202,14 +208,15 @@ impl Telemetry {
     /// happens for trees the store decides to retain — a healthy request
     /// the reservoir thins out costs one atomic and nothing else here.
     pub fn finish_trace(&self, trace_id: u64, duration_ns: u64, errored: bool) -> Option<Keep> {
-        let raw = trace::take_capture();
+        let mut raw = trace::take_capture();
         let (ring, store) = (self.inner.ring.get()?, self.inner.store.get()?);
         if raw.is_empty() {
             return None;
         }
         // The staged batch becomes ring history (the flight recorder's
-        // view) under one lock, whatever the store decides below.
-        ring.append_raw(&raw);
+        // view) under one lock, and takes its seqs there, whatever the
+        // store decides below.
+        ring.append_raw(&mut raw);
         let kept = store.offer_with(trace_id, duration_ns, errored, || ring.resolve_all(&raw));
         trace::recycle_capture(raw);
         Some(kept)
@@ -222,13 +229,15 @@ impl Telemetry {
     ///
     /// A freeze fired mid-request on the request's own thread (e.g. a
     /// quota breach) also includes the spans its in-progress capture
-    /// has staged but not yet flushed to the ring.
+    /// has staged but not yet flushed to the ring. Those come last, with
+    /// provisional seqs continuing the ring's: the seqs they would take
+    /// were the batch appended at the freeze (the real append, when the
+    /// request finishes, may give them later ones).
     pub fn flight_freeze(&self, trace_id: u64, reason: &str) -> usize {
         let (Some(ring), Some(store)) = (self.inner.ring.get(), self.inner.store.get()) else {
             return 0;
         };
-        let mut spans = ring.snapshot();
-        spans.extend(ring.resolve_all(&trace::capture_snapshot()));
+        let spans = ring.snapshot_with(&trace::capture_snapshot());
         let n = spans.len();
         store.freeze(trace_id, reason, spans);
         n
@@ -247,9 +256,10 @@ impl Telemetry {
 
     /// Takes one history sample *now*: snapshots the registry and
     /// ingests it at the current epoch-relative second. Returns the
-    /// sample time in seconds (0 when history is off). The `mbd-server`
-    /// stats loop and the background sampler both funnel through here,
-    /// so tests and benches can drive sampling deterministically.
+    /// sample time in seconds (0 when history is off). The embedder
+    /// calls this (or [`Telemetry::sample_and_evaluate`]) once a second
+    /// — `mbd-server` from its 1 s loop — so tests and benches drive
+    /// sampling deterministically.
     pub fn sample_history(&self) -> u64 {
         let Some(history) = self.inner.history.get() else {
             return 0;
@@ -271,8 +281,8 @@ impl Telemetry {
     }
 
     /// Samples history and evaluates the alert rules against it,
-    /// returning any fire/clear transitions (also queued on the engine
-    /// for [`AlertEngine::drain_transitions`]). No-op without history.
+    /// returning the fire/clear transitions for the caller to journal,
+    /// notify and freeze on. No-op without history.
     pub fn sample_and_evaluate(&self) -> Vec<AlertTransition> {
         let Some(history) = self.inner.history.get() else {
             return Vec::new();
@@ -282,28 +292,6 @@ impl Telemetry {
             Some(engine) => engine.evaluate(history, t_s),
             None => Vec::new(),
         }
-    }
-
-    /// Spawns the background 1 Hz sampler thread: every second it
-    /// snapshots the registry into history and evaluates the alert
-    /// rules (transitions accumulate on the engine for the embedder's
-    /// drain loop). Returns `None` when history is off. The thread
-    /// stops when the returned guard drops.
-    pub fn start_history_sampler(&self) -> Option<HistorySampler> {
-        self.inner.history.get()?;
-        let tel = self.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("mbd-history-sampler".into())
-            .spawn(move || {
-                while !flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    tel.sample_and_evaluate();
-                    std::thread::sleep(std::time::Duration::from_secs(1));
-                }
-            })
-            .ok()?;
-        Some(HistorySampler { stop, join: Some(join) })
     }
 
     /// Drains the trace ring (empty when tracing is off).
@@ -336,24 +324,6 @@ impl Telemetry {
     /// ([`RegistrySnapshot::to_text`] of a fresh snapshot).
     pub fn snapshot_text(&self) -> String {
         self.snapshot().to_text()
-    }
-}
-
-/// Guard for the background history sampler thread
-/// ([`Telemetry::start_history_sampler`]); dropping it stops the
-/// thread (joining it, so the drop can take up to one sleep period).
-#[derive(Debug)]
-pub struct HistorySampler {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for HistorySampler {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
     }
 }
 
@@ -445,6 +415,24 @@ mod tests {
     }
 
     #[test]
+    fn a_mid_request_freeze_numbers_staged_spans_after_the_ring() {
+        let tel = Telemetry::new();
+        tel.enable_tracing(64);
+        tel.enable_trace_store(TraceStoreConfig::default());
+        tel.timer("queued").start().finish(); // untraced: straight to the ring
+        tel.begin_trace_capture();
+        let scope = enter_trace(0xF2);
+        tel.timer("staged").start().finish();
+        assert_eq!(tel.flight_freeze(0xF2, "quota breach"), 2);
+        drop(scope);
+        let frozen = tel.trace_store().unwrap().tree(0xF2).unwrap().spans;
+        let seqs: Vec<_> = frozen.iter().map(|s| (s.seq, s.name.as_str())).collect();
+        assert_eq!(seqs, [(0, "queued"), (1, "staged")], "staged spans continue the ring's seqs");
+        tel.finish_trace(0xF2, 1, false);
+        assert_eq!(tel.trace_snapshot()[1].seq, 1, "the append then gives the same seq");
+    }
+
+    #[test]
     fn history_samples_the_registry_through_the_handle() {
         let tel = Telemetry::new();
         assert_eq!(tel.sample_history(), 0, "history off: no-op");
@@ -467,7 +455,6 @@ mod tests {
         let edges = tel.sample_and_evaluate();
         assert_eq!(edges.len(), 1);
         assert!(edges[0].fired);
-        assert_eq!(tel.alerts().unwrap().drain_transitions().len(), 1);
     }
 
     #[test]

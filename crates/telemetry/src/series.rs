@@ -4,8 +4,8 @@
 //! The registry (PR 2) answers "what is the value *now*"; a delegated
 //! health function wants "what happened over the last two minutes". This
 //! module retains that history in-server, the way the agent-based
-//! MIB-collection literature delegates buffering to the element: a 1 Hz
-//! sampler walks a [`RegistrySnapshot`](crate::RegistrySnapshot) and
+//! MIB-collection literature delegates buffering to the element: once a
+//! second a sample walks a [`RegistrySnapshot`](crate::RegistrySnapshot) and
 //! appends one point per metric into three fixed-capacity rings —
 //! 1 s × 120, 10 s × 180 and 60 s × 240 by default — with coarser rings
 //! downsampled to `min`/`max`/`avg`/`last`. Counters are recorded as
@@ -13,14 +13,13 @@
 //! gauges as their value; histograms as their `p50`/`p99` quantiles in
 //! nanoseconds (series `<name>.p50`, `<name>.p99`).
 //!
-//! Rings drop oldest and keep sequence accounting: every push increments
-//! a per-ring `pushed` counter, so `dropped = pushed - len` is exact even
-//! under concurrent recorders — the same drop-oldest discipline as the
-//! notification outbox and the trace ring.
+//! Each resolution is a [`Ring`] — the same drop-oldest primitive as
+//! the notification outbox and the trace ring — so `dropped = pushed -
+//! len` is exact even under concurrent recorders.
 
-use crate::RegistrySnapshot;
+use crate::{RegistrySnapshot, Ring};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// Ring resolutions, seconds per slot, finest first.
 pub const RESOLUTIONS: [u64; 3] = [1, 10, 60];
@@ -28,7 +27,7 @@ pub const RESOLUTIONS: [u64; 3] = [1, 10, 60];
 /// Ring capacities (points per resolution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryConfig {
-    /// Points retained at 1 s / 10 s / 60 s resolution.
+    /// Points retained at 1 s / 10 s / 60 s resolution (each min 1).
     pub caps: [usize; 3],
 }
 
@@ -96,36 +95,6 @@ pub struct SeriesView {
     pub points: Vec<Point>,
 }
 
-/// Drop-oldest point ring with push-sequence accounting.
-#[derive(Debug)]
-struct Ring {
-    cap: usize,
-    points: VecDeque<Point>,
-    pushed: u64,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Ring {
-        Ring { cap, points: VecDeque::with_capacity(cap.min(256)), pushed: 0 }
-    }
-
-    fn push(&mut self, p: Point) {
-        if self.cap == 0 {
-            self.pushed += 1;
-            return;
-        }
-        if self.points.len() == self.cap {
-            self.points.pop_front();
-        }
-        self.points.push_back(p);
-        self.pushed += 1;
-    }
-
-    fn dropped(&self) -> u64 {
-        self.pushed - self.points.len() as u64
-    }
-}
-
 /// An in-progress downsampling bucket for one coarse resolution.
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
@@ -159,22 +128,14 @@ impl Bucket {
 #[derive(Debug)]
 struct Series {
     kind: SeriesKind,
-    rings: [Ring; 3],
+    rings: [Ring<Point>; 3],
     /// Open (not yet rolled) buckets for the 10 s and 60 s rings.
     open: [Option<Bucket>; 2],
 }
 
 impl Series {
     fn new(kind: SeriesKind, config: &HistoryConfig) -> Series {
-        Series {
-            kind,
-            rings: [
-                Ring::new(config.caps[0]),
-                Ring::new(config.caps[1]),
-                Ring::new(config.caps[2]),
-            ],
-            open: [None, None],
-        }
+        Series { kind, rings: config.caps.map(Ring::new), open: [None, None] }
     }
 
     fn record(&mut self, t_s: u64, v: u64) {
@@ -197,8 +158,8 @@ impl Series {
     /// still-open bucket (so coarse windows are visible before they
     /// roll).
     fn window(&self, idx: usize, cutoff_s: u64) -> Vec<Point> {
-        let mut out: Vec<Point> =
-            self.rings[idx].points.iter().filter(|p| p.t_s >= cutoff_s).copied().collect();
+        let mut out: Vec<Point> = self.rings[idx]
+            .read(|_, points| points.iter().filter(|p| p.t_s >= cutoff_s).copied().collect());
         if idx > 0 {
             if let Some(b) = &self.open[idx - 1] {
                 if b.start_s >= cutoff_s {
@@ -221,9 +182,9 @@ struct HistoryInner {
 
 /// The retained time-series store behind one telemetry domain.
 ///
-/// Feed it with [`History::sample`] (typically once a second — the
-/// `mbd-server` stats loop, or [`crate::Telemetry::start_history_sampler`]'s
-/// background thread) and read it back with [`History::query`].
+/// Feed it with [`History::sample`] (typically once a second, through
+/// [`crate::Telemetry::sample_and_evaluate`] from the `mbd-server` 1 s
+/// loop) and read it back with [`History::query`].
 #[derive(Debug)]
 pub struct History {
     inner: Mutex<HistoryInner>,
@@ -339,7 +300,7 @@ impl History {
             .lock()
             .series
             .values()
-            .map(|s| s.rings.iter().map(|r| r.pushed).sum::<u64>())
+            .map(|s| s.rings.iter().map(Ring::pushed).sum::<u64>())
             .sum()
     }
 }
@@ -440,18 +401,6 @@ mod tests {
         assert_eq!((pts[0].min, pts[0].max, pts[0].avg, pts[0].last), (0, 9, 4, 9));
         assert_eq!((pts[1].min, pts[1].max, pts[1].last), (10, 19, 19));
         assert_eq!(pts[2].t_s, 20, "open bucket surfaces before rolling");
-    }
-
-    #[test]
-    fn rings_drop_oldest_and_account_the_gap() {
-        let h = History::new(HistoryConfig { caps: [4, 2, 2] });
-        for t in 0..10u64 {
-            h.record("g", SeriesKind::Gauge, t, t);
-        }
-        let v = h.query("g", 0, 1, 10);
-        assert_eq!(v[0].points.len(), 4, "1 s ring capped at 4");
-        assert_eq!(v[0].points[0].t_s, 6, "oldest evicted");
-        assert_eq!(h.total_pushed() - h.total_dropped(), 4, "only retained points remain");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Tail-sampled retention of completed span trees, plus the flight
 //! recorder's frozen snapshots.
 //!
-//! The [`TraceRing`](crate::TraceRing) is a flat, lossy stream — fine
-//! for "what just happened", useless for "show me the waterfall of
-//! *that* request" once enough traffic has churned it. A [`TraceStore`]
+//! The trace ring is a flat, lossy stream — fine for "what just
+//! happened", useless for "show me the waterfall of *that* request"
+//! once enough traffic has churned it. A [`TraceStore`]
 //! closes that gap with **tail sampling**: the request front-end
 //! captures each request's spans while it runs and presents the
 //! finished tree here, *after* the outcome is known, so the store can
@@ -26,9 +26,7 @@
 //! files an externally-built snapshot (the ring contents at anomaly
 //! time) as an anomalous tree under the tripping trace id.
 
-use crate::TraceEvent;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
+use crate::{Ring, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Retention policy for a [`TraceStore`].
@@ -104,8 +102,8 @@ pub struct TraceTree {
 #[derive(Debug)]
 pub struct TraceStore {
     config: TraceStoreConfig,
-    normal: Mutex<VecDeque<TraceTree>>,
-    anomalous: Mutex<VecDeque<TraceTree>>,
+    normal: Ring<TraceTree>,
+    anomalous: Ring<TraceTree>,
     seen: AtomicU64,
     retained_anomalous: AtomicU64,
     discarded: AtomicU64,
@@ -121,8 +119,8 @@ impl TraceStore {
                 keep_one_in: config.keep_one_in.max(1),
                 ..config
             },
-            normal: Mutex::new(VecDeque::new()),
-            anomalous: Mutex::new(VecDeque::new()),
+            normal: Ring::new(config.reservoir),
+            anomalous: Ring::new(config.anomaly_capacity),
             seen: AtomicU64::new(0),
             retained_anomalous: AtomicU64::new(0),
             discarded: AtomicU64::new(0),
@@ -186,12 +184,12 @@ impl TraceStore {
         }
         let tree = TraceTree { trace_id, duration_ns, kept, reason: String::new(), spans };
         match kept {
-            Keep::Reservoir => push_bounded(&mut self.normal.lock(), tree, self.config.reservoir),
+            Keep::Reservoir => self.normal.push(tree),
             _ => {
                 self.retained_anomalous.fetch_add(1, Ordering::Relaxed);
-                push_bounded(&mut self.anomalous.lock(), tree, self.config.anomaly_capacity);
+                self.anomalous.push(tree)
             }
-        }
+        };
         kept
     }
 
@@ -206,28 +204,29 @@ impl TraceStore {
             reason: reason.to_string(),
             spans,
         };
-        push_bounded(&mut self.anomalous.lock(), tree, self.config.anomaly_capacity);
+        self.anomalous.push(tree);
     }
 
     /// The retained tree for `trace_id` — anomalous trees win over
     /// reservoir ones, and within a class the newest wins.
     pub fn tree(&self, trace_id: u64) -> Option<TraceTree> {
-        let find =
-            |q: &VecDeque<TraceTree>| q.iter().rev().find(|t| t.trace_id == trace_id).cloned();
-        find(&self.anomalous.lock()).or_else(|| find(&self.normal.lock()))
+        let find = |ring: &Ring<TraceTree>| {
+            ring.read(|_, trees| trees.iter().rev().find(|t| t.trace_id == trace_id).cloned())
+        };
+        find(&self.anomalous).or_else(|| find(&self.normal))
     }
 
     /// The most recently retained tree, anomalous or not.
     pub fn latest(&self) -> Option<TraceTree> {
-        self.anomalous.lock().back().cloned().or_else(|| self.normal.lock().back().cloned())
+        let newest = |ring: &Ring<TraceTree>| ring.read(|_, trees| trees.back().cloned());
+        newest(&self.anomalous).or_else(|| newest(&self.normal))
     }
 
     /// Every retained tree, anomalous first, newest first within each
     /// class.
     pub fn trees(&self) -> Vec<TraceTree> {
-        let mut out: Vec<TraceTree> = self.anomalous.lock().iter().rev().cloned().collect();
-        out.extend(self.normal.lock().iter().rev().cloned());
-        out
+        let anomalous = self.anomalous.snapshot().into_iter().rev();
+        anomalous.chain(self.normal.snapshot().into_iter().rev()).collect()
     }
 
     /// Trees offered so far (kept or not).
@@ -239,13 +238,6 @@ impl TraceStore {
     pub fn anomalies(&self) -> u64 {
         self.retained_anomalous.load(Ordering::Relaxed)
     }
-}
-
-fn push_bounded(q: &mut VecDeque<TraceTree>, tree: TraceTree, capacity: usize) {
-    if q.len() >= capacity {
-        q.pop_front();
-    }
-    q.push_back(tree);
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The bounded structured-trace ring and the thread-local trace context.
 //!
 //! When tracing is enabled, every finished span also emits a
-//! [`TraceEvent`] into a [`TraceRing`] — a drop-oldest bounded queue
-//! with a loss counter, the same backpressure discipline as the elastic
-//! process's notification outbox: a trace consumer that stops draining
-//! costs bounded memory and an honest drop count, never the server.
+//! [`TraceEvent`] into the trace ring — a drop-oldest [`Ring`], the
+//! same primitive as the elastic process's notification outbox: a trace
+//! consumer that stops draining costs bounded memory and an honest drop
+//! count, never the server.
 //!
 //! Every event is stamped with the **current trace id** — a thread-local
 //! correlation id set by the request front-end ([`enter_trace`]) for the
@@ -21,10 +21,10 @@
 //! Span names are interned: hot paths record a pre-resolved `u32` name
 //! handle (see [`NameTable`]), so pushing an event allocates nothing.
 
-use parking_lot::{Mutex, RwLock};
+use crate::Ring;
+use parking_lot::RwLock;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -231,46 +231,25 @@ impl NameTable {
     }
 }
 
-/// A drop-oldest bounded ring of trace events.
-pub struct TraceRing {
-    inner: Mutex<VecDeque<RawEvent>>,
+/// A [`Ring`] of trace events with interned names.
+#[derive(Debug)]
+pub(crate) struct TraceRing {
+    ring: Ring<RawEvent>,
     names: Arc<NameTable>,
-    capacity: usize,
-    next_seq: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl TraceRing {
-    /// An empty ring holding at most `capacity` events (min 1), with
-    /// its own private name table.
-    pub fn new(capacity: usize) -> TraceRing {
-        TraceRing::with_names(capacity, Arc::new(NameTable::default()))
-    }
-
-    /// An empty ring sharing an existing name table (the owning
-    /// [`Telemetry`](crate::Telemetry) passes its table so timers
-    /// pre-resolved *before* tracing was enabled still resolve).
-    pub fn with_names(capacity: usize, names: Arc<NameTable>) -> TraceRing {
-        TraceRing {
-            inner: Mutex::new(VecDeque::new()),
-            names,
-            capacity: capacity.max(1),
-            next_seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// The ring's name table (intern here to pre-resolve handles for
-    /// [`TraceRing::push_id`]).
-    pub fn names(&self) -> &Arc<NameTable> {
-        &self.names
+    /// An empty ring holding at most `capacity` events (min 1), sharing
+    /// the owning [`Telemetry`](crate::Telemetry)'s name table so timers
+    /// pre-resolved *before* tracing was enabled still resolve.
+    pub(crate) fn new(capacity: usize, names: Arc<NameTable>) -> TraceRing {
+        TraceRing { ring: Ring::new(capacity), names }
     }
 
     /// Appends an event by name, allocating a fresh span id parented to
-    /// the thread's innermost span. Interns on every call — tests and
-    /// cold paths only; hot paths pre-resolve and use
-    /// [`TraceRing::push_id`].
-    pub fn push(&self, name: &str, start_ns: u64, duration_ns: u64) {
+    /// the thread's innermost span (interning on every call).
+    #[cfg(test)]
+    fn push(&self, name: &str, start_ns: u64, duration_ns: u64) {
         let id = self.names.intern(name);
         self.push_id(id, next_span_id(), current_span_id(), start_ns, duration_ns);
     }
@@ -282,10 +261,10 @@ impl TraceRing {
     /// While this thread has a capture armed ([`begin_capture`]), a
     /// traced event is *staged* in the thread-local buffer instead of
     /// taking the shared ring lock — the front-end flushes the whole
-    /// request's batch in one [`TraceRing::append_raw`], so the
-    /// per-span hot path touches no shared state beyond two relaxed
-    /// atomics.
-    pub fn push_id(
+    /// request's batch in one [`TraceRing::append_raw`], which is when
+    /// its events get their seqs, so the per-span hot path touches no
+    /// shared state beyond the span-id atomic.
+    pub(crate) fn push_id(
         &self,
         name_id: u32,
         span_id: u64,
@@ -293,9 +272,8 @@ impl TraceRing {
         start_ns: u64,
         duration_ns: u64,
     ) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let event = RawEvent {
-            seq,
+            seq: 0,
             name_id,
             span_id,
             parent_span_id,
@@ -316,34 +294,17 @@ impl TraceRing {
                 return;
             }
         }
-        let mut q = self.inner.lock();
-        if q.len() >= self.capacity {
-            q.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        q.push_back(event);
+        self.ring.push_with(|seq| RawEvent { seq, ..event });
     }
 
-    /// Appends a batch of already-sequenced events (a request's staged
-    /// capture) under a single lock, evicting and counting the oldest
-    /// as needed.
-    pub(crate) fn append_raw(&self, events: &[RawEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let mut evicted = 0u64;
-        let mut q = self.inner.lock();
-        for &event in events {
-            if q.len() >= self.capacity {
-                q.pop_front();
-                evicted += 1;
-            }
-            q.push_back(event);
-        }
-        drop(q);
-        if evicted > 0 {
-            self.dropped.fetch_add(evicted, Ordering::Relaxed);
-        }
+    /// Appends a request's staged capture under one lock hold, stamping
+    /// each event — in `events` too, so a tree built from the batch
+    /// carries the same seqs — with its ring sequence number.
+    pub(crate) fn append_raw(&self, events: &mut [RawEvent]) {
+        self.ring.extend_with(events.iter_mut(), |seq, event| {
+            event.seq = seq;
+            *event
+        });
     }
 
     fn resolve(&self, raw: &RawEvent) -> TraceEvent {
@@ -363,45 +324,31 @@ impl TraceRing {
     }
 
     /// Removes and returns everything queued, oldest first.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        let raw: Vec<RawEvent> = self.inner.lock().drain(..).collect();
-        self.resolve_all(&raw)
+    pub(crate) fn drain(&self) -> Vec<TraceEvent> {
+        self.resolve_all(&self.ring.drain())
     }
 
     /// A copy of the queued events without draining.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let raw: Vec<RawEvent> = self.inner.lock().iter().copied().collect();
+    pub(crate) fn snapshot(&self) -> Vec<TraceEvent> {
+        self.snapshot_with(&[])
+    }
+
+    /// The queued events followed by `staged`, a capture not yet
+    /// appended. Staged events carry *provisional* seqs continuing the
+    /// ring's numbering — the seqs they would take were their batch
+    /// appended at this snapshot; the append that really numbers them
+    /// may follow other appends and give them later ones.
+    pub(crate) fn snapshot_with(&self, staged: &[RawEvent]) -> Vec<TraceEvent> {
+        let raw: Vec<RawEvent> = self.ring.read(|first, queued| {
+            let events = queued.iter().chain(staged);
+            events.zip(first..).map(|(e, seq)| RawEvent { seq, ..*e }).collect()
+        });
         self.resolve_all(&raw)
     }
 
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events evicted since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped())
-            .finish()
+    pub(crate) fn dropped(&self) -> u64 {
+        self.ring.dropped()
     }
 }
 
@@ -410,43 +357,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_are_sequenced_and_ordered() {
-        let r = TraceRing::new(8);
-        r.push("a", 0, 10);
-        r.push("b", 5, 20);
-        let events = r.drain();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].seq, 0);
-        assert_eq!(events[1].seq, 1);
-        assert_eq!(events[1].name, "b");
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn overflow_drops_oldest_and_counts() {
-        let r = TraceRing::new(3);
-        for i in 0..10 {
-            r.push("x", i, 1);
-        }
-        let events = r.snapshot();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].seq, 7, "oldest surviving event");
-        assert_eq!(r.dropped(), 7);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped() {
-        let r = TraceRing::new(0);
-        r.push("a", 0, 1);
-        r.push("b", 1, 1);
-        assert_eq!(r.capacity(), 1);
-        assert_eq!(r.snapshot()[0].name, "b");
-        assert_eq!(r.dropped(), 1);
-    }
-
-    #[test]
     fn events_capture_the_current_trace_id() {
-        let r = TraceRing::new(8);
+        let r = TraceRing::new(8, Arc::default());
         r.push("outside", 0, 1);
         {
             let _scope = enter_trace(0xABCD);
@@ -479,7 +391,7 @@ mod tests {
         {
             let _scope = enter_trace_with_parent(0xBEEF, 42);
             assert_eq!(current_span_id(), 42, "wire parent becomes the innermost span");
-            let r = TraceRing::new(4);
+            let r = TraceRing::new(4, Arc::default());
             r.push("child", 0, 1);
             let events = r.drain();
             assert_eq!(events[0].parent_span_id, 42);
@@ -490,9 +402,9 @@ mod tests {
 
     #[test]
     fn interned_pushes_resolve_to_their_names() {
-        let r = TraceRing::new(8);
-        let hot = r.names().intern("hot.path");
-        assert_eq!(r.names().intern("hot.path"), hot, "interning is idempotent");
+        let r = TraceRing::new(8, Arc::default());
+        let hot = r.names.intern("hot.path");
+        assert_eq!(r.names.intern("hot.path"), hot, "interning is idempotent");
         r.push_id(hot, 7, 0, 10, 5);
         let events = r.drain();
         assert_eq!(events[0].name, "hot.path");
@@ -502,7 +414,7 @@ mod tests {
 
     #[test]
     fn capture_stages_traced_events_only() {
-        let r = TraceRing::new(8);
+        let r = TraceRing::new(8, Arc::default());
         begin_capture();
         r.push("untraced", 0, 1); // trace 0: never staged
         {
@@ -517,7 +429,7 @@ mod tests {
 
     #[test]
     fn staged_events_bypass_the_ring_until_flushed() {
-        let r = TraceRing::new(8);
+        let r = TraceRing::new(8, Arc::default());
         begin_capture();
         {
             let _scope = enter_trace(0x99);
@@ -526,29 +438,15 @@ mod tests {
         // While staged, the event took no ring lock; untraced events
         // still go straight to the ring.
         r.push("untraced", 1, 1);
-        assert_eq!(r.len(), 1, "only the untraced event reached the ring");
-        let staged = take_capture();
+        assert_eq!(r.snapshot().len(), 1, "only the untraced event reached the ring");
+        let mut staged = take_capture();
         assert_eq!(staged.len(), 1);
-        r.append_raw(&staged);
-        let names: Vec<_> = r.snapshot().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["untraced".to_string(), "traced".to_string()]);
-    }
-
-    #[test]
-    fn append_raw_evicts_and_counts_like_push() {
-        let r = TraceRing::new(2);
-        begin_capture();
-        {
-            let _scope = enter_trace(0x5);
-            for i in 0..5 {
-                r.push("e", i, 1);
-            }
-        }
-        let staged = take_capture();
-        assert_eq!(staged.len(), 5);
-        r.append_raw(&staged);
-        assert_eq!(r.len(), 2, "batch append respects capacity");
-        assert_eq!(r.dropped(), 3, "evictions during a batch are counted");
+        // The batch is numbered when it is appended, after the untraced
+        // event, and the staged copy learns the same seq.
+        r.append_raw(&mut staged);
+        assert_eq!(staged[0].seq, 1);
+        let events: Vec<_> = r.snapshot().into_iter().map(|e| (e.seq, e.name)).collect();
+        assert_eq!(events, vec![(0, "untraced".to_string()), (1, "traced".to_string())]);
     }
 
     #[test]
@@ -556,7 +454,7 @@ mod tests {
         begin_capture();
         {
             let _scope = enter_trace(0x1);
-            let r = TraceRing::new(4);
+            let r = TraceRing::new(4, Arc::default());
             r.push("a", 0, 1);
         }
         let taken = take_capture();
@@ -583,15 +481,16 @@ mod tests {
     fn concurrent_pushers_account_for_every_event() {
         // 8 threads hammer one small ring; afterwards every pushed event
         // is either still queued or counted as dropped — none vanish
-        // silently, and no seq was issued twice.
+        // silently — and the survivors are numbered contiguously in ring
+        // order, ending at the last seq issued.
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 1_000;
-        let r = Arc::new(TraceRing::new(64));
+        let r = Arc::new(TraceRing::new(64, Arc::default()));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
-                    let id = r.names().intern("load");
+                    let id = r.names.intern("load");
                     for i in 0..PER_THREAD {
                         r.push_id(id, next_span_id(), 0, t * PER_THREAD + i, 1);
                     }
@@ -602,26 +501,8 @@ mod tests {
             h.join().unwrap();
         }
         let total = THREADS * PER_THREAD;
-        assert_eq!(r.len(), 64, "ring is full after saturation");
-        assert_eq!(r.len() as u64 + r.dropped(), total, "queued + dropped == pushed");
-        let mut seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
-        assert_eq!(seqs.len(), 64, "every surviving event has a distinct seq");
-        assert!(*seqs.last().unwrap() < total);
-    }
-
-    #[test]
-    fn seq_gaps_reveal_exactly_the_dropped_events() {
-        let r = TraceRing::new(4);
-        for i in 0..10 {
-            r.push("e", i, 1);
-        }
         let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        // The survivors are the newest events, contiguous...
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        // ...so a consumer infers the loss from the gap before the first
-        // survivor, which matches the ring's own accounting.
-        assert_eq!(seqs[0], r.dropped());
+        assert_eq!(seqs.len() as u64 + r.dropped(), total, "queued + dropped == pushed");
+        assert_eq!(seqs, (total - 64..total).collect::<Vec<_>>());
     }
 }

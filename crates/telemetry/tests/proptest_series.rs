@@ -78,7 +78,9 @@ proptest! {
         let retained = ring_len(1, 0) + ring_len(10, 1) + ring_len(60, 1);
         prop_assert_eq!(h.total_pushed() - h.total_dropped(), retained as u64);
         prop_assert!(ring_len(1, 0) <= cap, "1 s ring respects its cap");
-        prop_assert!(ring_len(1, 0) == trace.len().min(cap), "newest points survive eviction");
+        let fine = h.query("g", 0, 1, now).pop().map(|s| s.points.iter().map(|p| p.last).collect());
+        let newest: Vec<u64> = trace[trace.len() - cap.min(trace.len())..].iter().map(|p| p.1).collect();
+        prop_assert_eq!(fine, Some(newest), "the newest points survive eviction");
     }
 }
 

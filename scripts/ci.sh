@@ -373,11 +373,11 @@ stop_server
 echo "durability smoke ok: $DUR_DPI survived kill -9 and counted on ($GOT)"
 
 echo "==> idle smoke: one execution tier, and it sleeps"
-# `--workers 2` must mean main + history sampler + WAL flusher + reactor
-# + 2 workers = 6 threads, all blocked while no request is in flight: a
-# second worker tier or a polling wait shows here as more threads or as
-# hundreds of voluntary context switches per idle second. The thread
-# count is gated by the size ledger below, against SIZE.json.
+# `--workers 2` must mean main (which also samples history) + WAL
+# flusher + reactor + 2 workers = 5 threads, all blocked while no request
+# is in flight: a second worker tier or a polling wait shows here as more
+# threads or as hundreds of voluntary context switches per idle second.
+# The thread count is gated by the size ledger below, against SIZE.json.
 boot_server "$SMOKE_DIR/idle_server.log" --workers 2 --state-dir "$SMOKE_DIR/idle_state"
 idle_switches() {
     cat /proc/"$SERVER_PID"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n }'

@@ -61,7 +61,7 @@
 //! profile --folded` and the `mbdProfile` subtree
 //! (`enterprises.20100.6`) over `--snmp`.
 //!
-//! Metrics **history** is always retained: a background 1 Hz sampler
+//! Metrics **history** is always retained: the server's 1 s loop
 //! snapshots every counter rate, gauge and histogram p50/p99 into
 //! multi-resolution rings (1 s / 10 s / 60 s; `--history-cap N` scales
 //! their capacities, default 120/180/240 points). Query it with
@@ -305,13 +305,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..mbd::telemetry::TraceStoreConfig::default()
     });
     // Metrics history is always on (fixed-capacity rings); the alert
-    // engine carries whatever rules the operator configured. The
-    // background sampler thread feeds both at 1 Hz — its guard lives
-    // for the life of main.
+    // engine carries whatever rules the operator configured. The 1 s
+    // loop at the end of main feeds both, after this boot sample gives
+    // every counter the baseline its first-second rate needs.
     process.telemetry().enable_history(mbd::telemetry::HistoryConfig::with_base_cap(history_cap));
     let alert_count = alert_rules.len();
     process.telemetry().enable_alerts(alert_rules);
-    let _sampler = process.telemetry().start_history_sampler();
+    process.telemetry().sample_history();
     if alert_count > 0 {
         println!("alert engine armed with {alert_count} rule(s)");
     }
@@ -459,8 +459,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("press ctrl-c to stop");
 
-    // Periodically surface agent notifications, log lines, new journal
-    // records, and (with --stats) the server's own telemetry registry.
+    // Once a second: sample history and evaluate alert rules, then surface
+    // alert edges, notifications, log lines, new journal records and stats.
     let mut seconds: u64 = 0;
     let mut journal_seq: u64 = 0;
     let mut last_p99_freeze: u64 = 0;
@@ -468,6 +468,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::thread::sleep(std::time::Duration::from_secs(1));
         seconds += 1;
         process.advance_ticks(100);
+        let edges = process.telemetry().sample_and_evaluate();
         ocp.refresh();
         // Durability housekeeping: flush any batched WAL tail once a
         // second (bounding data-at-risk to ~1 s of operations even with
@@ -494,12 +495,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
         }
-        // Alert edges from the background sampler: journal each under a
-        // minted trace id, notify the manager stream, and freeze the
-        // flight recorder on fires (the spans leading up to the breach
-        // are exactly what the operator will want).
-        for edge in process.telemetry().alerts().map(|a| a.drain_transitions()).unwrap_or_default()
-        {
+        // This second's alert edges: journal each under a minted trace
+        // id, notify the manager stream, and freeze the flight recorder
+        // on fires (the spans leading up to the breach are exactly what
+        // the operator will want).
+        for edge in edges {
             let trace_id = alert_trace_id(seconds << 32 | edge.t_s);
             let verb = if edge.fired { "alert.fire" } else { "alert.clear" };
             let detail = format!("{} value {} threshold {}", edge.rule, edge.value, edge.threshold);
