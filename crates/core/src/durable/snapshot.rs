@@ -58,7 +58,9 @@ pub struct SnapshotData {
     pub next_dpi: u64,
     /// Stored dps.
     pub programs: Vec<ProgramRecord>,
-    /// Live (and kept-terminated) dpis.
+    /// The dpi table: live dpis, plus any slot caught mid-terminate.
+    /// Recovery skips a `Terminated` record (earlier builds also wrote
+    /// one for every terminated dpi they kept).
     pub dpis: Vec<DpiRecord>,
     /// Restore nonces already burned on this server.
     pub nonces: Vec<[u8; 16]>,

@@ -133,9 +133,9 @@ pub fn telemetry_bucket_entry() -> Oid {
 /// | `.11` | queue evictions charged | Counter32 |
 /// | `.12` | last trace id, 16 hex digits | OctetString |
 ///
-/// Rows are refreshed for live dpis only; a terminated dpi's row keeps
-/// its last published values (rows are never retracted, matching the
-/// telemetry tables).
+/// Rows are published for live dpis only. A refresh retracts the row of
+/// a dpi that left the table; its final totals are the `detail` of its
+/// `lifecycle.terminate` / `lifecycle.fault` journal record.
 pub fn mbd_accounting_root() -> Oid {
     "1.3.6.1.4.1.20100.5".parse().expect("static oid")
 }
@@ -159,7 +159,7 @@ pub fn accounting_entry() -> Oid {
 /// | `.5` | attributed wall time µs | Counter32 |
 ///
 /// Ranks are positional (re-sorted hottest-first on every refresh);
-/// as in the other tables rows are never retracted, so a rank beyond
+/// as in the telemetry tables rows are never retracted, so a rank beyond
 /// the current row count keeps its last published values. Empty unless
 /// the process enables profiling
 /// ([`ElasticConfig::profile_sample`](crate::ElasticConfig) > 0).
@@ -368,12 +368,25 @@ impl SnmpOcp {
 
     /// Publishes per-dpi resource accounts into the `mbdDpiAccounting`
     /// table (see [`mbd_accounting_root`]), one row per live dpi indexed
-    /// by dpi id. A manager — or a delegated watchdog agent — reads who
-    /// is consuming what with ordinary `mib_walk`.
+    /// by dpi id, and retracts the rows of dpis that left the table. A
+    /// manager — or a delegated watchdog agent — reads who is consuming
+    /// what with ordinary `mib_walk`.
     pub fn refresh_accounting(&self) {
         let mib = self.process.mib();
         let c32 = |v: u64| BerValue::Counter32(u32::try_from(v).unwrap_or(u32::MAX));
-        for row in self.process.account_rows() {
+        let rows = self.process.account_rows();
+        // The name column lists every published row; drop all twelve
+        // columns of any id no longer among the (id-sorted) live rows.
+        let names = accounting_entry().child(1);
+        for (oid, _) in mib.walk(&names) {
+            let Some(&[id]) = oid.strip_prefix(&names) else { continue };
+            if rows.binary_search_by_key(&id, |r| r.id.0 as u32).is_err() {
+                for col in 1..=12 {
+                    mib.remove(&accounting_entry().child(col).child(id));
+                }
+            }
+        }
+        for row in rows {
             let a = row.account;
             let _ = snmp::TableBuilder::new(mib, accounting_entry())
                 .row(&[row.id.0 as u32])
@@ -673,6 +686,25 @@ mod tests {
         for vb in &rows {
             assert!(vb.oid.starts_with(&mbd_accounting_root()), "{} escaped", vb.oid);
         }
+    }
+
+    #[test]
+    fn a_terminated_dpi_leaves_no_accounting_row() {
+        let p = ElasticProcess::new(ElasticConfig::default());
+        p.delegate("w", "fn main() { return 0; }").unwrap();
+        let (a, b) = (p.instantiate("w").unwrap(), p.instantiate("w").unwrap());
+        p.invoke(a, "main", &[]).unwrap();
+        let ocp = SnmpOcp::new(p.clone(), "public");
+        ocp.refresh();
+        assert_eq!(p.mib().walk(&mbd_accounting_root()).len(), 24, "two rows published");
+        p.terminate(a).unwrap();
+        ocp.refresh();
+        let rows = p.mib().walk(&mbd_accounting_root());
+        assert_eq!(rows.len(), 12, "only b's row is left");
+        assert!(rows.iter().all(|(oid, _)| oid.as_slice().last() == Some(&(b.0 as u32))));
+        p.terminate(b).unwrap();
+        ocp.refresh();
+        assert!(p.mib().walk(&mbd_accounting_root()).is_empty(), "stale rows were retracted");
     }
 
     #[test]

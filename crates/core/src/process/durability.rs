@@ -105,7 +105,10 @@ impl ElasticProcess {
                     }
                 }
             }
-            for d in &data.dpis {
+            // A `Terminated` record is a dead dpi (earlier builds kept
+            // them, and a slot caught mid-terminate reads that way): it
+            // stays out of the table, like any other terminated id.
+            for d in data.dpis.iter().filter(|d| d.state != DpiState::Terminated) {
                 match self.install_slot(
                     d.id,
                     &d.dp_name,
@@ -351,9 +354,7 @@ impl ElasticProcess {
         if let Some((initialized, globals, _)) = restore {
             instance.restore_state(globals, initialized)?;
         }
-        if state != DpiState::Terminated
-            && !self.inner.dpis.try_reserve_live(self.inner.config.max_instances)
-        {
+        if !self.inner.dpis.try_reserve_live(self.inner.config.max_instances) {
             return Err(CoreError::TooManyInstances { limit: self.inner.config.max_instances });
         }
         let slot = self.new_slot(DpiId(id), dp_name, instance, state);
@@ -368,7 +369,13 @@ impl ElasticProcess {
 
     /// Applies one replayed WAL entry. Replay is single-threaded and the
     /// recorded transition already happened, so states are stored
-    /// unconditionally; only the live census needs care.
+    /// unconditionally.
+    ///
+    /// A record whose post-state is `Terminated` retires its id, and is
+    /// a no-op on an id already out of the table: a terminate racing a
+    /// `Running` invoke stages `Terminate` before the invoke's
+    /// `Invoke { state: Terminated }`, and a snapshot taken mid-terminate
+    /// leaves out a dpi whose `Terminate` lands in the WAL tail.
     fn apply_wal_entry(&self, entry: &WalEntry) -> Result<(), CoreError> {
         match &entry.record {
             WalRecord::Delegate { name, source, principal } => {
@@ -389,12 +396,9 @@ impl ElasticProcess {
                 self.slot(DpiId(*dpi))?.set_state(DpiState::Ready);
                 Ok(())
             }
-            WalRecord::Terminate { dpi } => {
-                let id = DpiId(*dpi);
-                let slot = self.slot(id)?;
-                if slot.force_terminate().is_some() {
-                    self.retire(id);
-                }
+            WalRecord::Terminate { dpi }
+            | WalRecord::Invoke { dpi, state: DpiState::Terminated, .. } => {
+                self.retire(DpiId(*dpi));
                 Ok(())
             }
             WalRecord::SetQuota { dpi, quota } => {
@@ -402,15 +406,10 @@ impl ElasticProcess {
                 Ok(())
             }
             WalRecord::Invoke { dpi, state, initialized, globals, account } => {
-                let id = DpiId(*dpi);
-                let slot = self.slot(id)?;
+                let slot = self.slot(DpiId(*dpi))?;
                 slot.cell.lock().vm.restore_state(globals.clone(), *initialized)?;
                 slot.account.restore(account);
-                let was_live = slot.state() != DpiState::Terminated;
                 slot.set_state(*state);
-                if *state == DpiState::Terminated && was_live {
-                    self.retire(id);
-                }
                 Ok(())
             }
             WalRecord::Restore {

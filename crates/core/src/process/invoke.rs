@@ -24,10 +24,11 @@ impl ElasticProcess {
     ///
     /// # Errors
     ///
-    /// [`CoreError::NoSuchInstance`], [`CoreError::BadState`] (suspended
-    /// or terminated), or [`CoreError::Runtime`] if the program faults —
-    /// in which case the dpi is terminated, the paper's fault-isolation
-    /// rule: a faulty agent dies, the server survives.
+    /// [`CoreError::NoSuchInstance`] (never instantiated, or already
+    /// terminated), [`CoreError::BadState`] (suspended, or terminated
+    /// while this call held the slot), or [`CoreError::Runtime`] if the
+    /// program faults — in which case the dpi is terminated, the paper's
+    /// fault-isolation rule: a faulty agent dies, the server survives.
     pub fn invoke(&self, dpi: DpiId, entry: &str, args: &[Value]) -> Result<Value, CoreError> {
         let _span = self.inner.metrics.invoke.start();
         let slot = self.slot(dpi)?;
@@ -108,7 +109,8 @@ impl ElasticProcess {
                 if slot.force_terminate().is_some() {
                     self.retire(dpi);
                 }
-                self.journal_event("lifecycle.fault", dpi, false, &e.to_string());
+                let detail = format!("{e}; {}", super::lifecycle::final_bill(slot));
+                self.journal_event("lifecycle.fault", dpi, false, &detail);
                 Err(CoreError::Runtime(e))
             }
         };

@@ -95,14 +95,15 @@ impl ElasticProcess {
             .map_err(|state| CoreError::BadState { dpi, state, operation: "resume" })
     }
 
-    /// **Terminate** a dpi (any non-terminated state). Its slot remains
-    /// visible as `Terminated` if the config keeps diagnostics, else it
-    /// is removed.
+    /// **Terminate** a dpi (any non-terminated state). Its slot leaves
+    /// the table, so every later verb on the id is
+    /// [`CoreError::NoSuchInstance`]; the `lifecycle.terminate` journal
+    /// record, carrying the dpi's final account totals, is what remains.
     ///
     /// # Errors
     ///
-    /// [`CoreError::NoSuchInstance`]; terminating twice is a
-    /// [`CoreError::BadState`].
+    /// [`CoreError::NoSuchInstance`]; a caller that looked the slot up
+    /// before a racing terminate removed it sees [`CoreError::BadState`].
     pub fn terminate(&self, dpi: DpiId) -> Result<(), CoreError> {
         let _span = self.inner.metrics.terminate.start();
         let slot = self.slot(dpi)?;
@@ -114,18 +115,17 @@ impl ElasticProcess {
             });
         }
         self.retire(dpi);
-        self.journal_event("lifecycle.terminate", dpi, true, "");
+        self.journal_event("lifecycle.terminate", dpi, true, &final_bill(&slot));
         self.durable_append(crate::durable::WalRecord::Terminate { dpi: dpi.0 });
         Ok(())
     }
 
-    /// Bookkeeping after a slot reaches `Terminated`: return its
-    /// live-instance reservation and drop it from listings unless kept
-    /// for diagnostics. Call exactly once per termination.
+    /// Bookkeeping after a slot reaches `Terminated`: drop it from the
+    /// table and return its live-instance reservation. Idempotent, so
+    /// WAL replay may retire an id that already left the table.
     pub(super) fn retire(&self, dpi: DpiId) {
-        self.inner.dpis.release_live();
-        if !self.inner.config.keep_terminated {
-            self.inner.dpis.remove(dpi);
+        if self.inner.dpis.remove(dpi) {
+            self.inner.dpis.release_live();
         }
     }
 
@@ -189,4 +189,23 @@ impl ElasticProcess {
     pub(super) fn slot(&self, dpi: DpiId) -> Result<Arc<DpiSlot>, CoreError> {
         self.inner.dpis.get(dpi).ok_or(CoreError::NoSuchInstance(dpi))
     }
+}
+
+/// A terminated dpi's final account totals, the `detail` of its
+/// `lifecycle.terminate` / `lifecycle.fault` journal record: the slot
+/// leaves the table, so the journal is where its bill stays readable.
+pub(super) fn final_bill(slot: &DpiSlot) -> String {
+    let a = slot.account.snapshot();
+    format!(
+        "ok={} failed={} busy_us={} fuel={} bytes_in={} bytes_out={} notifications={} \
+         log_lines={}",
+        a.invocations_ok,
+        a.invocations_failed,
+        a.busy_ns / 1_000,
+        a.vm_fuel,
+        a.bytes_in,
+        a.bytes_out,
+        a.notifications,
+        a.log_lines
+    )
 }

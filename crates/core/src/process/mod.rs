@@ -45,8 +45,6 @@ pub struct ElasticConfig {
     pub budget: Budget,
     /// Maximum simultaneous live (non-terminated) instances.
     pub max_instances: usize,
-    /// Keep terminated dpis visible in listings (diagnostics).
-    pub keep_terminated: bool,
     /// Capacity of the manager-facing notification outbox; the oldest
     /// entry is dropped (and counted) on overflow.
     pub notification_capacity: usize,
@@ -70,7 +68,6 @@ impl Default for ElasticConfig {
         ElasticConfig {
             budget: Budget::default(),
             max_instances: 1024,
-            keep_terminated: true,
             notification_capacity: 4096,
             log_capacity: 4096,
             journal_capacity: 1024,
@@ -284,7 +281,9 @@ impl ElasticProcess {
     }
 
     /// Point-in-time copy of a dpi's resource account, if the dpi is
-    /// (still) in the table.
+    /// still in the table. A terminated dpi has left it; its final
+    /// totals are the `detail` of its `lifecycle.terminate` or
+    /// `lifecycle.fault` journal record.
     pub fn dpi_account(&self, dpi: DpiId) -> Option<DpiAccountSnapshot> {
         self.inner.dpis.get(dpi).map(|slot| slot.account.snapshot())
     }

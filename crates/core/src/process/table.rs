@@ -199,8 +199,9 @@ impl ShardedTable {
         &self.shards[(id.0 as usize) & (SHARDS - 1)]
     }
 
-    /// The slot for `id`, if present (terminated slots may linger for
-    /// diagnostics).
+    /// The slot for `id`, if present. A terminated dpi leaves the table;
+    /// only a slot caught between its terminate CAS and its removal reads
+    /// `Terminated` here.
     pub fn get(&self, id: DpiId) -> Option<Arc<DpiSlot>> {
         self.shard(id).map.read().get(&id).cloned()
     }
@@ -213,12 +214,15 @@ impl ShardedTable {
         }
     }
 
-    pub fn remove(&self, id: DpiId) {
+    /// Removes `id`'s slot; whether one was there.
+    pub fn remove(&self, id: DpiId) -> bool {
         let shard = self.shard(id);
         let mut map = shard.map.write();
-        if map.remove(&id).is_some() {
+        let removed = map.remove(&id).is_some();
+        if removed {
             shard.len.fetch_sub(1, Ordering::Release);
         }
+        removed
     }
 
     /// Slots currently stored (any state), unordered. Pre-sized from the

@@ -66,18 +66,15 @@ fn lifecycle_state_machine() {
     p.resume(dpi).unwrap();
     p.invoke(dpi, "main", &[]).unwrap();
 
-    // Terminated dpis refuse messages.
-    {
-        let dpi2 = p.instantiate("noop").unwrap();
-        p.terminate(dpi2).unwrap();
-        assert!(matches!(p.send_message(dpi2, b"x"), Err(CoreError::BadState { .. })));
-    }
-
-    // Terminated: everything illegal, double-terminate too.
+    // Terminated: the dpi left the table, so every verb, a message or a
+    // second terminate included, finds no such instance.
     p.terminate(dpi).unwrap();
-    assert!(matches!(p.invoke(dpi, "main", &[]), Err(CoreError::BadState { .. })));
-    assert!(matches!(p.terminate(dpi), Err(CoreError::BadState { .. })));
-    assert_eq!(p.list_instances()[0].state, DpiState::Terminated);
+    assert!(matches!(p.invoke(dpi, "main", &[]), Err(CoreError::NoSuchInstance(_))));
+    assert!(matches!(p.send_message(dpi, b"x"), Err(CoreError::NoSuchInstance(_))));
+    assert!(matches!(p.terminate(dpi), Err(CoreError::NoSuchInstance(_))));
+    assert!(p.list_instances().is_empty());
+    assert!(p.dpi_info(dpi).is_none());
+    assert!(p.dpi_account(dpi).is_none());
 }
 
 #[test]
@@ -87,7 +84,7 @@ fn faulting_dpi_is_terminated_but_process_survives() {
     let dpi = p.instantiate("div").unwrap();
     let err = p.invoke(dpi, "main", &[Value::Int(0)]).unwrap_err();
     assert!(matches!(err, CoreError::Runtime(dpl::RuntimeError::DivisionByZero)));
-    assert_eq!(p.list_instances()[0].state, DpiState::Terminated);
+    assert!(p.list_instances().is_empty(), "the faulted dpi left the table");
     // The process keeps serving other instances.
     let dpi2 = p.instantiate("div").unwrap();
     assert_eq!(p.invoke(dpi2, "main", &[Value::Int(4)]).unwrap(), Value::Int(25));
@@ -129,18 +126,6 @@ fn faulting_dpi_frees_its_live_slot() {
     // The fault-terminated dpi returned its reservation.
     assert_eq!(p.live_instances(), 0);
     p.instantiate("div").unwrap();
-}
-
-#[test]
-fn terminated_dpis_vanish_when_not_kept() {
-    let p =
-        ElasticProcess::new(ElasticConfig { keep_terminated: false, ..ElasticConfig::default() });
-    p.delegate("noop", "fn main() { return 0; }").unwrap();
-    let dpi = p.instantiate("noop").unwrap();
-    p.terminate(dpi).unwrap();
-    assert!(p.list_instances().is_empty());
-    assert!(p.dpi_info(dpi).is_none());
-    assert!(matches!(p.invoke(dpi, "main", &[]), Err(CoreError::NoSuchInstance(_))));
 }
 
 #[test]
@@ -374,7 +359,9 @@ fn invoke_on_a_suspended_or_terminated_dpi_is_bad_state_and_never_runs() {
     // Four invokes race a lifecycle verb while the test holds the
     // instance cell. Whichever side of the early state gate each one is
     // on when the verb lands, it is refused — there, or at the
-    // `Ready -> Running` claim once it gets the cell — and none runs.
+    // `Ready -> Running` claim once it gets the cell — and none runs. A
+    // terminated dpi leaves the table, so an invoke that looks it up
+    // only after the terminate finds no such instance instead.
     let race = |verb: &dyn Fn() -> Result<(), CoreError>, state: DpiState| {
         let cell = slot.cell.lock();
         let waiting: Vec<_> = (0..4)
@@ -387,8 +374,10 @@ fn invoke_on_a_suspended_or_terminated_dpi_is_bad_state_and_never_runs() {
         drop(cell);
         for h in waiting {
             let r = h.join().unwrap();
+            let gone = state == DpiState::Terminated
+                && matches!(r, Err(CoreError::NoSuchInstance(id)) if id == dpi);
             assert!(
-                matches!(r, Err(CoreError::BadState { state: s, .. }) if s == state),
+                gone || matches!(r, Err(CoreError::BadState { state: s, .. }) if s == state),
                 "invoke against a {state} dpi must fail with BadState, got {r:?}"
             );
         }
@@ -641,10 +630,36 @@ mod accounting_tests {
         p.delegate("f", "fn main() { return 1 / 0; }").unwrap();
         let dpi = p.instantiate("f").unwrap();
         assert!(p.invoke(dpi, "main", &[]).is_err());
-        let acct = p.dpi_account(dpi).unwrap();
-        assert_eq!(acct.invocations_failed, 1);
+        // The faulted dpi left the table; its journal record keeps the bill.
+        assert_eq!(p.dpi_account(dpi), None);
         let records = p.journal().tail(0);
-        assert!(records.iter().any(|r| r.verb == "lifecycle.fault" && r.dpi == dpi.0 && !r.ok));
+        let fault = records.iter().find(|r| r.verb == "lifecycle.fault" && r.dpi == dpi.0);
+        let fault = fault.expect("fault journaled");
+        assert!(!fault.ok);
+        assert!(fault.detail.starts_with("division by zero; ok=0 failed=1 "), "{}", fault.detail);
+    }
+
+    #[test]
+    fn terminate_journals_the_final_account() {
+        let p = process();
+        p.delegate("f", "fn main() { log(\"x\"); return 1; }").unwrap();
+        let dpi = p.instantiate("f").unwrap();
+        p.invoke(dpi, "main", &[]).unwrap();
+        p.invoke(dpi, "main", &[]).unwrap();
+        p.charge_rds_bytes(dpi, 100, 40);
+        let bill = p.dpi_account(dpi).unwrap();
+        p.terminate(dpi).unwrap();
+        let records = p.journal().tail(0);
+        let record = records.iter().find(|r| r.verb == "lifecycle.terminate").unwrap();
+        assert_eq!(
+            record.detail,
+            format!(
+                "ok=2 failed=0 busy_us={} fuel={} bytes_in=100 bytes_out=40 notifications=0 \
+                 log_lines=2",
+                bill.busy_ns / 1_000,
+                bill.vm_fuel
+            )
+        );
     }
 
     #[test]

@@ -365,7 +365,12 @@ mod tests {
         // Runtime fault.
         let err = c.invoke(dpi, "main", &[]).unwrap_err();
         assert!(matches!(err, RdsError::Remote { code: ErrorCode::RuntimeFault, .. }));
-        // Now terminated -> BadState.
+        // Now terminated, so gone from the table -> NoSuchInstance.
+        let err = c.invoke(dpi, "main", &[]).unwrap_err();
+        assert!(matches!(err, RdsError::Remote { code: ErrorCode::NoSuchInstance, .. }));
+        // Suspended -> BadState.
+        let dpi = c.instantiate("f").unwrap();
+        c.suspend(dpi).unwrap();
         let err = c.invoke(dpi, "main", &[]).unwrap_err();
         assert!(matches!(err, RdsError::Remote { code: ErrorCode::BadState, .. }));
         // Unknown instance.

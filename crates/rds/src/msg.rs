@@ -75,7 +75,7 @@ pub enum DpiState {
     Running,
     /// Suspended: invocations and messages queue until resume.
     Suspended,
-    /// Terminated: only observable in listings kept for diagnostics.
+    /// Terminated: seen only by a request that reached the dpi before its removal.
     Terminated,
 }
 

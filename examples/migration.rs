@@ -46,10 +46,7 @@ fn account_of(process: &ElasticProcess, dpi: DpiId) -> Option<DpiAccountRow> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let process_a = ElasticProcess::new(ElasticConfig::default());
-    // B frees terminated slots so the final replay below can only be
-    // stopped by the checkpoint nonce, never by a lingering id.
-    let process_b =
-        ElasticProcess::new(ElasticConfig { keep_terminated: false, ..ElasticConfig::default() });
+    let process_b = ElasticProcess::new(ElasticConfig::default());
     let server_a = spawn_server(&process_a)?;
     let server_b = spawn_server(&process_b)?;
     let noc_a = RdsClient::new(TcpDuplex::connect(server_a.local_addr())?, "noc");

@@ -329,10 +329,12 @@ cargo test --release -q -p mbd-bench --lib e10
 
 echo "==> durability smoke: kill -9 a stateful server, reboot, state survives"
 # Boots the real binary with a state directory, delegates a counting
-# agent, drives it to 3, then SIGKILLs the process mid-life. The reboot
-# on the same directory must journal a traced recovery record, still
-# list the same dpi, and continue the count at 4 — proving globals,
-# the id allocator and the dp repository all came back from WAL+snapshot.
+# agent, drives it to 3, terminates a second instance, then SIGKILLs the
+# process mid-life. The reboot on the same directory must journal a
+# traced recovery record that abandoned nothing, still list the live
+# dpi and not the terminated one, and continue the count at 4 — proving
+# globals, the id allocator and the dp repository all came back from
+# WAL+snapshot, and that a terminated dpi stays gone.
 DUR_STATE="$SMOKE_DIR/state"
 DUR_LOG="$SMOKE_DIR/durable_server.log"
 echo 'var n = 0; fn main() { n = n + 1; return n; }' > "$SMOKE_DIR/counter.dpl"
@@ -346,6 +348,8 @@ for want in 1 2 3; do
         exit 1
     }
 done
+DEAD_DPI="$("${MBDCTL[@]}" instantiate counter)"
+"${MBDCTL[@]}" terminate "$DEAD_DPI" >/dev/null
 sleep 1 # let group commit flush the staged WAL tail (10 ms) + the 1 Hz sync
 stop_server -9
 boot_server "$DUR_LOG" --state-dir "$DUR_STATE" # a new port; MBDCTL follows it
@@ -357,20 +361,25 @@ grep -q "^$DUR_DPI	counter" "$SMOKE_DIR/dur_instances.txt" || {
     cat "$SMOKE_DIR/dur_instances.txt"
     exit 1
 }
+if grep -q "^$DEAD_DPI	" "$SMOKE_DIR/dur_instances.txt"; then
+    echo "durability smoke FAILED: terminated $DEAD_DPI came back after the reboot:"
+    cat "$SMOKE_DIR/dur_instances.txt"
+    exit 1
+fi
 GOT="$("${MBDCTL[@]}" invoke "$DUR_DPI" main)"
 [ "$GOT" = "4" ] || {
     echo "durability smoke FAILED: post-crash count returned \`$GOT\`, wanted 4 (globals lost?)"
     exit 1
 }
 "${MBDCTL[@]}" journal > "$SMOKE_DIR/recovery_journal.txt"
-grep -Eq "trace=[0-9a-f]{16} principal=server verb=recovery " \
+grep -Eq "trace=[0-9a-f]{16} principal=server verb=recovery .* abandoned=0 " \
     "$SMOKE_DIR/recovery_journal.txt" || {
-    echo "durability smoke FAILED: no traced recovery record in the reboot journal:"
+    echo "durability smoke FAILED: no traced, abandon-free recovery record in the reboot journal:"
     cat "$SMOKE_DIR/recovery_journal.txt"
     exit 1
 }
 stop_server
-echo "durability smoke ok: $DUR_DPI survived kill -9 and counted on ($GOT)"
+echo "durability smoke ok: $DUR_DPI survived kill -9 and counted on ($GOT); $DEAD_DPI stayed gone"
 
 echo "==> idle smoke: one execution tier, and it sleeps"
 # `--workers 2` must mean main (which also samples history) + WAL

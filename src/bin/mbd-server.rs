@@ -3,11 +3,9 @@
 //! ```console
 //! mbd-server [--listen 127.0.0.1:4700] [--key SECRET] [--demo-mib]
 //!            [--snmp 127.0.0.1:1161] [--community public] [--stats SECS]
-//!            [--journal PATH] [--workers N] [--backlog N]
-//!            [--frame-timeout-ms MS] [--idle-poll-ms MS] [--dedup CAP]
-//!            [--max-conns N] [--max-in-flight N] [--idle-timeout-ms MS]
-//!            [--drain-deadline-ms MS] [--profile-sample N] [--slow-ms MS]
-//!            [--history-cap N] [--max-invocations N] [--alert RULE]...
+//!            [--journal PATH] [--workers N] [--max-conns N]
+//!            [--profile-sample N] [--slow-ms MS] [--history-cap N]
+//!            [--max-invocations N] [--alert RULE]...
 //!            [--state-dir DIR] [--snapshot-every SECS] [--fsync-every N]
 //! ```
 //!
@@ -16,11 +14,13 @@
 //! appended to a write-ahead log in DIR before the response leaves, a
 //! snapshot of the dpi table is taken every `--snapshot-every` seconds
 //! (default 30; 0 disables periodic snapshots), and on boot the server
-//! replays snapshot + WAL tail, resuming every delegated agent — VM
-//! globals, accounting and lifecycle state intact — exactly as the
-//! crash left them. `--fsync-every N` batches WAL fsyncs (1 = sync
-//! every record; higher trades a bounded tail of recent operations
-//! against throughput).
+//! replays snapshot + WAL tail, resuming every live delegated agent —
+//! VM globals, accounting and lifecycle state intact — exactly as the
+//! crash left them. A terminated dpi leaves the table at terminate and
+//! stays gone across restarts; its `lifecycle.terminate` journal
+//! record, with its final account totals, is what remains of it.
+//! `--fsync-every N` batches WAL fsyncs (1 = sync every record; higher
+//! trades a bounded tail of recent operations against throughput).
 //!
 //! With `--demo-mib` the server's MIB is pre-populated with the MIB-II
 //! subset, the concentrator counters and a 100-row ATM VC table, so
@@ -84,21 +84,14 @@
 //! counter — a natural `--alert` target — and a flight-recorder
 //! freeze).
 //!
-//! The transport knobs tune the event-driven front-end and the
-//! fault-tolerant session layer (see `docs/RDS.md` and `DESIGN.md`
-//! §10): `--workers` sizes the execution tier — the reactor's worker
-//! pool, whose threads decode, run the verb (the VM included) and
-//! encode — `--backlog` its request
-//! queue (beyond it a *request* is shed with an explicit `Busy` frame
-//! carrying its id, which retrying clients back off on), `--max-conns`
-//! caps the reactor's connection table (over-cap connections get
-//! `Busy` at accept), `--max-in-flight` bounds one connection's
-//! pipelining window, `--frame-timeout-ms` and `--idle-timeout-ms`
-//! bound slow and idle peers (idle reaping is off by default — an idle
-//! manager costs one fd, not a thread), `--drain-deadline-ms` bounds
-//! shutdown, and `--dedup CAP` sizes the per-principal
-//! duplicate-suppression cache (`--dedup 0` disables exactly-once
-//! replay entirely).
+//! Two knobs tune the event-driven front-end (see `docs/RDS.md` and
+//! `DESIGN.md` §10): `--workers` sizes the execution tier — the
+//! reactor's worker pool, whose threads decode, run the verb (the VM
+//! included) and encode — and `--max-conns` caps the reactor's
+//! connection table (over-cap connections get `Busy` at accept). The
+//! request backlog, per-connection window, frame and drain deadlines
+//! and the per-principal duplicate-suppression cache run at their
+//! `TcpServerConfig` / `MbdServer` defaults.
 
 use mbd::core::{AuditRecord, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{TcpServer, TcpServerConfig};
@@ -158,14 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut journal_path: Option<String> = None;
     let defaults = TcpServerConfig::default();
     let mut workers = defaults.workers;
-    let mut backlog = defaults.backlog;
-    let mut frame_timeout = defaults.frame_timeout;
-    let mut idle_poll = defaults.idle_poll;
-    let mut idle_timeout = defaults.idle_timeout;
     let mut max_connections = defaults.max_connections;
-    let mut max_in_flight = defaults.max_in_flight_per_conn;
-    let mut drain_deadline = defaults.drain_deadline;
-    let mut dedup_capacity = mbd::rds::DEFAULT_DEDUP_CAPACITY;
     let mut profile_sample: u32 = 0;
     let mut slow_ms: u64 = 50;
     let mut history_cap: usize = 120;
@@ -192,39 +178,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--workers" => {
                 workers = args.next().ok_or("--workers needs a count")?.parse::<usize>()?.max(1);
             }
-            "--backlog" => {
-                backlog = args.next().ok_or("--backlog needs a count")?.parse()?;
-            }
-            "--frame-timeout-ms" => {
-                let ms: u64 =
-                    args.next().ok_or("--frame-timeout-ms needs milliseconds")?.parse()?;
-                frame_timeout = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--idle-poll-ms" => {
-                let ms: u64 = args.next().ok_or("--idle-poll-ms needs milliseconds")?.parse()?;
-                idle_poll = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--idle-timeout-ms" => {
-                let ms: u64 = args.next().ok_or("--idle-timeout-ms needs milliseconds")?.parse()?;
-                idle_timeout =
-                    if ms == 0 { None } else { Some(std::time::Duration::from_millis(ms)) };
-            }
             "--max-conns" => {
                 max_connections =
                     args.next().ok_or("--max-conns needs a count")?.parse::<usize>()?.max(1);
-            }
-            "--max-in-flight" => {
-                max_in_flight =
-                    args.next().ok_or("--max-in-flight needs a count")?.parse::<usize>()?.max(1);
-            }
-            "--drain-deadline-ms" => {
-                let ms: u64 =
-                    args.next().ok_or("--drain-deadline-ms needs milliseconds")?.parse()?;
-                drain_deadline = std::time::Duration::from_millis(ms);
-            }
-            "--dedup" => {
-                dedup_capacity =
-                    args.next().ok_or("--dedup needs a per-principal capacity")?.parse()?;
             }
             "--profile-sample" => {
                 profile_sample =
@@ -275,11 +231,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!(
                     "usage: mbd-server [--listen ADDR] [--key SECRET] [--demo-mib] \
                      [--snmp ADDR] [--community NAME] [--stats SECS] [--journal PATH] \
-                     [--workers N] [--backlog N] [--frame-timeout-ms MS] \
-                     [--idle-poll-ms MS] [--dedup CAP] [--max-conns N] \
-                     [--max-in-flight N] [--idle-timeout-ms MS] [--drain-deadline-ms MS] \
-                     [--profile-sample N] [--slow-ms MS] [--history-cap N] \
-                     [--max-invocations N] \
+                     [--workers N] [--max-conns N] [--profile-sample N] [--slow-ms MS] \
+                     [--history-cap N] [--max-invocations N] \
                      [--alert 'METRIC(>|<)THRESHOLD[@WINDOWs][:for=N][,clear=M]']... \
                      [--state-dir DIR] [--snapshot-every SECS] [--fsync-every N]"
                 );
@@ -340,10 +293,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let authenticated = key.is_some();
-    let server = Arc::new(
-        MbdServer::with_policy(process.clone(), mbd_auth::Acl::allow_by_default(), key.clone())
-            .with_dedup_capacity(dedup_capacity),
-    );
+    let server = Arc::new(MbdServer::with_policy(
+        process.clone(),
+        mbd_auth::Acl::allow_by_default(),
+        key.clone(),
+    ));
 
     // The transport records into the process's telemetry domain, so one
     // snapshot (and one OCP subtree) covers rds.tcp.*, rds.verb.* and
@@ -372,13 +326,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             });
         let config = TcpServerConfig {
             workers,
-            backlog,
-            frame_timeout,
-            idle_poll,
-            idle_timeout,
             max_connections,
-            max_in_flight_per_conn: max_in_flight,
-            drain_deadline,
             telemetry: Some(process.telemetry().clone()),
             on_panic: Some(Arc::new(move || {
                 panic_process.journal().record(
@@ -413,6 +361,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     shed_process.telemetry().flight_freeze(0, "shed burst");
                 }
             })),
+            ..defaults
         };
         // The reactor holds one fd per open connection; lift the
         // process's descriptor ceiling toward --max-conns (best-effort —
@@ -421,13 +370,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TcpServer::spawn_with(listen.as_str(), config, move |bytes| server.process_request(bytes))?
     };
     println!(
-        "mbd-server listening on {} (auth: {}, {} workers, backlog {}, max-conns {}, dedup {})",
+        "mbd-server listening on {} (auth: {}, {} workers, max-conns {})",
         tcp.local_addr(),
         if authenticated { "md5 keyed digest" } else { "none" },
         workers,
-        backlog,
         max_connections,
-        if dedup_capacity == 0 { "off".to_string() } else { format!("{dedup_capacity}/principal") },
     );
 
     // The OCP adapter publishes server status, telemetry and per-dpi

@@ -14,10 +14,10 @@
 //! (`FaultConfig::max_faults`, 6) is strictly below the client's
 //! attempt bound (8), so no schedule can outlast the retry loop.
 
-use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
+use mbd::core::{DpiAccountSnapshot, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{
-    FaultConfig, FaultDuplex, LoopbackDuplex, RdsClient, RdsPipeline, RdsRequest, RdsResponse,
-    RetryPolicy, TcpDuplex, TcpServer,
+    DpiId, FaultConfig, FaultDuplex, LoopbackDuplex, RdsClient, RdsPipeline, RdsRequest,
+    RdsResponse, RetryPolicy, TcpDuplex, TcpServer,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -42,9 +42,30 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
 
 type ChaosClient = RdsClient<FaultDuplex<LoopbackDuplex>>;
 
+/// After a converged terminate the dpi has left the table, and exactly
+/// one `lifecycle.terminate` record carries the bill its account showed
+/// just before (`before`, read once the last invoke had returned).
+fn assert_terminated_once(process: &ElasticProcess, dpi: DpiId, before: &DpiAccountSnapshot) {
+    let records = process.journal().tail(0);
+    let mut terminations =
+        records.iter().filter(|r| r.verb == "lifecycle.terminate" && r.dpi == dpi.0);
+    let record = terminations.next().expect("terminate journaled");
+    assert!(terminations.next().is_none(), "terminate not exactly-once");
+    let bill = format!(
+        "ok={} failed={} busy_us={} fuel={} ",
+        before.invocations_ok,
+        before.invocations_failed,
+        before.busy_ns / 1_000,
+        before.vm_fuel
+    );
+    assert!(record.detail.starts_with(&bill), "journal bill {} != account {bill}", record.detail);
+    assert_eq!(process.dpi_account(dpi), None, "the terminated dpi left the table");
+    assert_eq!(process.live_instances(), 0, "the census must drain after terminate");
+    assert!(process.list_instances().is_empty(), "no terminated dpi is listed");
+}
+
 fn harness(seed: u64) -> (ChaosClient, ElasticProcess, Arc<MbdServer>) {
-    let process =
-        ElasticProcess::new(ElasticConfig { keep_terminated: true, ..Default::default() });
+    let process = ElasticProcess::new(ElasticConfig::default());
     let server = Arc::new(MbdServer::open(process.clone()));
     let loopback = {
         let server = Arc::clone(&server);
@@ -71,6 +92,9 @@ fn run_workflow(seed: u64) -> (u64, u64) {
         // double-executed bump would overshoot it immediately.
         assert_eq!(total, ber::BerValue::Integer(round), "seed {seed}: bump ran more than once");
     }
+    // The per-dpi account agrees before terminate takes the dpi away.
+    let account = process.dpi_account(dpi).expect("a live dpi has an account");
+    assert_eq!(account.invocations_ok, 3, "seed {seed}: dpi account disagrees");
     client.terminate(dpi).expect("terminate converges");
 
     let stats = process.stats();
@@ -78,16 +102,7 @@ fn run_workflow(seed: u64) -> (u64, u64) {
     assert_eq!(stats.instantiations, 1, "seed {seed}: instantiation not exactly-once");
     assert_eq!(stats.invocations_ok, 3, "seed {seed}: invocations not exactly-once");
     assert_eq!(stats.invocations_failed, 0, "seed {seed}");
-
-    // The per-dpi account agrees, and the live census is empty again.
-    let account = process.dpi_account(dpi).expect("diagnostic slot survives terminate");
-    assert_eq!(account.invocations_ok, 3, "seed {seed}: dpi account disagrees");
-    let live = process
-        .list_instances()
-        .into_iter()
-        .filter(|s| s.state != mbd::rds::DpiState::Terminated)
-        .count();
-    assert_eq!(live, 0, "seed {seed}: the census must drain after terminate");
+    assert_terminated_once(&process, dpi, &account);
 
     (client.retries(), server.dedup_hits())
 }
@@ -106,8 +121,7 @@ proptest! {
 /// [`TcpServer`], with multiple requests in flight and out-of-order
 /// completion. Every seed must still produce exactly-once effects.
 fn run_pipelined_workflow(seed: u64) {
-    let process =
-        ElasticProcess::new(ElasticConfig { keep_terminated: true, ..Default::default() });
+    let process = ElasticProcess::new(ElasticConfig::default());
     let server = Arc::new(MbdServer::open(process.clone()));
     let tcp = {
         let server = Arc::clone(&server);
@@ -166,6 +180,8 @@ fn run_pipelined_workflow(seed: u64) {
     totals.sort_unstable();
     assert_eq!(totals, (1..=BUMPS).collect::<Vec<_>>(), "seed {seed}: bumps not exactly-once");
 
+    let account = process.dpi_account(dpi).expect("a live dpi has an account");
+    assert_eq!(account.invocations_ok, BUMPS as u64, "seed {seed}: dpi account disagrees");
     pipe.submit(&RdsRequest::Terminate { dpi });
     expect_all_ok(pipe.drain());
 
@@ -173,6 +189,7 @@ fn run_pipelined_workflow(seed: u64) {
     assert_eq!(stats.delegations_accepted, 1, "seed {seed}: delegation not exactly-once");
     assert_eq!(stats.instantiations, 1, "seed {seed}: instantiation not exactly-once");
     assert_eq!(stats.invocations_ok, BUMPS as u64, "seed {seed}: invocations not exactly-once");
+    assert_terminated_once(&process, dpi, &account);
     tcp.shutdown();
 }
 

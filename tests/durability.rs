@@ -58,8 +58,7 @@ impl Drop for StateDir {
 }
 
 fn durable_process(dir: &Path) -> ElasticProcess {
-    let process =
-        ElasticProcess::new(ElasticConfig { keep_terminated: true, ..ElasticConfig::default() });
+    let process = ElasticProcess::new(ElasticConfig::default());
     process.attach_durability(dir, 8).expect("durability attaches");
     process
 }
@@ -89,8 +88,9 @@ fn run_workflow(process: &ElasticProcess) -> (DpiId, DpiId) {
 }
 
 /// Reference semantics of a WAL prefix: the state any recovery of that
-/// prefix must reproduce. Invocation counts are tracked independently
-/// (one per `Invoke` record) so they cross-check the persisted account.
+/// prefix must reproduce. A terminated dpi leaves the model, as it
+/// leaves the table. Invocation counts are tracked independently (one
+/// per `Invoke` record) so they cross-check the persisted account.
 #[derive(Default)]
 struct Model {
     programs: Vec<String>,
@@ -114,8 +114,9 @@ fn replay_model(entries: &[WalEntry]) -> Model {
                 m.dpis.get_mut(dpi).unwrap().1 = DpiState::Suspended;
             }
             WalRecord::Resume { dpi } => m.dpis.get_mut(dpi).unwrap().1 = DpiState::Ready,
-            WalRecord::Terminate { dpi } => {
-                m.dpis.get_mut(dpi).unwrap().1 = DpiState::Terminated;
+            WalRecord::Terminate { dpi }
+            | WalRecord::Invoke { dpi, state: DpiState::Terminated, .. } => {
+                m.dpis.remove(dpi);
             }
             WalRecord::SetQuota { .. } => {}
             WalRecord::Invoke { dpi, state, globals, .. } => {
@@ -234,15 +235,12 @@ fn clean_restart_restores_every_dpi() {
     let (a, b) = run_workflow(&durable_process(dir.path()));
 
     let recovered = durable_process(dir.path());
-    assert_eq!(
-        recovered.list_instances().len(),
-        2,
-        "both dpis return (terminated one retained for diagnostics)"
-    );
-    // `a` ended terminated; `b` is Ready with total 1 and its quota.
+    let ids: Vec<DpiId> = recovered.list_instances().iter().map(|s| s.id).collect();
+    assert_eq!(ids, vec![b], "the live dpi returns; the terminated one stays gone");
+    // `b` is Ready with total 1 and its quota; `a` ended terminated.
     assert_eq!(recovered.invoke(b, "bump", &[]).unwrap(), Value::Int(2));
     let err = recovered.invoke(a, "bump", &[]).unwrap_err();
-    assert!(matches!(err, mbd::core::CoreError::BadState { .. }));
+    assert!(matches!(err, mbd::core::CoreError::NoSuchInstance(id) if id == a));
 }
 
 /// A snapshot absorbs the log: the WAL is truncated, and a restart from
@@ -325,20 +323,12 @@ fn snapshots_concurrent_with_invokes_lose_and_repeat_nothing() {
 
 /// Nonces persist: a blob restored before the crash is still refused
 /// after the restart, through both the WAL and the snapshot path.
-/// (Terminated slots are dropped here — `keep_terminated: false` — so
-/// the refusal can only come from the burned nonce, not an id
-/// collision.)
+/// (A terminated dpi leaves the table, so the refusal can only come
+/// from the burned nonce, not an id collision.)
 #[test]
 fn burned_nonces_survive_restart() {
     let dir = StateDir::new("nonce");
-    let fresh = || {
-        let p = ElasticProcess::new(ElasticConfig {
-            keep_terminated: false,
-            ..ElasticConfig::default()
-        });
-        p.attach_durability(dir.path(), 8).expect("durability attaches");
-        p
-    };
+    let fresh = || durable_process(dir.path());
     let process = fresh();
     process.delegate("count", PROGRAM).unwrap();
     let a = process.instantiate("count").unwrap();
@@ -360,6 +350,160 @@ fn burned_nonces_survive_restart() {
     let recovered = fresh();
     let err = recovered.restore(&blob).unwrap_err();
     assert!(matches!(err, mbd::core::CoreError::NonceReused), "nonce survives via snapshot");
+}
+
+// ---------------------------------------------------------------------
+// Retention: a terminated dpi leaves the table, the snapshot and replay.
+// ---------------------------------------------------------------------
+
+/// Writes `records` as the state dir's whole WAL.
+fn write_wal(dir: &StateDir, records: Vec<WalRecord>) {
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let bytes: Vec<u8> = records
+        .into_iter()
+        .flat_map(|record| wal::frame(&wal::encode_entry(&WalEntry { trace_id: 0, record })))
+        .collect();
+    std::fs::write(dir.wal_path(), bytes).unwrap();
+}
+
+/// The `recovery.abandon_*` records a boot journaled.
+fn abandon_records(process: &ElasticProcess) -> Vec<String> {
+    let records = process.journal().tail(0).into_iter();
+    records.filter(|r| r.verb.starts_with("recovery.abandon")).map(|r| r.detail).collect()
+}
+
+/// Regression: a terminate that lands while an invoke is `Running`
+/// stages `Terminate` before the invoke's post-state
+/// `Invoke { state: Terminated }`. Replay meets that second record on an
+/// id that already left the table: the dpi's recorded fate, not a
+/// record to abandon.
+#[test]
+fn replay_of_a_terminate_racing_an_invoke_abandons_nothing() {
+    let dir = StateDir::new("reap-race");
+    write_wal(
+        &dir,
+        vec![
+            WalRecord::Delegate {
+                name: "count".to_string(),
+                source: PROGRAM.to_string(),
+                principal: "noc".to_string(),
+            },
+            WalRecord::Instantiate { dpi: 1, dp_name: "count".to_string() },
+            WalRecord::Terminate { dpi: 1 },
+            WalRecord::Invoke {
+                dpi: 1,
+                state: DpiState::Terminated,
+                initialized: true,
+                globals: vec![Value::Int(1)],
+                account: DpiAccountSnapshot { invocations_ok: 1, ..DpiAccountSnapshot::default() },
+            },
+        ],
+    );
+    let process = ElasticProcess::new(ElasticConfig::default());
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!(report.wal_records, 4);
+    assert_eq!(report.abandoned_dpis, 0);
+    assert_eq!(abandon_records(&process), Vec::<String>::new());
+    assert!(process.list_instances().is_empty());
+    assert_eq!(process.live_instances(), 0);
+    // The id allocator still resumes above the dead id.
+    assert_eq!(process.instantiate("count").unwrap(), DpiId(2));
+}
+
+/// Regression: earlier builds wrote a `Terminated` snapshot record for
+/// every terminated dpi they kept (and a slot caught mid-terminate reads
+/// that way). Recovery leaves such a record out of the table and out of
+/// the live census.
+#[test]
+fn a_terminated_snapshot_record_stays_out_of_the_table() {
+    use mbd::core::durable::snapshot::{self, DpiRecord, ProgramRecord, SnapshotData};
+    let dir = StateDir::new("dead-record");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let record = |id, state| DpiRecord {
+        id,
+        dp_name: "count".to_string(),
+        state,
+        initialized: true,
+        globals: vec![Value::Int(7)],
+        account: DpiAccountSnapshot { invocations_ok: 7, ..DpiAccountSnapshot::default() },
+        quota: None,
+    };
+    let data = SnapshotData {
+        next_dpi: 3,
+        programs: vec![ProgramRecord {
+            name: "count".to_string(),
+            source: PROGRAM.to_string(),
+            delegated_by: "noc".to_string(),
+        }],
+        dpis: vec![record(1, DpiState::Terminated), record(2, DpiState::Ready)],
+        nonces: Vec::new(),
+    };
+    snapshot::write_file(&dir.path().join(mbd::core::durable::SNAPSHOT_FILE), &data).unwrap();
+
+    // Room for one live dpi: a dead record that took a reservation would
+    // crowd the live one out.
+    let process =
+        ElasticProcess::new(ElasticConfig { max_instances: 1, ..ElasticConfig::default() });
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!((report.restored_dpis, report.abandoned_dpis), (1, 0));
+    let listed: Vec<_> = process.list_instances().iter().map(|s| (s.id, s.state)).collect();
+    assert_eq!(listed, vec![(DpiId(2), DpiState::Ready)]);
+    assert_eq!(process.live_instances(), 1);
+    let err = process.invoke(DpiId(1), "bump", &[]).unwrap_err();
+    assert!(matches!(err, mbd::core::CoreError::NoSuchInstance(_)));
+    assert_eq!(process.invoke(DpiId(2), "bump", &[]).unwrap(), Value::Int(8));
+    // The census is exact: the one slot is taken until dpi 2 terminates.
+    assert!(process.instantiate("count").is_err());
+    process.terminate(DpiId(2)).unwrap();
+    assert_eq!(process.instantiate("count").unwrap(), DpiId(3));
+}
+
+/// Recovery at scale: a state dir that saw 10⁴ dpis come and go around
+/// 10² live ones snapshots only the live ones, and a re-open — snapshot
+/// plus a WAL tail of more of each — restores exactly them. Prints
+/// `recovery_ms` without gating on it.
+#[test]
+fn recovery_at_scale_restores_exactly_the_live_dpis() {
+    let dir = StateDir::new("scale");
+    let process = durable_process(dir.path());
+    process.delegate("count", PROGRAM).unwrap();
+    let mut live = std::collections::BTreeSet::new();
+    // `rounds` times: `dead` dpis instantiated then terminated, and one
+    // that stays, invoked once.
+    let mut churn = |rounds: usize, dead: usize| {
+        for _ in 0..rounds {
+            for _ in 0..dead {
+                let dpi = process.instantiate("count").unwrap();
+                process.terminate(dpi).unwrap();
+            }
+            let dpi = process.instantiate("count").unwrap();
+            process.invoke(dpi, "bump", &[]).unwrap();
+            live.insert(dpi);
+        }
+    };
+    churn(100, 100);
+    process.snapshot_now().unwrap();
+    churn(5, 5);
+    process.durable_sync();
+    drop(process);
+
+    let snapshot_path = dir.path().join(mbd::core::durable::SNAPSHOT_FILE);
+    let snapshot = mbd::core::durable::snapshot::read_file(&snapshot_path).unwrap().unwrap();
+    assert_eq!(snapshot.dpis.len(), 100, "the snapshot holds exactly the live dpis");
+    assert!(snapshot.dpis.iter().all(|d| live.contains(&DpiId(d.id))));
+
+    let recovered = ElasticProcess::new(ElasticConfig::default());
+    let report = recovered.attach_durability(dir.path(), 8).unwrap();
+    println!(
+        "recovery_ms {} ({} live dpis, {} WAL records)",
+        report.recovery_ms, report.restored_dpis, report.wal_records
+    );
+    assert_eq!(report.abandoned_dpis, 0);
+    assert_eq!(abandon_records(&recovered), Vec::<String>::new());
+    assert_eq!(recovered.live_instances(), live.len());
+    let listed: std::collections::BTreeSet<_> =
+        recovered.list_instances().iter().map(|s| s.id).collect();
+    assert_eq!(listed, live);
 }
 
 // ---------------------------------------------------------------------
@@ -634,15 +778,7 @@ fn netsim_wan_drain_moves_the_agent_intact() {
 
     // Server A: the source copy is gone (terminated); server B: the
     // migrated copy is live, Ready, with the continued total.
-    let a_state = sim
-        .actor::<drain::ServerNode>(a)
-        .server
-        .process()
-        .list_instances()
-        .iter()
-        .find(|s| s.id == dpi)
-        .map(|s| s.state);
-    assert_eq!(a_state, Some(DpiState::Terminated));
+    assert!(sim.actor::<drain::ServerNode>(a).server.process().list_instances().is_empty());
     let b_process = sim.actor::<drain::ServerNode>(b).server.process().clone();
     assert_eq!(
         b_process.list_instances().iter().find(|s| s.id == dpi).map(|s| s.state),

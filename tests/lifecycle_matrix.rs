@@ -4,9 +4,11 @@
 //!
 //! Each verb is tried in each administratively reachable state (Ready,
 //! Suspended, Terminated) and must land exactly where the design says:
-//! either success or a remote `BadState` / `NoSuchInstance`. The
-//! transient `Running` state only exists inside an invocation window
-//! and is covered by the core runtime's concurrency unit tests.
+//! either success or a remote `BadState` / `NoSuchInstance`. A
+//! terminated dpi leaves the table, so every verb aimed at it is
+//! `NoSuchInstance` and no listing shows it. The transient `Running`
+//! state only exists inside an invocation window and is covered by the
+//! core runtime's concurrency unit tests.
 //!
 //! On top of the exhaustive table, a property test drives random verb
 //! sequences against a three-state reference model and requires the
@@ -19,9 +21,8 @@ use std::sync::Arc;
 
 const PROGRAM: &str = "fn main() { return 0; }";
 
-fn fixture(keep_terminated: bool) -> (RdsClient<LoopbackDuplex>, ElasticProcess) {
-    let process =
-        ElasticProcess::new(ElasticConfig { keep_terminated, ..ElasticConfig::default() });
+fn fixture() -> (RdsClient<LoopbackDuplex>, ElasticProcess) {
+    let process = ElasticProcess::new(ElasticConfig::default());
     let server = Arc::new(MbdServer::open(process.clone()));
     let client =
         RdsClient::new(LoopbackDuplex::new(move |b: &[u8]| server.process_request(b)), "matrix");
@@ -52,8 +53,9 @@ const VERBS: [Verb; 7] = [
     Verb::Checkpoint,
 ];
 
-fn apply(client: &RdsClient<LoopbackDuplex>, dpi: DpiId, verb: Verb) -> Result<(), RdsError> {
-    match verb {
+/// Applies `verb`, reducing the outcome to success or the remote code.
+fn apply(client: &RdsClient<LoopbackDuplex>, dpi: DpiId, verb: Verb) -> Result<(), ErrorCode> {
+    let outcome = match verb {
         Verb::Invoke => client.invoke(dpi, "main", &[]).map(|_| ()),
         Verb::Suspend => client.suspend(dpi),
         Verb::Resume => client.resume(dpi),
@@ -61,26 +63,34 @@ fn apply(client: &RdsClient<LoopbackDuplex>, dpi: DpiId, verb: Verb) -> Result<(
         Verb::Message => client.send_message(dpi, b"ping"),
         Verb::ReadJournal => client.read_journal(8).map(|_| ()),
         Verb::Checkpoint => client.checkpoint(dpi).map(|_| ()),
-    }
+    };
+    outcome.map_err(|e| match e {
+        RdsError::Remote { code, .. } => code,
+        other => panic!("{verb:?} on {dpi:?}: unexpected error {other:?}"),
+    })
 }
 
-/// The design's legality matrix: is `verb` legal in `state`, and which
-/// state does the dpi hold afterwards? (Illegal verbs must not move it.)
-fn matrix(state: DpiState, verb: Verb) -> (bool, DpiState) {
+/// The design's legality matrix: how `verb` answers in `state`, and
+/// which state the dpi holds afterwards. (Refused verbs must not move
+/// it.)
+fn matrix(state: DpiState, verb: Verb) -> (Result<(), ErrorCode>, DpiState) {
+    use DpiState::{Ready, Suspended, Terminated};
+    use ErrorCode::{BadState, NoSuchInstance};
     match (state, verb) {
         // ReadJournal is a process-level diagnostic: legal everywhere,
         // and it never moves the dpi.
-        (_, Verb::ReadJournal) => (true, state),
-        (DpiState::Ready, Verb::Invoke | Verb::Message) => (true, DpiState::Ready),
-        (DpiState::Ready, Verb::Suspend) => (true, DpiState::Suspended),
-        (DpiState::Ready, Verb::Resume | Verb::Checkpoint) => (false, DpiState::Ready),
-        (DpiState::Suspended, Verb::Resume) => (true, DpiState::Ready),
+        (_, Verb::ReadJournal) => (Ok(()), state),
+        (Ready, Verb::Invoke | Verb::Message) => (Ok(()), Ready),
+        (Ready, Verb::Suspend) => (Ok(()), Suspended),
+        (Ready, Verb::Resume | Verb::Checkpoint) => (Err(BadState), Ready),
+        (Suspended, Verb::Resume) => (Ok(()), Ready),
         // Checkpoint is read-only: a quiesced image leaves the source
         // dpi exactly where it was.
-        (DpiState::Suspended, Verb::Message | Verb::Checkpoint) => (true, DpiState::Suspended),
-        (DpiState::Suspended, Verb::Invoke | Verb::Suspend) => (false, DpiState::Suspended),
-        (DpiState::Ready | DpiState::Suspended, Verb::Terminate) => (true, DpiState::Terminated),
-        (DpiState::Terminated, _) => (false, DpiState::Terminated),
+        (Suspended, Verb::Message | Verb::Checkpoint) => (Ok(()), Suspended),
+        (Suspended, Verb::Invoke | Verb::Suspend) => (Err(BadState), Suspended),
+        (Ready | Suspended, Verb::Terminate) => (Ok(()), Terminated),
+        // The terminated dpi left the table.
+        (Terminated, _) => (Err(NoSuchInstance), Terminated),
         (DpiState::Running, _) => unreachable!("Running is unreachable single-threaded"),
     }
 }
@@ -97,48 +107,29 @@ fn reach(client: &RdsClient<LoopbackDuplex>, state: DpiState) -> DpiId {
     dpi
 }
 
+/// The state the listing shows for `dpi`; `None` once it left the table.
 fn reported_state(process: &ElasticProcess, dpi: DpiId) -> Option<DpiState> {
     process.list_instances().into_iter().find(|s| s.id == dpi).map(|s| s.state)
 }
 
-#[test]
-fn every_verb_lands_exactly_where_the_matrix_says() {
-    let (client, process) = fixture(true);
-    for state in [DpiState::Ready, DpiState::Suspended, DpiState::Terminated] {
-        for verb in VERBS {
-            let dpi = reach(&client, state);
-            let (legal, after) = matrix(state, verb);
-            match apply(&client, dpi, verb) {
-                Ok(()) => assert!(legal, "{verb:?} must be refused in {state:?}"),
-                Err(RdsError::Remote { code, .. }) => {
-                    assert!(!legal, "{verb:?} must succeed in {state:?}, got {code:?}");
-                    assert_eq!(code, ErrorCode::BadState, "{verb:?} in {state:?}");
-                }
-                Err(other) => panic!("{verb:?} in {state:?}: unexpected error {other:?}"),
-            }
-            assert_eq!(
-                reported_state(&process, dpi),
-                Some(after),
-                "{verb:?} applied in {state:?} must leave the dpi in {after:?}"
-            );
-        }
-    }
+/// What the listing must show for a dpi the matrix holds in `state`.
+fn listed(state: DpiState) -> Option<DpiState> {
+    (state != DpiState::Terminated).then_some(state)
 }
 
 #[test]
-fn without_diagnostics_a_terminated_dpi_vanishes_entirely() {
-    let (client, process) = fixture(false);
-    let dpi = reach(&client, DpiState::Terminated);
-    assert_eq!(reported_state(&process, dpi), None, "no ghost slot may remain");
-    for verb in VERBS {
-        match apply(&client, dpi, verb) {
-            // ReadJournal never targets the dpi, so it keeps working even
-            // after the instance's slot is gone.
-            Ok(()) => assert_eq!(verb, Verb::ReadJournal, "{verb:?} on a removed dpi succeeded"),
-            Err(RdsError::Remote { code, .. }) => {
-                assert_eq!(code, ErrorCode::NoSuchInstance, "{verb:?} on a removed dpi");
-            }
-            other => panic!("{verb:?} on a removed dpi: unexpected {other:?}"),
+fn every_verb_lands_exactly_where_the_matrix_says() {
+    let (client, process) = fixture();
+    for state in [DpiState::Ready, DpiState::Suspended, DpiState::Terminated] {
+        for verb in VERBS {
+            let dpi = reach(&client, state);
+            let (answer, after) = matrix(state, verb);
+            assert_eq!(apply(&client, dpi, verb), answer, "{verb:?} in {state:?}");
+            assert_eq!(
+                reported_state(&process, dpi),
+                listed(after),
+                "{verb:?} applied in {state:?} must leave the dpi in {after:?}"
+            );
         }
     }
 }
@@ -148,23 +139,16 @@ proptest! {
     fn random_verb_sequences_never_leave_the_matrix(
         verbs in proptest::collection::vec(0usize..7, 1..60),
     ) {
-        let (client, process) = fixture(true);
+        let (client, process) = fixture();
         let dpi = client.instantiate("noop").expect("instantiates");
         let mut model = DpiState::Ready;
         for &v in &verbs {
             let verb = VERBS[v];
-            let (legal, next) = matrix(model, verb);
+            let (answer, next) = matrix(model, verb);
             let outcome = apply(&client, dpi, verb);
-            prop_assert_eq!(
-                outcome.is_ok(),
-                legal,
-                "{:?} in {:?} disagreed with the model: {:?}",
-                verb,
-                model,
-                outcome
-            );
+            prop_assert_eq!(outcome, answer, "{:?} in {:?} disagreed with the model", verb, model);
             model = next;
-            prop_assert_eq!(reported_state(&process, dpi), Some(model));
+            prop_assert_eq!(reported_state(&process, dpi), listed(model));
         }
     }
 }
@@ -176,7 +160,7 @@ proptest! {
 /// copy is gone.
 #[test]
 fn restore_is_legal_only_for_unknown_dpi_ids() {
-    let (client, process) = fixture(true);
+    let (client, process) = fixture();
     let dpi = reach(&client, DpiState::Suspended);
     let blob = client.checkpoint(dpi).expect("checkpoint from Suspended");
 
@@ -187,16 +171,15 @@ fn restore_is_legal_only_for_unknown_dpi_ids() {
     assert_eq!(reported_state(&process, dpi), Some(DpiState::Suspended));
 
     // A second server has never seen this id: restore succeeds there,
-    // preserving the id and landing Suspended. (No terminated-slot
-    // diagnostics on the peer, so the replay refusal below can only be
-    // the nonce, not an id collision.)
-    let (peer, peer_process) = fixture(false);
+    // preserving the id and landing Suspended.
+    let (peer, peer_process) = fixture();
     let restored = peer.restore(&blob).expect("restore on a fresh server");
     assert_eq!(restored, dpi, "the image keeps its dpi id");
     assert_eq!(reported_state(&peer_process, restored), Some(DpiState::Suspended));
 
     // The nonce is burned: replaying the identical blob on the same
-    // receiver is refused even though terminating first frees the id.
+    // receiver is refused even though terminating first frees the id,
+    // so the refusal below can only be the nonce.
     peer.terminate(restored).expect("terminates the restored copy");
     let err = peer.restore(&blob).expect_err("nonce replay");
     assert!(matches!(err, RdsError::Remote { code: ErrorCode::BadState, .. }));
@@ -206,7 +189,7 @@ fn restore_is_legal_only_for_unknown_dpi_ids() {
 /// lifecycle one.
 #[test]
 fn restore_rejects_garbage_blobs() {
-    let (client, _process) = fixture(true);
+    let (client, _process) = fixture();
     let err = client.restore(b"not a checkpoint").expect_err("garbage blob");
     assert!(matches!(err, RdsError::Remote { code: ErrorCode::TranslationFailed, .. }));
 }

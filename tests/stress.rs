@@ -14,7 +14,6 @@ fn concurrent_mixed_workload_survives() {
     let p = ElasticProcess::new(ElasticConfig {
         budget: dpl::Budget { fuel: 100_000, memory: 100_000, call_depth: 32 },
         max_instances: 4096,
-        keep_terminated: true,
         ..ElasticConfig::default()
     });
     p.delegate(
@@ -86,9 +85,11 @@ fn concurrent_mixed_workload_survives() {
     assert!(stats.invocations_ok > 0, "some invocations must have succeeded");
     assert!(stats.invocations_failed > 0, "the n == 13 inputs must have faulted");
     let instances = p.list_instances();
-    assert!(!instances.is_empty());
-    // Every terminated-by-fault or explicitly-terminated dpi is visible
-    // and consistent; every Ready dpi still works.
+    // Every terminated-by-fault or explicitly-terminated dpi left the
+    // table: the listing is exactly the live census, and every Ready dpi
+    // still works.
+    assert_eq!(instances.len(), p.live_instances());
+    assert!(instances.iter().all(|i| i.state != mbd::core::DpiState::Terminated));
     let mut live_checked = 0;
     for i in instances.iter().filter(|i| i.state == mbd::core::DpiState::Ready).take(50) {
         let v = p.invoke(i.id, "work", &[Value::Int(1)]).expect("ready dpis run");
@@ -106,7 +107,6 @@ fn concurrent_mixed_workload_survives() {
 fn lifecycle_hammering_keeps_census_exact() {
     let p = ElasticProcess::new(ElasticConfig {
         max_instances: 48,
-        keep_terminated: false,
         notification_capacity: 16,
         log_capacity: 16,
         ..ElasticConfig::default()
@@ -198,7 +198,7 @@ fn lifecycle_hammering_keeps_census_exact() {
     // still owned by a thread — and the runtime agrees exactly.
     assert_eq!(total.instantiated, total.terminated + total.faulted + survivors);
     assert_eq!(p.live_instances() as u64, survivors);
-    // keep_terminated = false: retired dpis left no ghost slots behind.
+    // Retired dpis left no ghost slots behind.
     assert_eq!(p.list_instances().len() as u64, survivors);
 
     // Counters: lock-free stats lost nothing under contention.
