@@ -93,7 +93,7 @@ impl Durability {
     /// I/O errors from directory creation or WAL open.
     pub fn open(dir: &Path, fsync_every: usize) -> io::Result<Durability> {
         std::fs::create_dir_all(dir)?;
-        let wal = Wal::open(&dir.join(WAL_FILE), fsync_every)?;
+        let wal = Wal::open(&dir.join(WAL_FILE))?;
         let sync_handle = wal.try_clone_file()?;
         Ok(Durability {
             dir: dir.to_path_buf(),

@@ -10,23 +10,25 @@
 //! ```
 //!
 //! The payload is a BER `SEQUENCE { op INTEGER, trace-id INTEGER,
-//! fields… }`. Each record is written with a single `write_all`, so an
-//! in-process crash can only lose a suffix of the file, never interleave
-//! two records. The reader stops at the first short or checksum-failing
-//! frame: a torn tail is *detected and discarded*, never half-applied,
-//! and recovery truncates the file back to the clean prefix before
-//! appending again.
+//! fields… }`. Each batch of records is written with a single
+//! `write_all`, so an in-process crash can only lose a suffix of the
+//! file, never interleave two records. The reader stops at the first
+//! short or checksum-failing frame: a torn tail is *detected and
+//! discarded*, never half-applied, and recovery truncates the file back
+//! to the clean prefix before appending again.
 //!
-//! fsync is batched *and off the request path* (group commit):
-//! [`Wal::append`] only writes and counts; when the unsynced count
-//! crosses `fsync_every` the returned outcome asks the caller to wake
-//! its flusher, which fsyncs through [`Durability::sync_data`] without
-//! holding the WAL lock and then retires the covered appends via
-//! [`Wal::mark_synced`]. The embedding server's 1 Hz loop additionally
-//! calls [`Wal::sync`] so an idle log never leaves records pending for
-//! longer than about a second.
+//! fsync is batched *and off the request path* (group commit): the
+//! operation path only stages encoded frames in memory
+//! ([`Durability::stage`]), and [`Durability::flush`] — run by the
+//! process's flusher thread, and by the embedding server's 1 Hz loop
+//! through `ElasticProcess::durable_sync` so an idle log never leaves
+//! records pending for longer than about a second — drains the staged
+//! batch into the file with [`Wal::append_batch`], fsyncs without
+//! holding the WAL lock and retires the covered appends via
+//! [`Wal::mark_synced`].
 //!
-//! [`Durability::sync_data`]: super::Durability::sync_data
+//! [`Durability::stage`]: super::Durability::stage
+//! [`Durability::flush`]: super::Durability::flush
 
 use super::codec;
 use crate::process::{DpiAccountSnapshot, DpiQuota};
@@ -36,7 +38,6 @@ use rds::DpiState;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Sanity bound on one record's payload — a torn length field must not
 /// make the reader attempt a multi-gigabyte allocation.
@@ -365,35 +366,23 @@ pub fn scan_file(path: &Path) -> io::Result<WalScan> {
     Ok(scan(&bytes))
 }
 
-/// The outcome of one append: frame size and whether this append
-/// crossed the batching threshold (the caller should wake its flusher).
-#[derive(Debug, Clone, Copy)]
-pub struct AppendOutcome {
-    /// Bytes written (frame header + payload).
-    pub bytes: u64,
-    /// The unsynced count reached `fsync_every`: a group commit is due.
-    pub fsync_due: bool,
-}
-
-/// The append half of the WAL: an open file plus the fsync batcher.
+/// The append half of the WAL: an open file plus its unsynced count.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     path: PathBuf,
     unsynced: usize,
-    fsync_every: usize,
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log at `path` for appending,
-    /// fsyncing every `fsync_every` records (0 = sync on every append).
+    /// Opens (creating if needed) the log at `path` for appending.
     ///
     /// # Errors
     ///
     /// I/O errors from open.
-    pub fn open(path: &Path, fsync_every: usize) -> io::Result<Wal> {
+    pub fn open(path: &Path) -> io::Result<Wal> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Wal { file, path: path.to_path_buf(), unsynced: 0, fsync_every })
+        Ok(Wal { file, path: path.to_path_buf(), unsynced: 0 })
     }
 
     /// A second handle to the same open file description, for fsyncing
@@ -422,33 +411,6 @@ impl Wal {
         self.file.sync_data()
     }
 
-    /// Appends one entry as a single `write_all`. Never fsyncs — the
-    /// outcome's `fsync_due` flag tells the caller when to wake its
-    /// flusher (group commit).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from write.
-    pub fn append(&mut self, entry: &WalEntry) -> io::Result<AppendOutcome> {
-        self.append_framed(&frame(&encode_entry(entry)))
-    }
-
-    /// Appends an already-encoded frame (from [`frame`]). Hot callers
-    /// encode *before* taking the WAL lock so the serialized section is
-    /// one `write_all` and a counter bump, nothing more.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from write.
-    pub fn append_framed(&mut self, framed: &[u8]) -> io::Result<AppendOutcome> {
-        self.file.write_all(framed)?;
-        self.unsynced += 1;
-        Ok(AppendOutcome {
-            bytes: framed.len() as u64,
-            fsync_due: self.unsynced >= self.fsync_every.max(1),
-        })
-    }
-
     /// Writes a drained staging batch (concatenated frames) as one
     /// `write_all` — the flusher's bulk path.
     ///
@@ -472,26 +434,6 @@ impl Wal {
     /// stay counted).
     pub fn mark_synced(&mut self, n: usize) {
         self.unsynced = self.unsynced.saturating_sub(n);
-    }
-
-    /// Forces an fsync if any appends are unsynced; returns the measured
-    /// interval when one happened.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from fsync.
-    pub fn sync(&mut self) -> io::Result<Option<(Instant, Instant)>> {
-        if self.unsynced == 0 {
-            return Ok(None);
-        }
-        self.sync_now().map(Some)
-    }
-
-    fn sync_now(&mut self) -> io::Result<(Instant, Instant)> {
-        let start = Instant::now();
-        self.file.sync_data()?;
-        self.unsynced = 0;
-        Ok((start, Instant::now()))
     }
 
     /// Empties the log (after a snapshot has absorbed its records) and
@@ -639,19 +581,19 @@ mod tests {
     #[test]
     fn wal_file_appends_and_rescans() {
         let dir = std::env::temp_dir().join(format!("mbd-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path, 2).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = crate::durable::Durability::open(&dir, 2).unwrap();
         for entry in sample_entries() {
-            wal.append(&entry).unwrap();
+            durable.stage(&frame(&encode_entry(&entry)));
         }
-        wal.sync().unwrap();
-        let scan = scan_file(&path).unwrap();
+        // One bulk `append_batch` of the staged frames, then the fsync.
+        assert!(durable.flush().unwrap().is_some(), "the staged batch is written and synced");
+        assert_eq!(durable.with_wal_locked(|w| w.unsynced()), 0);
+        let scan = scan_file(&durable.wal_path()).unwrap();
         assert_eq!(scan.entries, sample_entries());
-        wal.reset().unwrap();
-        assert_eq!(scan_file(&path).unwrap().entries.len(), 0);
-        let _ = std::fs::remove_file(&path);
+        durable.with_wal_locked(Wal::reset).unwrap();
+        assert_eq!(scan_file(&durable.wal_path()).unwrap().entries.len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,6 +34,10 @@ fn io_err(e: std::io::Error) -> CoreError {
     CoreError::Durability { message: e.to_string() }
 }
 
+fn already_attached() -> CoreError {
+    CoreError::Durability { message: "durability is already attached".to_string() }
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
@@ -74,14 +78,18 @@ impl ElasticProcess {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Durability`] on state-directory I/O failures. A dpi
-    /// whose dp no longer compiles or whose state no longer applies is
-    /// *abandoned* (counted in the report), not an error.
+    /// [`CoreError::Durability`] on state-directory I/O failures, or
+    /// when durability is already attached. A dpi whose dp no longer
+    /// compiles or whose state no longer applies is *abandoned*
+    /// (counted in the report), not an error.
     pub fn attach_durability(
         &self,
         dir: &Path,
         fsync_every: usize,
     ) -> Result<RecoveryReport, CoreError> {
+        if self.inner.durable.get().is_some() {
+            return Err(already_attached());
+        }
         let started = Instant::now();
         let durable = Durability::open(dir, fsync_every).map_err(io_err)?;
         let mut report = RecoveryReport::default();
@@ -159,8 +167,7 @@ impl ElasticProcess {
         report.restored_dpis = self.inner.dpis.len() as u64;
         // Arm logging only now — replay above must not re-log itself.
         let durable = Arc::new(durable);
-        *self.inner.durable.write() = Some(durable.clone());
-        self.inner.durable_armed.store(true, Ordering::Release);
+        self.inner.durable.set(Arc::clone(&durable)).map_err(|_| already_attached())?;
         self.spawn_wal_flusher(&durable);
 
         report.recovery_ms = started.elapsed().as_millis() as u64;
@@ -187,8 +194,8 @@ impl ElasticProcess {
     }
 
     /// The armed durability store, if any.
-    pub fn durability(&self) -> Option<Arc<Durability>> {
-        self.inner.durable.read().clone()
+    pub fn durability(&self) -> Option<&Arc<Durability>> {
+        self.inner.durable.get()
     }
 
     /// Spawns the group-commit flusher: appenders never fsync inline,
@@ -220,11 +227,6 @@ impl ElasticProcess {
     /// (`wal.error`) rather than failing the operation that already
     /// happened in memory.
     pub(in crate::process) fn durable_append(&self, record: WalRecord) {
-        // One relaxed load gates the common durability-off case; arming
-        // is monotonic, so a false here is never stale the other way.
-        if !self.inner.durable_armed.load(Ordering::Relaxed) {
-            return;
-        }
         let Some(durable) = self.durability() else { return };
         let entry = WalEntry { trace_id: mbd_telemetry::current_trace_id(), record };
         // The operation path only encodes and stages (a lock + memcpy);

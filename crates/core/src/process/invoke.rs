@@ -118,7 +118,7 @@ impl ElasticProcess {
         // lifecycle) so replay is pure state application. Appending only
         // *stages* the record (one mutex, one memcpy) — the WAL lock is
         // never taken here, so holding the cell lock is safe.
-        if self.inner.durable_armed.load(Ordering::Relaxed) {
+        if self.inner.durable.get().is_some() {
             self.durable_append(crate::durable::WalRecord::Invoke {
                 dpi: dpi.0,
                 state: slot.state(),

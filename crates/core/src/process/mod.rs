@@ -34,8 +34,8 @@ use rds::{DpiId, DpiState};
 use snmp::MibStore;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use table::ShardedTable;
 
 /// Configuration of an elastic process.
@@ -176,14 +176,10 @@ pub(in crate::process) struct Inner {
     pub telemetry: Telemetry,
     pub metrics: EpMetrics,
     pub journal: Arc<Journal>,
-    /// The armed durability store (`None` until
-    /// [`ElasticProcess::attach_durability`]); behind an `RwLock` so hot
-    /// paths pay one uncontended read-lock when durability is off.
-    pub durable: RwLock<Option<Arc<Durability>>>,
-    /// Mirrors `durable.is_some()`. Arming is monotonic (a store is
-    /// never detached), so the hot path gates its WAL work on one
-    /// relaxed load instead of a read-lock per invocation.
-    pub durable_armed: AtomicBool,
+    /// The armed durability store, set once by
+    /// [`ElasticProcess::attach_durability`] and never detached, so the
+    /// hot path gates its WAL work on one load.
+    pub durable: OnceLock<Arc<Durability>>,
     /// Restore nonces burned on this server (single-use blob guarantee).
     pub nonces: Mutex<HashSet<[u8; 16]>>,
     /// Trace ids replayed from the WAL at boot — a post-restart
@@ -245,8 +241,7 @@ impl ElasticProcess {
                 telemetry,
                 metrics,
                 journal,
-                durable: RwLock::new(None),
-                durable_armed: AtomicBool::new(false),
+                durable: OnceLock::new(),
                 nonces: Mutex::new(HashSet::new()),
                 cold_traces: Mutex::new(HashSet::new()),
             }),

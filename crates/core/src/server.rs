@@ -245,19 +245,11 @@ fn audit_sink(process: ElasticProcess) -> Arc<dyn Fn(AuditEvent) + Send + Sync> 
 impl MbdServer {
     /// A server with open access (the first prototype's trivial policy).
     ///
-    /// Duplicate suppression is on by default
+    /// Duplicate suppression is always on
     /// ([`rds::DEFAULT_DEDUP_CAPACITY`] responses per principal), so a
-    /// retrying manager gets exactly-once effects; tune or disable it
-    /// with [`MbdServer::with_dedup_capacity`].
+    /// retrying manager gets exactly-once effects.
     pub fn open(process: ElasticProcess) -> MbdServer {
-        let telemetry = process.telemetry().clone();
-        let audit = audit_sink(process.clone());
-        MbdServer {
-            rds: RdsServer::open(Dispatcher { process })
-                .instrument(&telemetry)
-                .with_audit(audit)
-                .with_dedup(rds::DEFAULT_DEDUP_CAPACITY),
-        }
+        MbdServer::with_policy(process, Acl::allow_by_default(), None)
     }
 
     /// A server with an ACL and optional keyed-digest authentication
@@ -271,14 +263,6 @@ impl MbdServer {
                 .with_audit(audit)
                 .with_dedup(rds::DEFAULT_DEDUP_CAPACITY),
         }
-    }
-
-    /// Overrides the duplicate-suppression cache's per-principal
-    /// capacity (0 disables suppression entirely).
-    #[must_use]
-    pub fn with_dedup_capacity(mut self, capacity: usize) -> MbdServer {
-        self.rds = self.rds.with_dedup(capacity);
-        self
     }
 
     /// Retried frames answered from the dedup cache instead of
@@ -520,24 +504,6 @@ mod tests {
         assert_eq!(replayed.principal, "mgr");
         assert_eq!(replayed.detail, "instantiate");
         assert!(replayed.ok);
-    }
-
-    #[test]
-    fn dedup_can_be_disabled() {
-        let process = ElasticProcess::new(ElasticConfig::default());
-        let server = MbdServer::open(process.clone()).with_dedup_capacity(0);
-        use rds::codec;
-        process.delegate("f", "fn main() { return 1; }").unwrap();
-        let frame = codec::encode_request(
-            &RdsRequest::Instantiate { dp_name: "f".to_string() },
-            &Principal::new("mgr"),
-            1,
-            None,
-        );
-        server.process_request(&frame);
-        server.process_request(&frame);
-        assert_eq!(process.stats().instantiations, 2, "no suppression when disabled");
-        assert_eq!(server.dedup_hits(), 0);
     }
 
     #[test]

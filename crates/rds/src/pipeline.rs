@@ -311,8 +311,9 @@ impl<D: FrameDuplex> RdsPipeline<D> {
     fn dispatch(&mut self, frame: &[u8]) {
         let (resp, id) = match codec::decode_response_traced(frame, self.key.as_deref()) {
             Ok((resp, id, _trace)) => (resp, id),
-            // `tcp::default_shed_response` sheds unsigned; a `Busy` only
-            // asks for a dedup-safe re-send, so it needs no signature.
+            // A transport configured without the key sheds unsigned; a
+            // `Busy` only asks for a dedup-safe re-send, so it needs no
+            // signature.
             Err(RdsError::BadDigest) => match codec::decode_response(frame, None) {
                 Ok((resp @ RdsResponse::Error { code: crate::ErrorCode::Busy, .. }, id)) => {
                     (resp, id)
@@ -507,12 +508,20 @@ mod tests {
     fn busy_sheds_are_retried_with_identical_frames() {
         // One worker, one queue slot: a window of 6 slow requests
         // guarantees sheds. With retries enabled every request must
-        // still complete exactly once — keyed too, though the default
-        // shed frame is unsigned.
-        for key in [None, Some(b"secret".to_vec())] {
+        // still complete exactly once — keyed too, whether the
+        // transport signs its Busy frames or (unkeyed) sheds unsigned.
+        let secret = Some(b"secret".to_vec());
+        for (key, transport_key) in
+            [(None, None), (secret.clone(), None), (secret.clone(), secret.clone())]
+        {
             let server = TcpServer::spawn_with(
                 "127.0.0.1:0",
-                TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
+                TcpServerConfig {
+                    workers: 1,
+                    backlog: 1,
+                    key: transport_key,
+                    ..TcpServerConfig::default()
+                },
                 {
                     let rds = Arc::new(RdsServer::with_policy(
                         |_p: &Principal, _req: RdsRequest| {

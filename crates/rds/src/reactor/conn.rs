@@ -5,8 +5,8 @@
 //! never blocks: reads pull whatever the kernel has buffered (up to a
 //! fairness budget) into the [`FrameAssembler`], writes drain the
 //! response queue until the socket would block, and everything else —
-//! submission to the execution tier, interest recomputation, timeout
-//! sweeps — happens on the reactor's clock.
+//! submission to the execution tier, interest recomputation, the
+//! frame-deadline sweep — happens on the reactor's clock.
 
 use crate::tcp::MAX_FRAME;
 use crate::RdsError;
@@ -122,8 +122,6 @@ pub(crate) struct Connection {
     write_offset: usize,
     /// Requests submitted to the execution tier, not yet answered.
     pub in_flight: usize,
-    /// Drives the idle timeout.
-    pub last_activity: Instant,
     /// Set while the assembler is mid-frame; drives the frame timeout.
     pub frame_started: Option<Instant>,
     /// Peer sent EOF: read no more, but finish in-flight work and
@@ -134,7 +132,7 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    pub(crate) fn new(stream: TcpStream, now: Instant) -> Connection {
+    pub(crate) fn new(stream: TcpStream) -> Connection {
         Connection {
             stream,
             assembler: FrameAssembler::new(),
@@ -142,7 +140,6 @@ impl Connection {
             write_queue: VecDeque::new(),
             write_offset: 0,
             in_flight: 0,
-            last_activity: now,
             frame_started: None,
             peer_closed: false,
             registered: super::sys::Interest::READ,
@@ -167,7 +164,6 @@ impl Connection {
                     break;
                 }
                 Ok(n) => {
-                    self.last_activity = Instant::now();
                     out.frames.append(&mut self.assembler.push(&chunk[..n])?);
                     budget = budget.saturating_sub(n);
                     if budget == 0 {
@@ -232,7 +228,6 @@ impl Connection {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(RdsError::Transport { message: e.to_string() }),
             };
-            self.last_activity = Instant::now();
             let mut remaining = written;
             while remaining > 0 {
                 let front_left = self.write_queue[0].len() - self.write_offset;

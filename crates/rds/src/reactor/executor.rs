@@ -15,7 +15,7 @@ use super::Metrics;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Instant;
 
@@ -53,7 +53,6 @@ struct ExecShared {
     completions: Mutex<Vec<Completion>>,
     waker: Arc<Waker>,
     metrics: Arc<Metrics>,
-    handler_panics: Arc<AtomicU64>,
     on_panic: Option<Arc<dyn Fn() + Send + Sync>>,
     respond: RespondFn,
 }
@@ -71,7 +70,6 @@ impl Executor {
         respond: RespondFn,
         waker: Arc<Waker>,
         metrics: Arc<Metrics>,
-        handler_panics: Arc<AtomicU64>,
         on_panic: Option<Arc<dyn Fn() + Send + Sync>>,
     ) -> Executor {
         let shared = Arc::new(ExecShared {
@@ -82,7 +80,6 @@ impl Executor {
             completions: Mutex::new(Vec::new()),
             waker,
             metrics,
-            handler_panics,
             on_panic,
             respond,
         });
@@ -166,7 +163,6 @@ fn worker_loop(shared: &ExecShared) {
         let response = match outcome {
             Ok(bytes) => Some(bytes),
             Err(_) => {
-                shared.handler_panics.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.panics.inc();
                 if let Some(hook) = &shared.on_panic {
                     hook();

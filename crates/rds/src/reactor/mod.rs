@@ -10,8 +10,8 @@
 //!   against the platform libc because the workspace vendors all deps;
 //! * [`conn`](self::conn) — per-connection state machines:
 //!   incremental length-prefixed frame reassembly
-//!   ([`FrameAssembler`]), buffered vectored writes, idle/frame
-//!   deadlines without a parked thread;
+//!   ([`FrameAssembler`]), buffered vectored writes, frame deadlines
+//!   without a parked thread;
 //! * [`executor`](self::executor) — the old worker pool demoted to a
 //!   pure execution tier behind a bounded request queue;
 //! * [`server`](self::server) — the reactor event loop and the public
@@ -37,28 +37,27 @@ pub use sys::raise_nofile_limit;
 use mbd_telemetry::{Counter, Gauge, Telemetry, Timer};
 
 /// Pre-resolved transport metrics, shared by the reactor thread and
-/// the execution tier. Metric names are stable across the refactor —
-/// dashboards and the OCP subtree keep working — though two meanings
-/// sharpened: `rds.tcp.active_connections` now gauges *open* (not
-/// worker-served) connections, and `rds.tcp.queue_wait` measures each
-/// *request's* wait for a worker rather than each connection's.
+/// the execution tier. They are the server's only counters:
+/// [`TcpServer`]'s accessors read them. `rds.tcp.active_connections`
+/// gauges *open* (not worker-served) connections, and
+/// `rds.tcp.queue_wait` measures each *request's* wait for a worker.
 pub(crate) struct Metrics {
     /// `rds.tcp.queue_wait` — request enqueue-to-pickup latency.
     pub queue_wait: Timer,
     /// `rds.tcp.request` — one frame's respond() latency.
     pub request: Timer,
-    /// `rds.tcp.active_connections` — connections the reactor holds.
+    /// `rds.tcp.active_connections` — connections the reactor holds
+    /// ([`TcpServer::open_connections`]).
     pub active: Gauge,
-    /// `rds.tcp.handler_panics` — mirrors [`TcpServer::handler_panics`].
+    /// `rds.tcp.handler_panics` — handler panics survived
+    /// ([`TcpServer::handler_panics`]).
     pub panics: Counter,
-    /// `rds.tcp.connections_rejected` — mirrors
-    /// [`TcpServer::connections_rejected`].
-    pub rejected: Counter,
     /// `rds.shed` — requests (or over-cap connections) answered with
     /// an explicit `Busy` frame; the protocol-level name the retry
-    /// layer watches.
+    /// layer watches ([`TcpServer::sheds`]).
     pub shed: Counter,
-    /// `rds.tcp.health` — current [`crate::ServerHealth`] code.
+    /// `rds.tcp.health` — current [`crate::ServerHealth`] code
+    /// ([`TcpServer::health`]).
     pub health: Gauge,
 }
 
@@ -69,7 +68,6 @@ impl Metrics {
             request: telemetry.timer("rds.tcp.request"),
             active: telemetry.gauge("rds.tcp.active_connections"),
             panics: telemetry.counter("rds.tcp.handler_panics"),
-            rejected: telemetry.counter("rds.tcp.connections_rejected"),
             shed: telemetry.counter("rds.shed"),
             health: telemetry.gauge("rds.tcp.health"),
         }

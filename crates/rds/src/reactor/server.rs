@@ -17,7 +17,7 @@
 //! *request's* id, so pipelining clients can attribute the failure.
 //!
 //! Shutdown is bounded: the reactor stops accepting, stops reading,
-//! delivers in-flight completions until `drain_deadline`, then closes
+//! delivers in-flight completions until [`DRAIN_DEADLINE`], then closes
 //! every socket and joins the workers — an idle peer can no longer
 //! stall it (the old pool joined workers parked in blocking reads).
 
@@ -25,13 +25,13 @@ use super::conn::Connection;
 use super::executor::{Completion, Executor, Job};
 use super::sys::{Event, Interest, Poller, Waker};
 use super::Metrics;
-use crate::tcp::{default_shed_response, ServerHealth, TcpServerConfig};
-use crate::RdsError;
+use crate::tcp::{ServerHealth, TcpServerConfig};
+use crate::{ErrorCode, RdsError, RdsResponse};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,24 +39,36 @@ const TOKEN_WAKE: usize = 0;
 const TOKEN_LISTENER: usize = 1;
 const FIRST_CONN_TOKEN: usize = 2;
 
+/// The reactor's tick: poll timeout, frame-deadline sweep cadence and
+/// health-gauge refresh interval.
+const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// Deadline for a started frame to arrive completely.
+const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Per-connection pipelining window: requests in flight (executing or
+/// queued) per connection before the reactor stops reading from it
+/// (pure backpressure, never an error).
+const MAX_IN_FLIGHT_PER_CONN: usize = 32;
+
+/// On shutdown, how long the reactor keeps delivering in-flight
+/// completions before closing every socket regardless.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+
 fn io_err(e: std::io::Error) -> RdsError {
     RdsError::Transport { message: e.to_string() }
 }
 
-/// State shared between the reactor thread and the handle.
+/// State shared between the reactor thread and the handle; the
+/// handle's counters and gauges are read from `metrics`.
 struct ServerShared {
     stop: AtomicBool,
     waker: Arc<Waker>,
-    rejected: AtomicU64,
-    handler_panics: Arc<AtomicU64>,
-    open: AtomicU64,
-    health: AtomicU8,
     metrics: Arc<Metrics>,
 }
 
 impl ServerShared {
     fn set_health(&self, next: ServerHealth) {
-        self.health.store(next.code(), Ordering::Relaxed);
         self.metrics.health.set(u64::from(next.code()));
     }
 }
@@ -78,7 +90,7 @@ impl std::fmt::Debug for TcpServer {
         f.debug_struct("TcpServer")
             .field("local", &self.local)
             .field("open", &self.open_connections())
-            .field("rejected", &self.connections_rejected())
+            .field("sheds", &self.sheds())
             .finish()
     }
 }
@@ -129,14 +141,9 @@ impl TcpServer {
         poller.register(waker.fd(), TOKEN_WAKE, Interest::READ).map_err(io_err)?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).map_err(io_err)?;
 
-        let handler_panics = Arc::new(AtomicU64::new(0));
         let shared = Arc::new(ServerShared {
             stop: AtomicBool::new(false),
             waker: Arc::clone(&waker),
-            rejected: AtomicU64::new(0),
-            handler_panics: Arc::clone(&handler_panics),
-            open: AtomicU64::new(0),
-            health: AtomicU8::new(ServerHealth::Accepting.code()),
             metrics: Arc::clone(&metrics),
         });
         shared.set_health(ServerHealth::Accepting);
@@ -147,11 +154,8 @@ impl TcpServer {
             Arc::new(respond),
             waker,
             metrics,
-            handler_panics,
             config.on_panic.clone(),
         );
-        let shed_fn =
-            config.shed_response.clone().unwrap_or_else(|| Arc::new(default_shed_response));
         let reactor = Reactor {
             poller,
             listener: Some(listener),
@@ -161,7 +165,6 @@ impl TcpServer {
             executor,
             degraded_at: (config.backlog.max(1) / 2).max(1),
             config,
-            shed_fn,
             outstanding: 0,
             draining: false,
             drain_until: None,
@@ -176,34 +179,31 @@ impl TcpServer {
     }
 
     /// Requests (or over-cap connections) answered with `Busy` because
-    /// the execution queue — or the connection table — was full.
-    pub fn connections_rejected(&self) -> u64 {
-        self.shared.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Alias of [`TcpServer::connections_rejected`]: the protocol-level
-    /// view the retry layer watches.
+    /// the execution queue — or the connection table — was full
+    /// (`rds.shed`).
     pub fn sheds(&self) -> u64 {
-        self.shared.rejected.load(Ordering::Relaxed)
+        self.shared.metrics.shed.get()
     }
 
-    /// Connections currently registered with the reactor.
+    /// Connections currently registered with the reactor
+    /// (`rds.tcp.active_connections`).
     pub fn open_connections(&self) -> u64 {
-        self.shared.open.load(Ordering::Relaxed)
+        self.shared.metrics.active.get()
     }
 
-    /// The server's current coarse health.
+    /// The server's current coarse health (`rds.tcp.health`).
     pub fn health(&self) -> ServerHealth {
-        ServerHealth::from_code(self.shared.health.load(Ordering::Relaxed))
+        ServerHealth::from_code(self.shared.metrics.health.get() as u8)
     }
 
-    /// Handler panics survived (each cost its connection, not a worker).
+    /// Handler panics survived, each of which cost its connection, not
+    /// a worker (`rds.tcp.handler_panics`).
     pub fn handler_panics(&self) -> u64 {
-        self.shared.handler_panics.load(Ordering::Relaxed)
+        self.shared.metrics.panics.get()
     }
 
     /// Signals shutdown and joins the reactor (which in turn drains
-    /// in-flight requests within `drain_deadline`, closes every socket
+    /// in-flight requests within [`DRAIN_DEADLINE`], closes every socket
     /// and joins the execution tier) — on return no server thread is
     /// running, however many idle connections were open.
     pub fn shutdown(mut self) {
@@ -236,7 +236,6 @@ struct Reactor {
     shared: Arc<ServerShared>,
     executor: Executor,
     config: TcpServerConfig,
-    shed_fn: Arc<dyn Fn(i64) -> Vec<u8> + Send + Sync>,
     /// Execution-queue depth at which health degrades.
     degraded_at: usize,
     /// Jobs submitted to the execution tier and not yet completed
@@ -252,7 +251,7 @@ impl Reactor {
         let mut completions: Vec<Completion> = Vec::new();
         let mut last_sweep = Instant::now();
         loop {
-            let mut timeout = self.config.idle_poll;
+            let mut timeout = IDLE_POLL;
             if let Some(until) = self.drain_until {
                 timeout = timeout.min(until.saturating_duration_since(Instant::now()));
             }
@@ -280,7 +279,7 @@ impl Reactor {
             for c in completions.drain(..) {
                 self.apply_completion(c);
             }
-            if now.duration_since(last_sweep) >= self.config.idle_poll {
+            if now.duration_since(last_sweep) >= IDLE_POLL {
                 self.sweep(now);
                 last_sweep = now;
             }
@@ -306,7 +305,7 @@ impl Reactor {
 
     fn enter_drain(&mut self, now: Instant) {
         self.draining = true;
-        self.drain_until = Some(now + self.config.drain_deadline);
+        self.drain_until = Some(now + DRAIN_DEADLINE);
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.deregister(listener.as_raw_fd());
         }
@@ -325,15 +324,9 @@ impl Reactor {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     if self.conns.len() >= max_conns {
-                        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        self.shared.metrics.rejected.inc();
-                        self.shared.metrics.shed.inc();
-                        if let Some(hook) = &self.config.on_shed {
-                            hook();
-                        }
                         // No request was read, so the Busy frame can
                         // only carry id 0.
-                        best_effort_busy(stream, &(self.shed_fn)(0));
+                        best_effort_busy(stream, &self.shed(0));
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -345,9 +338,8 @@ impl Reactor {
                     if self.poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
                         continue;
                     }
-                    self.conns.insert(token, Connection::new(stream, Instant::now()));
+                    self.conns.insert(token, Connection::new(stream));
                     self.shared.metrics.active.inc();
-                    self.shared.open.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -396,11 +388,10 @@ impl Reactor {
     /// connection has in-flight headroom; sheds (per request, with the
     /// request's id) when the tier is saturated.
     fn pump(&mut self, token: usize) {
-        let max_in_flight = self.config.max_in_flight_per_conn.max(1);
         loop {
             let parked = {
                 let Some(conn) = self.conns.get_mut(&token) else { return };
-                if conn.in_flight >= max_in_flight {
+                if conn.in_flight >= MAX_IN_FLIGHT_PER_CONN {
                     return;
                 }
                 match conn.parked_frames.pop_front() {
@@ -422,20 +413,32 @@ impl Reactor {
                     }
                 }
                 Err(job) => {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.shared.metrics.rejected.inc();
-                    self.shared.metrics.shed.inc();
-                    if let Some(hook) = &self.config.on_shed {
-                        hook();
-                    }
                     let id = crate::codec::peek_request_id(&job.frame).unwrap_or(0);
-                    let busy = (self.shed_fn)(id);
+                    let busy = self.shed(id);
                     if let Some(conn) = self.conns.get_mut(&token) {
                         conn.queue_response(&busy);
                     }
                 }
             }
         }
+    }
+
+    /// Counts one shed, runs the embedder's hook, and encodes the `Busy`
+    /// frame under `request_id` (0 when nothing was read), signed when
+    /// the server is keyed.
+    fn shed(&self, request_id: i64) -> Vec<u8> {
+        self.shared.metrics.shed.inc();
+        if let Some(hook) = &self.config.on_shed {
+            hook();
+        }
+        crate::codec::encode_response(
+            &RdsResponse::Error {
+                code: ErrorCode::Busy,
+                message: "server overloaded, retry later".to_string(),
+            },
+            request_id,
+            self.config.key.as_deref(),
+        )
     }
 
     fn apply_completion(&mut self, c: Completion) {
@@ -461,7 +464,6 @@ impl Reactor {
     /// Flush opportunistically, close a finished half-closed peer, and
     /// reconcile the poller's interest set with the connection state.
     fn finish_touch(&mut self, token: usize) {
-        let max_in_flight = self.config.max_in_flight_per_conn.max(1);
         let draining = self.draining;
         let mut close = false;
         {
@@ -471,7 +473,7 @@ impl Reactor {
             {
                 close = true;
             } else {
-                let desired = conn.desired_interest(max_in_flight, draining);
+                let desired = conn.desired_interest(MAX_IN_FLIGHT_PER_CONN, draining);
                 if desired != conn.registered {
                     let fd = conn.stream.as_raw_fd();
                     if self.poller.reregister(fd, token, desired).is_ok() {
@@ -489,27 +491,20 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             self.shared.metrics.active.dec();
-            self.shared.open.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Periodic timeout sweep: frame deadlines and (when configured)
-    /// idle deadlines — no parked thread per connection required.
+    /// Periodic frame-deadline sweep — no parked thread per connection
+    /// required.
     fn sweep(&mut self, now: Instant) {
-        let mut doomed = Vec::new();
-        for (&token, conn) in &self.conns {
-            if let Some(started) = conn.frame_started {
-                if now.duration_since(started) >= self.config.frame_timeout {
-                    doomed.push(token);
-                    continue;
-                }
-            }
-            if let Some(idle) = self.config.idle_timeout {
-                if conn.idle_complete() && now.duration_since(conn.last_activity) >= idle {
-                    doomed.push(token);
-                }
-            }
-        }
+        let doomed: Vec<usize> = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| {
+                conn.frame_started.is_some_and(|t| now.duration_since(t) >= FRAME_TIMEOUT)
+            })
+            .map(|(&token, _)| token)
+            .collect();
         for token in doomed {
             self.close_conn(token);
         }

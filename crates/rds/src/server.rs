@@ -1,5 +1,5 @@
 use crate::dedup::{frame_fingerprint, DedupCache, DedupOutcome};
-use crate::{codec, ErrorCode, RdsRequest, RdsResponse, TraceContext};
+use crate::{codec, ErrorCode, RdsRequest, RdsResponse};
 use mbd_auth::{Acl, Operation, Principal};
 use mbd_telemetry::{Counter, Telemetry, Timer};
 use std::cell::Cell;
@@ -141,23 +141,11 @@ pub struct AuditEvent {
 /// authorized request, produce a response. The elastic process runtime
 /// implements this.
 pub trait RdsHandler {
-    /// Handles one request from `principal`.
-    fn handle(&self, principal: &Principal, request: RdsRequest) -> RdsResponse;
-
-    /// Handles one request with its wire trace context. The front-end
-    /// has already set the thread's current trace id
+    /// Handles one request from `principal`. The front-end has already
+    /// entered the request's wire trace
     /// ([`mbd_telemetry::current_trace_id`]) for the duration of the
-    /// call; the default implementation ignores the explicit context and
-    /// delegates to [`RdsHandler::handle`].
-    fn handle_traced(
-        &self,
-        principal: &Principal,
-        request: RdsRequest,
-        trace: TraceContext,
-    ) -> RdsResponse {
-        let _ = trace;
-        self.handle(principal, request)
-    }
+    /// call.
+    fn handle(&self, principal: &Principal, request: RdsRequest) -> RdsResponse;
 }
 
 impl<F> RdsHandler for F
@@ -236,14 +224,7 @@ impl<H: RdsHandler> RdsServer<H> {
     /// A server with the prototype's trivial access control (any handle
     /// may do anything) and no digest authentication.
     pub fn open(handler: H) -> RdsServer<H> {
-        RdsServer {
-            handler,
-            acl: Acl::allow_by_default(),
-            key: None,
-            timers: None,
-            audit: None,
-            dedup: None,
-        }
+        RdsServer::with_policy(handler, Acl::allow_by_default(), None)
     }
 
     /// A server enforcing `acl`, optionally requiring keyed digests.
@@ -397,7 +378,7 @@ impl<H: RdsHandler> RdsServer<H> {
         let verb_span = self.timers.as_ref().map(|t| t.verbs[request.op_tag() as usize].start());
         let op = required_operation(&request);
         let response = if self.acl.allows(&principal, op, request.dp_name()) {
-            self.handler.handle_traced(&principal, request, trace)
+            self.handler.handle(&principal, request)
         } else {
             RdsResponse::Error {
                 code: ErrorCode::AccessDenied,
@@ -473,7 +454,7 @@ impl<H: RdsHandler> RdsServer<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DpiId, RdsError};
+    use crate::{DpiId, RdsError, TraceContext};
 
     fn echo_handler() -> impl RdsHandler {
         |_p: &Principal, req: RdsRequest| match req {

@@ -19,7 +19,6 @@ use crate::RdsError;
 use mbd_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use crate::reactor::TcpServer;
 
@@ -130,8 +129,9 @@ impl std::fmt::Display for ServerHealth {
     }
 }
 
-/// Sizing and timing of a [`TcpServer`]: the reactor front-end and its
-/// execution tier.
+/// Sizing of a [`TcpServer`]: the reactor front-end and its execution
+/// tier. The reactor's timing (tick, frame and drain deadlines) and its
+/// per-connection pipelining window are fixed constants.
 #[derive(Clone)]
 pub struct TcpServerConfig {
     /// Execution-tier worker threads (each runs one request handler at
@@ -139,42 +139,27 @@ pub struct TcpServerConfig {
     pub workers: usize,
     /// Requests allowed to queue for a free worker; beyond this the
     /// reactor sheds the *request* with an explicit `Busy` frame
-    /// carrying its id (the connection survives).
+    /// carrying its id (the connection survives). With `workers` it
+    /// sizes the execution tier; `mbd-server` runs the default, and a
+    /// one-deep queue is how tests provoke `Busy`.
     pub backlog: usize,
-    /// The reactor's tick: poll timeout, timeout-sweep cadence, and
-    /// health-gauge refresh interval.
-    pub idle_poll: Duration,
-    /// Deadline for a started frame to arrive completely.
-    pub frame_timeout: Duration,
-    /// Close connections with no traffic and no in-flight work for
-    /// this long; `None` (the default) keeps idle managers connected
-    /// indefinitely — they cost one fd each, not a thread.
-    pub idle_timeout: Option<Duration>,
     /// Connection-table capacity; a connection beyond it is answered
     /// with `Busy` (request id 0) and closed at accept.
     pub max_connections: usize,
-    /// Per-connection pipelining window: requests in flight (executing
-    /// or queued) per connection before the reactor stops reading from
-    /// it (pure backpressure, never an error).
-    pub max_in_flight_per_conn: usize,
-    /// On shutdown, how long the reactor keeps delivering in-flight
-    /// completions before closing every socket regardless.
-    pub drain_deadline: Duration,
     /// Telemetry domain the server records into (`rds.tcp.*`); `None`
     /// keeps a private domain readable only through the handle's
     /// accessors. Share the embedding server's domain so a single
     /// snapshot sees transport and runtime together.
     pub telemetry: Option<Telemetry>,
+    /// The keyed-digest secret the embedding RDS server uses: the
+    /// reactor signs its own `Busy` frames with it, so a keyed server's
+    /// clients can verify a shed before backing off. `None` sheds
+    /// unsigned.
+    pub key: Option<Vec<u8>>,
     /// Called once per survived handler panic (after the panic counter
     /// is bumped), so the embedding server can journal the event. Runs
     /// on the execution-tier worker that caught the panic.
     pub on_panic: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Builds the frame written for a shed request, given the shed
-    /// request's id (0 when nothing was read, i.e. an over-cap
-    /// connection). `None` uses [`default_shed_response`]: an unkeyed
-    /// `Busy` error response. A keyed server should supply a keyed
-    /// encoding so its clients can verify the digest.
-    pub shed_response: Option<Arc<dyn Fn(i64) -> Vec<u8> + Send + Sync>>,
     /// Called once per shed (after the shed counter is bumped), so the
     /// embedding server can journal the overload. Runs on the reactor
     /// thread.
@@ -186,15 +171,10 @@ impl std::fmt::Debug for TcpServerConfig {
         f.debug_struct("TcpServerConfig")
             .field("workers", &self.workers)
             .field("backlog", &self.backlog)
-            .field("idle_poll", &self.idle_poll)
-            .field("frame_timeout", &self.frame_timeout)
-            .field("idle_timeout", &self.idle_timeout)
             .field("max_connections", &self.max_connections)
-            .field("max_in_flight_per_conn", &self.max_in_flight_per_conn)
-            .field("drain_deadline", &self.drain_deadline)
             .field("telemetry", &self.telemetry)
+            .field("keyed", &self.key.is_some())
             .field("on_panic", &self.on_panic.as_ref().map(|_| "Fn"))
-            .field("shed_response", &self.shed_response.as_ref().map(|_| "Fn"))
             .field("on_shed", &self.on_shed.as_ref().map(|_| "Fn"))
             .finish()
     }
@@ -205,32 +185,13 @@ impl Default for TcpServerConfig {
         TcpServerConfig {
             workers: 8,
             backlog: 64,
-            idle_poll: Duration::from_millis(25),
-            frame_timeout: Duration::from_secs(5),
-            idle_timeout: None,
             max_connections: 8192,
-            max_in_flight_per_conn: 32,
-            drain_deadline: Duration::from_secs(2),
             telemetry: None,
+            key: None,
             on_panic: None,
-            shed_response: None,
             on_shed: None,
         }
     }
-}
-
-/// The default shed frame: an unkeyed `Busy` error response under the
-/// shed request's id (0 when the shed happened before any request was
-/// read, e.g. an over-cap connection at accept).
-pub fn default_shed_response(request_id: i64) -> Vec<u8> {
-    crate::codec::encode_response(
-        &crate::RdsResponse::Error {
-            code: crate::ErrorCode::Busy,
-            message: "server overloaded, retry later".to_string(),
-        },
-        request_id,
-        None,
-    )
 }
 
 #[cfg(test)]
@@ -242,7 +203,7 @@ mod tests {
     use mbd_auth::Principal;
     use std::net::TcpStream;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Waits up to 1 s for the server to hold `n` open connections;
     /// returns the count it last saw.
@@ -404,11 +365,7 @@ mod tests {
         // many idle peers are connected.
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
-            TcpServerConfig {
-                workers: 2,
-                drain_deadline: Duration::from_millis(500),
-                ..TcpServerConfig::default()
-            },
+            TcpServerConfig { workers: 2, ..TcpServerConfig::default() },
             |req| req.to_vec(),
         )
         .unwrap();
@@ -462,15 +419,21 @@ mod tests {
         let mut t = TcpStream::connect(server.local_addr()).unwrap();
         exchange(&mut t, &[1]).unwrap();
         exchange(&mut t, &[2]).unwrap();
+        // The handle's accessors read the same handles the snapshot does.
+        let snap = tel.snapshot();
+        assert_eq!(snap.gauge("rds.tcp.active_connections"), Some(1));
+        assert_eq!(snap.gauge("rds.tcp.active_connections"), Some(server.open_connections()));
+        assert_eq!(snap.counter("rds.tcp.handler_panics"), Some(server.handler_panics()));
+        assert_eq!(snap.counter("rds.shed"), Some(server.sheds()));
         drop(t);
         server.shutdown();
         let snap = tel.snapshot();
         assert_eq!(snap.histogram("rds.tcp.request").unwrap().count(), 2);
-        // queue_wait is per *request* now (execution-tier wait), not
-        // per connection.
+        // queue_wait is per *request* (execution-tier wait), not per
+        // connection.
         assert_eq!(snap.histogram("rds.tcp.queue_wait").unwrap().count(), 2);
         assert_eq!(snap.counter("rds.tcp.handler_panics"), Some(0));
-        assert_eq!(snap.counter("rds.tcp.connections_rejected"), Some(0));
+        assert_eq!(snap.counter("rds.shed"), Some(0));
         // Every socket is closed, so no connection is active.
         assert_eq!(snap.gauge("rds.tcp.active_connections"), Some(0));
     }
@@ -518,29 +481,28 @@ mod tests {
     }
 
     #[test]
-    fn clients_survive_an_idle_reap_and_count_reconnects() {
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig {
-                idle_timeout: Some(Duration::from_millis(80)),
-                idle_poll: Duration::from_millis(10),
-                ..TcpServerConfig::default()
-            },
-            {
+    fn clients_survive_a_server_restart_and_count_reconnects() {
+        fn spawn(addr: std::net::SocketAddr) -> TcpServer {
+            TcpServer::spawn(addr, {
                 let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok);
                 move |bytes: &[u8]| rds.process(bytes)
-            },
-        )
-        .unwrap();
+            })
+            .unwrap()
+        }
+        let mut server = spawn("127.0.0.1:0".parse().unwrap());
+        let addr = server.local_addr();
         // The request that meets the closed connection is re-sent only
         // under a retry policy; either way the client re-dials.
         for max_attempts in [1, 2] {
             let tel = Telemetry::new();
-            let client = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "mgr")
+            let client = RdsClient::new(TcpDuplex::connect(addr).unwrap(), "mgr")
                 .with_retry(RetryPolicy { max_attempts, ..RetryPolicy::none() })
                 .instrument(&tel);
             client.delete("dp").unwrap();
-            assert_eq!(await_open(&server, 0), 0, "the server reaped the idle connection");
+            // Restart on the same address (std sets SO_REUSEADDR on
+            // Unix): the client's connection dies with the old server.
+            server.shutdown();
+            server = spawn(addr);
             assert_eq!(client.delete("dp").is_ok(), max_attempts > 1);
             client.delete("dp").unwrap();
             assert_eq!(client.retries(), u64::from(max_attempts - 1));
@@ -650,6 +612,69 @@ mod tests {
     }
 
     #[test]
+    fn keyed_server_signs_its_busy_frames() {
+        const KEY: &[u8] = b"secret";
+        let busy = |id| {
+            codec::encode_response(
+                &RdsResponse::Error {
+                    code: ErrorCode::Busy,
+                    message: "server overloaded, retry later".to_string(),
+                },
+                id,
+                Some(KEY),
+            )
+        };
+        let server = TcpServer::spawn_with(
+            "127.0.0.1:0",
+            TcpServerConfig {
+                workers: 1,
+                backlog: 1,
+                max_connections: 1,
+                key: Some(KEY.to_vec()),
+                ..TcpServerConfig::default()
+            },
+            {
+                let rds = RdsServer::with_policy(
+                    |_p: &Principal, _req: RdsRequest| {
+                        std::thread::sleep(Duration::from_millis(400));
+                        RdsResponse::Ok
+                    },
+                    mbd_auth::Acl::allow_by_default(),
+                    Some(KEY.to_vec()),
+                );
+                move |bytes: &[u8]| rds.process(bytes)
+            },
+        )
+        .unwrap();
+        // Staggered as in `shed_busy_frame_carries_the_request_id`: #1
+        // executes, #2 fills the one-deep queue, #3 is shed.
+        let principal = Principal::new("keyed");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        for id in 1..=3i64 {
+            let frame = codec::encode_request(&RdsRequest::ListPrograms, &principal, id, Some(KEY));
+            write_frame(&mut stream, &frame).unwrap();
+            std::thread::sleep(Duration::from_millis(120));
+        }
+        let shed = read_frame(&mut stream).unwrap().expect("the shed reply arrives first");
+        let (resp, id) = codec::decode_response(&shed, Some(KEY)).expect("verifies under the key");
+        assert!(matches!(resp, RdsResponse::Error { code: ErrorCode::Busy, .. }), "got {resp:?}");
+        assert_eq!(id, 3, "the shed Busy frame names the request it sheds");
+        assert_eq!(shed, busy(3));
+
+        // The table is full: the next connection gets a keyed Busy, id 0.
+        let mut over_cap = TcpStream::connect(server.local_addr()).unwrap();
+        let refused = read_frame(&mut over_cap).unwrap().expect("busy frame before close");
+        let (_, id) = codec::decode_response(&refused, Some(KEY)).expect("verifies under the key");
+        assert_eq!(id, 0);
+        assert_eq!(refused, busy(0));
+        assert_eq!(server.sheds(), 2);
+        for _ in 0..2 {
+            read_frame(&mut stream).unwrap().expect("the slow requests are still answered");
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn pipelined_requests_all_complete_on_one_connection() {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
@@ -710,29 +735,10 @@ mod tests {
         let (resp, id) = codec::decode_response(&frame, None).unwrap();
         assert_eq!(id, 0);
         assert!(matches!(resp, RdsResponse::Error { code: ErrorCode::Busy, .. }));
-        assert_eq!(server.connections_rejected(), 1);
+        assert_eq!(server.sheds(), 1);
 
         // The established connection is unaffected.
         assert_eq!(exchange(&mut keeper, &[2]).unwrap(), vec![2]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn idle_timeout_reaps_parked_connections() {
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig {
-                idle_timeout: Some(Duration::from_millis(80)),
-                idle_poll: Duration::from_millis(10),
-                ..TcpServerConfig::default()
-            },
-            |req| req.to_vec(),
-        )
-        .unwrap();
-        let mut t = TcpStream::connect(server.local_addr()).unwrap();
-        exchange(&mut t, &[1]).unwrap();
-        assert_eq!(await_open(&server, 0), 0, "idle connection reaped without a thread");
-        assert_eq!(read_frame(&mut t).unwrap(), None, "the client sees the close");
         server.shutdown();
     }
 
@@ -801,7 +807,7 @@ mod tests {
         for (i, t) in streams.iter_mut().enumerate() {
             assert_eq!(exchange(t, &[i as u8]).unwrap(), vec![i as u8]);
         }
-        assert_eq!(server.connections_rejected(), 0);
+        assert_eq!(server.sheds(), 0);
         server.shutdown();
     }
 }

@@ -89,9 +89,10 @@
 //! reactor's worker pool, whose threads decode, run the verb (the VM
 //! included) and encode — and `--max-conns` caps the reactor's
 //! connection table (over-cap connections get `Busy` at accept). The
-//! request backlog, per-connection window, frame and drain deadlines
-//! and the per-principal duplicate-suppression cache run at their
-//! `TcpServerConfig` / `MbdServer` defaults.
+//! request backlog runs at its `TcpServerConfig` default; the
+//! per-connection window, the frame and drain deadlines and the
+//! per-principal duplicate-suppression cache are fixed constants of
+//! the reactor and of `MbdServer`.
 
 use mbd::core::{AuditRecord, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{TcpServer, TcpServerConfig};
@@ -308,26 +309,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // transport) leaves an audit trail too.
         let panic_process = process.clone();
         let shed_process = process.clone();
-        // A keyed server sheds with a keyed Busy frame (under the shed
-        // request's own id) so retrying clients can verify the digest
-        // before backing off.
-        let shed_response: Option<Arc<dyn Fn(i64) -> Vec<u8> + Send + Sync>> =
-            key.clone().map(|key| {
-                Arc::new(move |request_id: i64| {
-                    mbd::rds::codec::encode_response(
-                        &mbd::rds::RdsResponse::Error {
-                            code: mbd::rds::ErrorCode::Busy,
-                            message: "server overloaded, retry later".to_string(),
-                        },
-                        request_id,
-                        Some(key.as_slice()),
-                    )
-                }) as Arc<dyn Fn(i64) -> Vec<u8> + Send + Sync>
-            });
         let config = TcpServerConfig {
             workers,
             max_connections,
             telemetry: Some(process.telemetry().clone()),
+            // A keyed server sheds with a keyed Busy frame (under the
+            // shed request's own id) so retrying clients can verify the
+            // digest before backing off.
+            key,
             on_panic: Some(Arc::new(move || {
                 panic_process.journal().record(
                     panic_process.ticks(),
@@ -342,7 +331,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // the span stream that led up to it.
                 panic_process.telemetry().flight_freeze(0, "handler panic");
             })),
-            shed_response,
             on_shed: Some(Arc::new(move || {
                 shed_process.journal().record(
                     shed_process.ticks(),

@@ -227,6 +227,20 @@ fn first_boot_of_an_empty_dir_recovers_nothing() {
     assert_eq!(std::fs::metadata(dir.wal_path()).unwrap().len(), 0);
 }
 
+/// Durability attaches once: a second attach is refused, and the first
+/// store keeps logging.
+#[test]
+fn a_second_attach_is_an_error() {
+    let (first, second) = (StateDir::new("attach-a"), StateDir::new("attach-b"));
+    let process = durable_process(first.path());
+    let err = process.attach_durability(second.path(), 8).unwrap_err();
+    assert!(matches!(err, mbd::core::CoreError::Durability { .. }), "got {err:?}");
+    process.delegate("count", PROGRAM).unwrap();
+    process.durable_sync();
+    assert!(std::fs::metadata(first.wal_path()).unwrap().len() > 0);
+    assert!(!second.wal_path().exists(), "the refused attach opened nothing");
+}
+
 /// The full, undamaged restart: everything comes back, and the journal
 /// carries the restored/abandoned counts.
 #[test]

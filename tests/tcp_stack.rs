@@ -480,7 +480,7 @@ fn hundreds_of_idle_connections_do_not_starve_active_ones() {
     }
     assert_eq!(tcp.open_connections(), idle.len() as u64);
     assert_eq!(tcp.health(), ServerHealth::Accepting, "idle load is not overload");
-    assert_eq!(tcp.connections_rejected(), 0);
+    assert_eq!(tcp.sheds(), 0);
 
     // Full protocol still round-trips promptly on a fresh connection.
     let client = RdsClient::new(TcpDuplex::connect(addr).unwrap(), "active");
