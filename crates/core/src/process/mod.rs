@@ -286,7 +286,7 @@ impl ElasticProcess {
     /// Accounting rows for every live (non-terminated) dpi, sorted by
     /// id — the source of the `mbdDpiAccounting` OCP table. Runs at
     /// 1 Hz from the OCP refresher, so it takes the combined
-    /// [`ShardedTable::snapshot_with_len`] pass: one trip through the
+    /// `ShardedTable::snapshot_with_len` pass: one trip through the
     /// shard locks yields both the slots and the capacity to pre-size
     /// the row vector.
     pub fn account_rows(&self) -> Vec<DpiAccountRow> {
@@ -365,8 +365,8 @@ impl ElasticProcess {
     }
 
     /// Attributes RDS frame bytes to a dpi's account — wire-boundary
-    /// accounting done by the RDS front-end's audit sink, so the cost of
-    /// a request rides the dpi it targeted.
+    /// accounting done by the dispatcher's `RdsHandler::audit`, so the
+    /// cost of a request rides the dpi it targeted.
     pub(crate) fn charge_rds_bytes(&self, dpi: DpiId, bytes_in: u64, bytes_out: u64) {
         if let Some(slot) = self.inner.dpis.get(dpi) {
             slot.account.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);

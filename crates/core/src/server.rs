@@ -1,7 +1,7 @@
 use crate::{convert, CoreError, ElasticProcess};
 use mbd_auth::{Acl, Principal};
+use mbd_telemetry::Counter;
 use rds::{AuditEvent, DpiId, ErrorCode, RdsHandler, RdsRequest, RdsResponse, RdsServer};
-use std::sync::Arc;
 
 /// The MbD server: an [`ElasticProcess`] behind the RDS protocol.
 ///
@@ -39,9 +39,12 @@ impl std::fmt::Debug for MbdServer {
 }
 
 /// The handler half: owns a process handle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dispatcher {
     process: ElasticProcess,
+    /// `rds.dedup_cold_misses` — retries of pre-crash requests that
+    /// re-executed because the dedup cache restarted cold.
+    cold_misses: Counter,
 }
 
 fn error_code(e: &CoreError) -> ErrorCode {
@@ -204,14 +207,12 @@ impl RdsHandler for Dispatcher {
             }
         }
     }
-}
 
-/// The audit sink wired into [`RdsServer`]: every request (and every
-/// decode failure) becomes a journal record, and the frame bytes are
-/// charged to the targeted dpi's account.
-fn audit_sink(process: ElasticProcess) -> Arc<dyn Fn(AuditEvent) + Send + Sync> {
-    let cold_misses = process.telemetry().counter("rds.dedup_cold_misses");
-    Arc::new(move |e: AuditEvent| {
+    /// Every request (and every decode failure) becomes a journal
+    /// record, and the frame bytes are charged to the targeted dpi's
+    /// account.
+    fn audit(&self, e: &AuditEvent<'_>) {
+        let process = &self.process;
         if e.dpi != 0 {
             process.charge_rds_bytes(DpiId(e.dpi), e.bytes_in, e.bytes_out);
         }
@@ -219,11 +220,11 @@ fn audit_sink(process: ElasticProcess) -> Arc<dyn Fn(AuditEvent) + Send + Sync> 
         // executed before the crash; the dedup cache restarted cold and
         // could not suppress the retry, so the effect ran twice.
         if process.was_cold_trace(e.trace_id) {
-            cold_misses.inc();
+            self.cold_misses.inc();
             process.journal().record(
                 process.ticks(),
                 e.trace_id,
-                &e.principal,
+                e.principal,
                 "dedup.cold_miss",
                 e.dpi,
                 false,
@@ -233,13 +234,13 @@ fn audit_sink(process: ElasticProcess) -> Arc<dyn Fn(AuditEvent) + Send + Sync> 
         process.journal().record(
             process.ticks(),
             e.trace_id,
-            &e.principal,
-            &e.verb,
+            e.principal,
+            e.verb,
             e.dpi,
             e.ok,
             &e.detail,
         );
-    })
+    }
 }
 
 impl MbdServer {
@@ -256,12 +257,9 @@ impl MbdServer {
     /// (duplicate suppression on, as in [`MbdServer::open`]).
     pub fn with_policy(process: ElasticProcess, acl: Acl, key: Option<Vec<u8>>) -> MbdServer {
         let telemetry = process.telemetry().clone();
-        let audit = audit_sink(process.clone());
+        let cold_misses = telemetry.counter("rds.dedup_cold_misses");
         MbdServer {
-            rds: RdsServer::with_policy(Dispatcher { process }, acl, key)
-                .instrument(&telemetry)
-                .with_audit(audit)
-                .with_dedup(rds::DEFAULT_DEDUP_CAPACITY),
+            rds: RdsServer::with_policy(Dispatcher { process, cold_misses }, acl, key, &telemetry),
         }
     }
 

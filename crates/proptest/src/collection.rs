@@ -5,7 +5,7 @@ use crate::test_runner::TestRng;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -2,7 +2,7 @@
 //!
 //! The build environment cannot reach crates.io, so this workspace
 //! vendors the subset of proptest's API its property tests use:
-//! strategies (ranges, tuples, [`Just`], `prop_map`, `prop_recursive`,
+//! strategies (ranges, tuples, [`Just`](strategy::Just), `prop_map`, `prop_recursive`,
 //! [`prop_oneof!`], collections, simple regex-like string patterns),
 //! [`any`](arbitrary::any), and the [`proptest!`] runner macro with
 //! `prop_assert*` / `prop_assume!`.

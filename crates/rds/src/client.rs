@@ -377,6 +377,7 @@ mod tests {
             |_p: &Principal, _req: RdsRequest| RdsResponse::Ok,
             mbd_auth::Acl::allow_by_default(),
             Some(b"secret".to_vec()),
+            &Telemetry::new(),
         ));
         let s2 = Arc::clone(&server);
         let duplex = LoopbackDuplex::new(move |bytes: &[u8]| s2.process(bytes));

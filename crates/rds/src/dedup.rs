@@ -31,7 +31,6 @@
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
@@ -95,8 +94,6 @@ pub struct DedupCache {
     /// resolves (complete or abandon).
     resolved: Condvar,
     capacity: usize,
-    hits: AtomicU64,
-    insertions: AtomicU64,
 }
 
 struct DedupInner {
@@ -133,8 +130,6 @@ impl DedupCache {
             }),
             resolved: Condvar::new(),
             capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
         }
     }
 
@@ -155,7 +150,6 @@ impl DedupCache {
         loop {
             match inner.principals.get(principal).and_then(|e| e.map.get(&request_id)) {
                 Some((stored_fp, Slot::Done(response))) if *stored_fp == fingerprint => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return DedupOutcome::Replay(response.clone());
                 }
                 Some((stored_fp, Slot::InFlight)) if *stored_fp == fingerprint => {
@@ -218,7 +212,6 @@ impl DedupCache {
                 }
             }
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
         drop(inner);
         self.resolved.notify_all();
     }
@@ -241,30 +234,11 @@ impl DedupCache {
         drop(inner);
         self.resolved.notify_all();
     }
-
-    /// Replays served from the cache since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Responses remembered since creation (including overwrites).
-    pub fn insertions(&self) -> u64 {
-        self.insertions.load(Ordering::Relaxed)
-    }
-
-    /// The per-principal capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 impl std::fmt::Debug for DedupCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DedupCache")
-            .field("capacity", &self.capacity)
-            .field("hits", &self.hits())
-            .field("insertions", &self.insertions())
-            .finish()
+        f.debug_struct("DedupCache").field("capacity", &self.capacity).finish()
     }
 }
 
@@ -289,7 +263,6 @@ mod tests {
             DedupOutcome::Replay(r) => assert_eq!(r, b"response-1".to_vec()),
             other => panic!("expected replay, got {other:?}"),
         }
-        assert_eq!(cache.hits(), 1);
         // Same id, different bytes: a restarted manager reusing ids —
         // executes (and takes over the slot).
         assert!(matches!(
@@ -299,7 +272,6 @@ mod tests {
         // Different principal or id: miss.
         assert!(matches!(cache.begin("other", 1, fp), DedupOutcome::Execute));
         assert!(matches!(cache.begin("mgr", 2, fp), DedupOutcome::Execute));
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -333,7 +305,6 @@ mod tests {
             other => panic!("expected replay, got {other:?}"),
         }
         assert!(matches!(cache.begin("mgr", 2, 2), DedupOutcome::Replay(_)));
-        assert_eq!(cache.insertions(), 3);
     }
 
     #[test]
@@ -355,7 +326,6 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_one() {
         let cache = DedupCache::new(0);
-        assert_eq!(cache.capacity(), 1);
         seed(&cache, "mgr", 1, 1, b"a");
         seed(&cache, "mgr", 2, 2, b"b");
         assert!(matches!(cache.begin("mgr", 2, 2), DedupOutcome::Replay(_)), "newest kept");
@@ -388,7 +358,6 @@ mod tests {
             DedupOutcome::Replay(r) => assert_eq!(r, b"first".to_vec()),
             other => panic!("duplicate executed instead of replaying: {other:?}"),
         }
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -404,6 +373,5 @@ mod tests {
         // the blocked duplicate takes over.
         cache.abandon("mgr", 1, 7);
         assert!(matches!(waiter.join().expect("waiter thread"), DedupOutcome::Execute));
-        assert_eq!(cache.hits(), 0);
     }
 }

@@ -422,7 +422,7 @@ impl<D: FrameDuplex> RdsPipeline<D> {
 mod tests {
     use super::*;
     use crate::tcp::{TcpServer, TcpServerConfig};
-    use crate::{ErrorCode, RdsServer, TcpDuplex};
+    use crate::{ErrorCode, FaultConfig, FaultDuplex, RdsServer, TcpDuplex};
     use std::collections::VecDeque;
     use std::sync::Arc;
 
@@ -453,6 +453,7 @@ mod tests {
                 |_p: &Principal, _req: RdsRequest| RdsResponse::Ok,
                 mbd_auth::Acl::allow_by_default(),
                 Some(b"secret".to_vec()),
+                &Telemetry::new(),
             ));
             move |bytes: &[u8]| rds.process(bytes)
         })
@@ -530,6 +531,7 @@ mod tests {
                         },
                         mbd_auth::Acl::allow_by_default(),
                         key.clone(),
+                        &Telemetry::new(),
                     ));
                     move |bytes: &[u8]| rds.process(bytes)
                 },
@@ -593,7 +595,7 @@ mod tests {
     #[test]
     fn reconnect_resends_pending_and_dedup_keeps_effects_exactly_once() {
         // Handler counts executions; the server's dedup cache must absorb
-        // the re-sent frames after we kill the connection mid-window.
+        // the re-sent frames whose first responses the channel lost.
         let executions = Arc::new(AtomicU64::new(0));
         let counted = Arc::clone(&executions);
         let server = TcpServer::spawn_with(
@@ -610,7 +612,14 @@ mod tests {
             },
         )
         .unwrap();
-        let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
+        // Seed 12 draws `DropResponse` for both budgeted faults: the
+        // first two requests execute, their answers evaporate, and the
+        // stalled pipeline re-sends them.
+        let duplex = FaultDuplex::new(
+            TcpDuplex::connect(server.local_addr()).unwrap(),
+            12,
+            FaultConfig { fault_per_mille: 1000, max_faults: 2, max_delay_ms: 1 },
+        );
         let mut pipe = RdsPipeline::new(duplex, "mgr")
             .with_window(4)
             .with_recv_timeout(Duration::from_millis(200))
@@ -622,13 +631,7 @@ mod tests {
                 jitter_seed: 3,
             });
         let dpi = crate::DpiId(1);
-        for i in 0..4u8 {
-            pipe.submit(&RdsRequest::SendMessage { dpi, payload: vec![i] });
-        }
-        // Let the server answer, then stall the stream so the pipeline
-        // re-probes; dedup replays rather than re-executes.
-        std::thread::sleep(Duration::from_millis(50));
-        for i in 4..8u8 {
+        for i in 0..8u8 {
             pipe.submit(&RdsRequest::SendMessage { dpi, payload: vec![i] });
         }
         let results = pipe.drain();
@@ -636,6 +639,8 @@ mod tests {
         for (id, result) in &results {
             assert!(matches!(result, Ok(RdsResponse::Ok)), "#{id}: {result:?}");
         }
+        assert_eq!(pipe.duplex().drops(), 2, "two responses were lost");
+        assert!(pipe.retries() > 0, "the lost responses were re-sent");
         assert_eq!(executions.load(Ordering::Relaxed), 8, "exactly-once effects");
         server.shutdown();
     }

@@ -157,9 +157,7 @@ fn worker_loop(shared: &ExecShared) {
             enqueued: job.enqueued,
             dequeued: Instant::now(),
         });
-        let span = shared.metrics.request.start();
         let outcome = catch_unwind(AssertUnwindSafe(|| (shared.respond)(&job.frame)));
-        drop(span);
         let response = match outcome {
             Ok(bytes) => Some(bytes),
             Err(_) => {

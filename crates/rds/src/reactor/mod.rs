@@ -8,14 +8,13 @@
 //! * [`sys`] — minimal readiness-polling shims (epoll on Linux,
 //!   `poll(2)` elsewhere, a self-pipe waker), declared directly
 //!   against the platform libc because the workspace vendors all deps;
-//! * [`conn`](self::conn) — per-connection state machines:
-//!   incremental length-prefixed frame reassembly
-//!   ([`FrameAssembler`]), buffered vectored writes, frame deadlines
-//!   without a parked thread;
-//! * [`executor`](self::executor) — the old worker pool demoted to a
-//!   pure execution tier behind a bounded request queue;
-//! * [`server`](self::server) — the reactor event loop and the public
-//!   [`TcpServer`] handle.
+//! * `conn` — per-connection state machines: incremental
+//!   length-prefixed frame reassembly ([`FrameAssembler`]), buffered
+//!   vectored writes, frame deadlines without a parked thread;
+//! * `executor` — the old worker pool demoted to a pure execution tier
+//!   behind a bounded request queue;
+//! * `server` — the reactor event loop and the public [`TcpServer`]
+//!   handle.
 //!
 //! The wire format is untouched: frames are byte-identical to the
 //! blocking implementation, so legacy serial clients interoperate.
@@ -44,8 +43,6 @@ use mbd_telemetry::{Counter, Gauge, Telemetry, Timer};
 pub(crate) struct Metrics {
     /// `rds.tcp.queue_wait` — request enqueue-to-pickup latency.
     pub queue_wait: Timer,
-    /// `rds.tcp.request` — one frame's respond() latency.
-    pub request: Timer,
     /// `rds.tcp.active_connections` — connections the reactor holds
     /// ([`TcpServer::open_connections`]).
     pub active: Gauge,
@@ -65,7 +62,6 @@ impl Metrics {
     pub(crate) fn new(telemetry: &Telemetry) -> Metrics {
         Metrics {
             queue_wait: telemetry.timer("rds.tcp.queue_wait"),
-            request: telemetry.timer("rds.tcp.request"),
             active: telemetry.gauge("rds.tcp.active_connections"),
             panics: telemetry.counter("rds.tcp.handler_panics"),
             shed: telemetry.counter("rds.shed"),

@@ -134,8 +134,7 @@ impl TcpServer {
         // connect burst stalls on SYN retransmits.
         super::sys::widen_listen_backlog(listener.as_raw_fd(), config.max_connections.max(1024));
 
-        let telemetry = config.telemetry.clone().unwrap_or_default();
-        let metrics = Arc::new(Metrics::new(&telemetry));
+        let metrics = Arc::new(Metrics::new(&config.telemetry));
         let waker = Arc::new(Waker::new().map_err(io_err)?);
         let poller = Poller::new().map_err(io_err)?;
         poller.register(waker.fd(), TOKEN_WAKE, Interest::READ).map_err(io_err)?;
@@ -203,7 +202,7 @@ impl TcpServer {
     }
 
     /// Signals shutdown and joins the reactor (which in turn drains
-    /// in-flight requests within [`DRAIN_DEADLINE`], closes every socket
+    /// in-flight requests within `DRAIN_DEADLINE`, closes every socket
     /// and joins the execution tier) — on return no server thread is
     /// running, however many idle connections were open.
     pub fn shutdown(mut self) {

@@ -4,13 +4,13 @@
 //! `mio` to lean on. This module declares exactly the handful of C
 //! symbols the reactor needs — `std` already links the platform libc,
 //! so the declarations resolve at link time — and wraps them in a tiny
-//! safe [`Poller`] / [`Waker`] pair:
+//! safe `Poller` / `Waker` pair:
 //!
-//! * on Linux, [`Poller`] is an `epoll` instance (level-triggered, one
+//! * on Linux, `Poller` is an `epoll` instance (level-triggered, one
 //!   `u64` token per registration);
 //! * on other unixes it falls back to `poll(2)` over a registration
 //!   table (O(n) per wait, but the semantics are identical);
-//! * [`Waker`] is the classic self-pipe: any thread writes one byte to
+//! * `Waker` is the classic self-pipe: any thread writes one byte to
 //!   wake the reactor out of its wait.
 //!
 //! Everything is level-triggered on purpose: the reactor re-computes

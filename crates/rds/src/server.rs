@@ -1,9 +1,8 @@
-use crate::dedup::{frame_fingerprint, DedupCache, DedupOutcome};
+use crate::dedup::{frame_fingerprint, DedupCache, DedupOutcome, DEFAULT_DEDUP_CAPACITY};
 use crate::{codec, ErrorCode, RdsRequest, RdsResponse};
 use mbd_auth::{Acl, Operation, Principal};
 use mbd_telemetry::{Counter, Telemetry, Timer};
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Cross-thread timing for one request, measured on the reactor side
@@ -104,32 +103,26 @@ impl RdsTimers {
             dedup_hits: telemetry.counter("rds.dedup_hits"),
         }
     }
-
-    fn decode_fail(&self, kind: &str) -> &Counter {
-        match kind {
-            "bad_digest" => &self.decode_fail_bad_digest,
-            "unknown_op" => &self.decode_fail_unknown_op,
-            _ => &self.decode_fail_codec,
-        }
-    }
 }
 
-/// One processed request (or decode failure), as reported to the audit
-/// sink installed with [`RdsServer::with_audit`] — the raw material of
-/// the audit journal and of per-dpi byte accounting.
+/// One processed request (or decode failure), as reported to
+/// [`RdsHandler::audit`] — the raw material of the audit journal and of
+/// per-dpi byte accounting.
 #[derive(Debug, Clone)]
-pub struct AuditEvent {
+pub struct AuditEvent<'a> {
     /// Trace id of the request (0 for untraced or undecodable frames).
     pub trace_id: u64,
     /// Claimed principal handle (empty if the frame never decoded).
-    pub principal: String,
-    /// Verb name, or `decode_fail.<kind>` for undecodable frames.
-    pub verb: String,
+    pub principal: &'a str,
+    /// Verb name, `duplicate_replayed` for a dedup replay, or
+    /// `decode_fail.<kind>` for undecodable frames.
+    pub verb: &'a str,
     /// Target dpi id (0 = the request names no dpi).
     pub dpi: u64,
     /// Whether the response was non-`Error`.
     pub ok: bool,
-    /// Error text when `ok` is false, empty otherwise.
+    /// Error text when `ok` is false, the replayed verb for a replay,
+    /// empty otherwise.
     pub detail: String,
     /// Encoded request frame length.
     pub bytes_in: u64,
@@ -146,6 +139,12 @@ pub trait RdsHandler {
     /// ([`mbd_telemetry::current_trace_id`]) for the duration of the
     /// call.
     fn handle(&self, principal: &Principal, request: RdsRequest) -> RdsResponse;
+
+    /// Called once per processed request, dedup replay and undecodable
+    /// frame, after its response is encoded, with the request's trace
+    /// id, principal, verb, target dpi, outcome and frame sizes. Does
+    /// nothing by default.
+    fn audit(&self, _event: &AuditEvent<'_>) {}
 }
 
 impl<F> RdsHandler for F
@@ -158,15 +157,23 @@ where
 }
 
 /// Protocol front-end of an elastic process: decodes, authenticates
-/// (optional keyed digest), authorizes (handle ACL), dispatches to an
-/// [`RdsHandler`], and encodes the response.
+/// (optional keyed digest), authorizes (handle ACL), suppresses
+/// duplicates, dispatches to an [`RdsHandler`], and encodes the
+/// response. Every request is timed into the server's telemetry domain
+/// and reported to [`RdsHandler::audit`].
+///
+/// Duplicate suppression gives exactly-once effects: each processed
+/// request's encoded response is remembered under `(principal, request
+/// id)` ([`DEFAULT_DEDUP_CAPACITY`] per principal, drop-oldest), and a
+/// retried frame — identical bytes — is answered by replaying the
+/// remembered response instead of re-executing the effect. Replays are
+/// audited as `duplicate_replayed` and counted as `rds.dedup_hits`.
 pub struct RdsServer<H> {
     handler: H,
     acl: Acl,
     key: Option<Vec<u8>>,
-    timers: Option<RdsTimers>,
-    audit: Option<Arc<dyn Fn(AuditEvent) + Send + Sync>>,
-    dedup: Option<DedupCache>,
+    timers: RdsTimers,
+    dedup: DedupCache,
 }
 
 /// An armed single-flight claim on `(principal, request id)`: dropped
@@ -175,7 +182,7 @@ pub struct RdsServer<H> {
 /// real.
 struct DedupClaim<'a> {
     cache: &'a DedupCache,
-    principal: String,
+    principal: &'a str,
     request_id: i64,
     fingerprint: u64,
     armed: bool,
@@ -184,7 +191,7 @@ struct DedupClaim<'a> {
 impl Drop for DedupClaim<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.cache.abandon(&self.principal, self.request_id, self.fingerprint);
+            self.cache.abandon(self.principal, self.request_id, self.fingerprint);
         }
     }
 }
@@ -222,51 +229,33 @@ fn required_operation(req: &RdsRequest) -> Operation {
 
 impl<H: RdsHandler> RdsServer<H> {
     /// A server with the prototype's trivial access control (any handle
-    /// may do anything) and no digest authentication.
+    /// may do anything), no digest authentication, and a private
+    /// telemetry domain.
     pub fn open(handler: H) -> RdsServer<H> {
-        RdsServer::with_policy(handler, Acl::allow_by_default(), None)
+        RdsServer::with_policy(handler, Acl::allow_by_default(), None, &Telemetry::new())
     }
 
-    /// A server enforcing `acl`, optionally requiring keyed digests.
-    pub fn with_policy(handler: H, acl: Acl, key: Option<Vec<u8>>) -> RdsServer<H> {
-        RdsServer { handler, acl, key, timers: None, audit: None, dedup: None }
+    /// A server enforcing `acl`, optionally requiring keyed digests, and
+    /// recording decode time, per-verb latency (`rds.decode`,
+    /// `rds.verb.<name>`) and its request span trees into `telemetry`.
+    pub fn with_policy(
+        handler: H,
+        acl: Acl,
+        key: Option<Vec<u8>>,
+        telemetry: &Telemetry,
+    ) -> RdsServer<H> {
+        RdsServer {
+            handler,
+            acl,
+            key,
+            timers: RdsTimers::new(telemetry),
+            dedup: DedupCache::new(DEFAULT_DEDUP_CAPACITY),
+        }
     }
 
-    /// Enables exactly-once duplicate suppression: each processed
-    /// request's encoded response is remembered under
-    /// `(principal, request id)` (at most `capacity` per principal,
-    /// drop-oldest), and a retried frame — identical bytes — is answered
-    /// by replaying the remembered response instead of re-executing the
-    /// effect. Replays are journaled as `duplicate_replayed` and counted
-    /// as `rds.dedup_hits`. `capacity` 0 disables suppression.
-    #[must_use]
-    pub fn with_dedup(mut self, capacity: usize) -> RdsServer<H> {
-        self.dedup = (capacity > 0).then(|| DedupCache::new(capacity));
-        self
-    }
-
-    /// Retried frames answered from the dedup cache (0 when duplicate
-    /// suppression is disabled).
+    /// Retried frames answered from the dedup cache (`rds.dedup_hits`).
     pub fn dedup_hits(&self) -> u64 {
-        self.dedup.as_ref().map_or(0, DedupCache::hits)
-    }
-
-    /// Installs an audit sink called once per processed request (and
-    /// once per undecodable frame) with the request's trace id,
-    /// principal, verb, target dpi, outcome and frame sizes.
-    #[must_use]
-    pub fn with_audit(mut self, sink: Arc<dyn Fn(AuditEvent) + Send + Sync>) -> RdsServer<H> {
-        self.audit = Some(sink);
-        self
-    }
-
-    /// Records decode time and per-verb request latency into
-    /// `telemetry` (`rds.decode`, `rds.verb.<name>`) for every request
-    /// this server processes.
-    #[must_use]
-    pub fn instrument(mut self, telemetry: &Telemetry) -> RdsServer<H> {
-        self.timers = Some(RdsTimers::new(telemetry));
-        self
+        self.timers.dedup_hits.get()
     }
 
     /// The handler (for embedding servers that need to reach through).
@@ -281,6 +270,7 @@ impl<H: RdsHandler> RdsServer<H> {
     /// is distinguished by the `rds.decode_fail.<kind>` counters and the
     /// audit event.
     pub fn process(&self, bytes: &[u8]) -> Vec<u8> {
+        let t = &self.timers;
         // Reactor-side timing, staged by the worker loop before this
         // call (None on direct/in-process transports). Taken up front so
         // a stale value can never leak into a later request.
@@ -294,9 +284,7 @@ impl<H: RdsHandler> RdsServer<H> {
         let (request, principal, request_id, trace) = match decoded {
             Ok(parts) => parts,
             Err(e) => {
-                if let Some(t) = &self.timers {
-                    t.decode.record_interval(decode_start, decode_end);
-                }
+                t.decode.record_interval(decode_start, decode_end);
                 return self.decode_failure(bytes, &e);
             }
         };
@@ -306,22 +294,30 @@ impl<H: RdsHandler> RdsServer<H> {
         // span stack so relayed requests nest under their caller.
         let _trace_scope =
             mbd_telemetry::enter_trace_with_parent(trace.trace_id, trace.parent_span_id);
-        if let Some(t) = &self.timers {
-            t.telemetry.begin_trace_capture();
-        }
+        t.telemetry.begin_trace_capture();
         // The server-side root span: socket read, queue wait and decode
         // already happened, so they are stitched in as children with
         // their exact measured intervals.
-        let root_span = self.timers.as_ref().map(|t| t.request.start());
-        if let Some(t) = &self.timers {
-            if let Some(j) = timing {
-                t.conn_read.record_interval(j.recv_start, j.recv_done);
-                t.conn_queue.record_interval(j.enqueued, j.dequeued);
-            }
-            t.decode.record_interval(decode_start, decode_end);
+        let root_span = t.request.start();
+        if let Some(j) = timing {
+            t.conn_read.record_interval(j.recv_start, j.recv_done);
+            t.conn_queue.record_interval(j.enqueued, j.dequeued);
         }
+        t.decode.record_interval(decode_start, decode_end);
         let verb = request.verb();
         let dpi = request.dpi().map_or(0, |d| d.0);
+        let audit = |verb: &str, ok: bool, detail: String, bytes_out: usize| {
+            self.handler.audit(&AuditEvent {
+                trace_id: trace.trace_id,
+                principal: principal.handle(),
+                verb,
+                dpi,
+                ok,
+                detail,
+                bytes_in: bytes.len() as u64,
+                bytes_out: bytes_out as u64,
+            });
+        };
         // Duplicate suppression: a retried frame (identical bytes under
         // the same principal and request id) is answered with the
         // response already sent — the effect ran at most once. Admission
@@ -329,53 +325,35 @@ impl<H: RdsHandler> RdsServer<H> {
         // first is still executing (pipelined duplicate delivery) waits
         // inside `begin` and replays that execution's response. Request
         // id 0 is reserved for undecodable frames and never cached.
-        let fingerprint = self.dedup.as_ref().map(|_| frame_fingerprint(bytes));
         let mut claim = None;
-        if let (Some(cache), Some(fp)) = (&self.dedup, fingerprint) {
-            if request_id != 0 {
-                match cache.begin(principal.handle(), request_id, fp) {
-                    DedupOutcome::Replay(replay) => {
-                        if let Some(t) = &self.timers {
-                            t.dedup_hits.inc();
-                        }
-                        if let Some(sink) = &self.audit {
-                            sink(AuditEvent {
-                                trace_id: trace.trace_id,
-                                principal: principal.handle().to_string(),
-                                verb: "duplicate_replayed".to_string(),
-                                dpi,
-                                ok: true,
-                                detail: verb.to_string(),
-                                bytes_in: bytes.len() as u64,
-                                bytes_out: replay.len() as u64,
-                            });
-                        }
-                        if let Some(t) = &self.timers {
-                            let duration_ns = root_span.map_or(0, mbd_telemetry::Span::finish);
-                            t.telemetry.finish_trace(trace.trace_id, duration_ns, false);
-                        }
-                        return replay;
-                    }
-                    DedupOutcome::Execute => {
-                        // Held until `complete` disarms it: a panicking
-                        // handler must release the claim so retries can
-                        // execute for real instead of waiting on a slot
-                        // that will never resolve.
-                        claim = Some(DedupClaim {
-                            cache,
-                            principal: principal.handle().to_string(),
-                            request_id,
-                            fingerprint: fp,
-                            armed: true,
-                        });
-                    }
+        if request_id != 0 {
+            let fingerprint = frame_fingerprint(bytes);
+            match self.dedup.begin(principal.handle(), request_id, fingerprint) {
+                DedupOutcome::Replay(replay) => {
+                    t.dedup_hits.inc();
+                    audit("duplicate_replayed", true, verb.to_string(), replay.len());
+                    t.telemetry.finish_trace(trace.trace_id, root_span.finish(), false);
+                    return replay;
+                }
+                DedupOutcome::Execute => {
+                    // Held until `complete` disarms it: a panicking
+                    // handler must release the claim so retries can
+                    // execute for real instead of waiting on a slot
+                    // that will never resolve.
+                    claim = Some(DedupClaim {
+                        cache: &self.dedup,
+                        principal: principal.handle(),
+                        request_id,
+                        fingerprint,
+                        armed: true,
+                    });
                 }
             }
         }
         // The verb span covers authorization and dispatch; response
         // encoding gets its own span so the tree separates handler time
         // from serialization time.
-        let verb_span = self.timers.as_ref().map(|t| t.verbs[request.op_tag() as usize].start());
+        let verb_span = t.verbs[request.op_tag() as usize].start();
         let op = required_operation(&request);
         let response = if self.acl.allows(&principal, op, request.dp_name()) {
             self.handler.handle(&principal, request)
@@ -386,67 +364,55 @@ impl<H: RdsHandler> RdsServer<H> {
             }
         };
         drop(verb_span);
-        let encode_span = self.timers.as_ref().map(|t| t.encode.start());
+        let encode_span = t.encode.start();
         let encoded =
             codec::encode_response_traced(&response, request_id, self.key.as_deref(), trace);
         drop(encode_span);
         if let Some(mut claim) = claim {
-            claim.cache.complete(&claim.principal, request_id, claim.fingerprint, &encoded);
+            claim.cache.complete(claim.principal, request_id, claim.fingerprint, &encoded);
             claim.armed = false;
         }
-        let errored = matches!(response, RdsResponse::Error { .. });
-        if let Some(sink) = &self.audit {
-            let (ok, detail) = match &response {
-                RdsResponse::Error { code, message } => (false, format!("{code}: {message}")),
-                _ => (true, String::new()),
-            };
-            sink(AuditEvent {
-                trace_id: trace.trace_id,
-                principal: principal.handle().to_string(),
-                verb: verb.to_string(),
-                dpi,
-                ok,
-                detail,
-                bytes_in: bytes.len() as u64,
-                bytes_out: encoded.len() as u64,
-            });
-        }
+        let (ok, detail) = match &response {
+            RdsResponse::Error { code, message } => (false, format!("{code}: {message}")),
+            _ => (true, String::new()),
+        };
+        audit(verb, ok, detail, encoded.len());
         // Close the root and offer the completed tree to the
         // tail-sampling store (kept if slow, errored, or by reservoir).
-        if let Some(t) = &self.timers {
-            let duration_ns = root_span.map_or(0, mbd_telemetry::Span::finish);
-            t.telemetry.finish_trace(trace.trace_id, duration_ns, errored);
-        }
+        t.telemetry.finish_trace(trace.trace_id, root_span.finish(), !ok);
         encoded
     }
 
     fn decode_failure(&self, bytes: &[u8], err: &crate::RdsError) -> Vec<u8> {
-        let (kind, code, message) = match err {
-            crate::RdsError::BadDigest => {
-                ("bad_digest", ErrorCode::AuthFailed, "digest verification failed".to_string())
-            }
-            crate::RdsError::UnknownOperation(_) => {
-                ("unknown_op", ErrorCode::Internal, err.to_string())
-            }
-            _ => ("codec", ErrorCode::Internal, err.to_string()),
+        let t = &self.timers;
+        let (counter, verb, code, message) = match err {
+            crate::RdsError::BadDigest => (
+                &t.decode_fail_bad_digest,
+                "decode_fail.bad_digest",
+                ErrorCode::AuthFailed,
+                "digest verification failed".to_string(),
+            ),
+            crate::RdsError::UnknownOperation(_) => (
+                &t.decode_fail_unknown_op,
+                "decode_fail.unknown_op",
+                ErrorCode::Internal,
+                err.to_string(),
+            ),
+            _ => (&t.decode_fail_codec, "decode_fail.codec", ErrorCode::Internal, err.to_string()),
         };
-        if let Some(t) = &self.timers {
-            t.decode_fail(kind).inc();
-        }
+        counter.inc();
         let encoded =
             codec::encode_response(&RdsResponse::Error { code, message }, 0, self.key.as_deref());
-        if let Some(sink) = &self.audit {
-            sink(AuditEvent {
-                trace_id: 0,
-                principal: String::new(),
-                verb: format!("decode_fail.{kind}"),
-                dpi: 0,
-                ok: false,
-                detail: err.to_string(),
-                bytes_in: bytes.len() as u64,
-                bytes_out: encoded.len() as u64,
-            });
-        }
+        self.handler.audit(&AuditEvent {
+            trace_id: 0,
+            principal: "",
+            verb,
+            dpi: 0,
+            ok: false,
+            detail: err.to_string(),
+            bytes_in: bytes.len() as u64,
+            bytes_out: encoded.len() as u64,
+        });
         encoded
     }
 }
@@ -455,6 +421,7 @@ impl<H: RdsHandler> RdsServer<H> {
 mod tests {
     use super::*;
     use crate::{DpiId, RdsError, TraceContext};
+    use std::sync::Arc;
 
     fn echo_handler() -> impl RdsHandler {
         |_p: &Principal, req: RdsRequest| match req {
@@ -478,7 +445,7 @@ mod tests {
     fn acl_denies_unauthorized_operations() {
         let mut acl = Acl::deny_by_default();
         acl.grant(&Principal::new("viewer"), Operation::List);
-        let server = RdsServer::with_policy(echo_handler(), acl, None);
+        let server = RdsServer::with_policy(echo_handler(), acl, None, &Telemetry::new());
 
         let ok =
             codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("viewer"), 1, None);
@@ -502,7 +469,7 @@ mod tests {
     fn scoped_acl_controls_per_dp_delegation() {
         let mut acl = Acl::deny_by_default();
         acl.grant_scoped(&Principal::new("dev"), Operation::Delegate, "allowed-dp");
-        let server = RdsServer::with_policy(echo_handler(), acl, None);
+        let server = RdsServer::with_policy(echo_handler(), acl, None, &Telemetry::new());
         let mk = |name: &str, id| {
             codec::encode_request(
                 &RdsRequest::DelegateProgram {
@@ -524,8 +491,12 @@ mod tests {
 
     #[test]
     fn keyed_server_rejects_unauthenticated_clients() {
-        let server =
-            RdsServer::with_policy(echo_handler(), Acl::allow_by_default(), Some(b"k".to_vec()));
+        let server = RdsServer::with_policy(
+            echo_handler(),
+            Acl::allow_by_default(),
+            Some(b"k".to_vec()),
+            &Telemetry::new(),
+        );
         let req = codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), 1, None);
         let resp_bytes = server.process(&req);
         let (resp, id) = codec::decode_response(&resp_bytes, Some(b"k")).unwrap();
@@ -534,12 +505,14 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_server_records_decode_and_per_verb_latency() {
+    fn every_server_records_decode_and_per_verb_latency() {
         let tel = Telemetry::new();
-        let server = RdsServer::open(echo_handler()).instrument(&tel);
-        let req = codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), 1, None);
-        server.process(&req);
-        server.process(&req);
+        let server = RdsServer::with_policy(echo_handler(), Acl::allow_by_default(), None, &tel);
+        for id in [1, 2] {
+            let req =
+                codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), id, None);
+            server.process(&req);
+        }
         let snap = tel.snapshot();
         assert_eq!(snap.histogram("rds.verb.list_programs").unwrap().count(), 2);
         assert_eq!(snap.histogram("rds.decode").unwrap().count(), 2);
@@ -560,8 +533,7 @@ mod tests {
     #[test]
     fn denied_requests_still_count_toward_their_verb() {
         let tel = Telemetry::new();
-        let server =
-            RdsServer::with_policy(echo_handler(), Acl::deny_by_default(), None).instrument(&tel);
+        let server = RdsServer::with_policy(echo_handler(), Acl::deny_by_default(), None, &tel);
         let req = codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), 1, None);
         let (resp, _) = codec::decode_response(&server.process(&req), None).unwrap();
         assert!(matches!(resp, RdsResponse::Error { code: ErrorCode::AccessDenied, .. }));
@@ -579,9 +551,12 @@ mod tests {
     #[test]
     fn decode_failures_count_per_error_kind() {
         let tel = Telemetry::new();
-        let server =
-            RdsServer::with_policy(echo_handler(), Acl::allow_by_default(), Some(b"k".to_vec()))
-                .instrument(&tel);
+        let server = RdsServer::with_policy(
+            echo_handler(),
+            Acl::allow_by_default(),
+            Some(b"k".to_vec()),
+            &tel,
+        );
         // Codec garbage.
         server.process(b"not ber");
         // Missing digest against a keyed server.
@@ -594,13 +569,45 @@ mod tests {
         assert_eq!(snap.counter("rds.decode_fail.unknown_op"), Some(0));
     }
 
+    /// An owned copy of an [`AuditEvent`].
+    #[derive(Debug)]
+    struct Audited {
+        trace_id: u64,
+        principal: String,
+        verb: String,
+        dpi: u64,
+        ok: bool,
+        detail: String,
+        bytes_in: u64,
+        bytes_out: u64,
+    }
+
+    /// The echo handler, keeping every audit event it is given.
+    #[derive(Default)]
+    struct Auditor(std::sync::Mutex<Vec<Audited>>);
+
+    impl RdsHandler for Auditor {
+        fn handle(&self, principal: &Principal, request: RdsRequest) -> RdsResponse {
+            echo_handler().handle(principal, request)
+        }
+
+        fn audit(&self, e: &AuditEvent<'_>) {
+            self.0.lock().unwrap().push(Audited {
+                trace_id: e.trace_id,
+                principal: e.principal.to_string(),
+                verb: e.verb.to_string(),
+                dpi: e.dpi,
+                ok: e.ok,
+                detail: e.detail.clone(),
+                bytes_in: e.bytes_in,
+                bytes_out: e.bytes_out,
+            });
+        }
+    }
+
     #[test]
-    fn audit_sink_sees_requests_and_decode_failures() {
-        use std::sync::Mutex;
-        let events: Arc<Mutex<Vec<AuditEvent>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        let server = RdsServer::open(echo_handler())
-            .with_audit(Arc::new(move |ev| sink.lock().unwrap().push(ev)));
+    fn audit_sees_requests_and_decode_failures() {
+        let server = RdsServer::open(Auditor::default());
 
         let trace = TraceContext { trace_id: 0xC0FFEE, parent_span_id: 0 };
         let req = codec::encode_request_traced(
@@ -613,7 +620,7 @@ mod tests {
         let resp = server.process(&req);
         server.process(b"junk");
 
-        let events = events.lock().unwrap();
+        let events = server.handler().0.lock().unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].verb, "suspend");
         assert_eq!(events[0].trace_id, 0xC0FFEE);
@@ -625,6 +632,7 @@ mod tests {
         assert_eq!(events[1].verb, "decode_fail.codec");
         assert!(!events[1].ok);
         assert_eq!(events[1].trace_id, 0);
+        assert_eq!(events[1].principal, "");
     }
 
     #[test]
@@ -663,6 +671,7 @@ mod tests {
             },
             acl,
             None,
+            &Telemetry::new(),
         );
         let mk = |who: &str| {
             codec::encode_request(
@@ -685,8 +694,7 @@ mod tests {
         let seen = Arc::clone(&executions);
         let server = RdsServer::open(move |_p: &Principal, _req: RdsRequest| {
             RdsResponse::Instantiated { dpi: DpiId(seen.fetch_add(1, Ordering::Relaxed) + 1) }
-        })
-        .with_dedup(16);
+        });
         let req = codec::encode_request(
             &RdsRequest::Instantiate { dp_name: "x".to_string() },
             &Principal::new("mgr"),
@@ -702,7 +710,7 @@ mod tests {
 
     #[test]
     fn distinct_requests_under_a_reused_id_are_not_replayed() {
-        let server = RdsServer::open(echo_handler()).with_dedup(16);
+        let server = RdsServer::open(echo_handler());
         let mk = |name: &str| {
             codec::encode_request(
                 &RdsRequest::Instantiate { dp_name: name.to_string() },
@@ -720,7 +728,7 @@ mod tests {
 
     #[test]
     fn dedup_is_per_principal() {
-        let server = RdsServer::open(echo_handler()).with_dedup(16);
+        let server = RdsServer::open(echo_handler());
         let mk = |who: &str| {
             codec::encode_request(&RdsRequest::ListPrograms, &Principal::new(who), 1, None)
         };
@@ -733,14 +741,9 @@ mod tests {
 
     #[test]
     fn replays_count_and_journal_as_duplicate_replayed() {
-        use std::sync::Mutex;
         let tel = Telemetry::new();
-        let events: Arc<Mutex<Vec<AuditEvent>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        let server = RdsServer::open(echo_handler())
-            .instrument(&tel)
-            .with_dedup(16)
-            .with_audit(Arc::new(move |ev| sink.lock().unwrap().push(ev)));
+        let server =
+            RdsServer::with_policy(Auditor::default(), Acl::allow_by_default(), None, &tel);
         let trace = TraceContext { trace_id: 0xD0D0, parent_span_id: 0 };
         let req = codec::encode_request_traced(
             &RdsRequest::Suspend { dpi: DpiId(3) },
@@ -752,7 +755,8 @@ mod tests {
         server.process(&req);
         server.process(&req);
         assert_eq!(tel.snapshot().counter("rds.dedup_hits"), Some(1));
-        let events = events.lock().unwrap();
+        assert_eq!(server.dedup_hits(), 1);
+        let events = server.handler().0.lock().unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].verb, "duplicate_replayed");
         assert_eq!(events[1].detail, "suspend", "the replayed verb is recorded");
@@ -771,8 +775,7 @@ mod tests {
         let server = RdsServer::open(move |_p: &Principal, _req: RdsRequest| {
             seen.fetch_add(1, Ordering::Relaxed);
             RdsResponse::Error { code: ErrorCode::RuntimeFault, message: "boom".to_string() }
-        })
-        .with_dedup(16);
+        });
         let req = codec::encode_request(
             &RdsRequest::Invoke { dpi: DpiId(1), entry: "f".to_string(), args: vec![] },
             &Principal::new("mgr"),
@@ -786,18 +789,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_dedup() {
-        let server = RdsServer::open(echo_handler()).with_dedup(0);
-        let req = codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), 1, None);
-        server.process(&req);
-        server.process(&req);
-        assert_eq!(server.dedup_hits(), 0);
-    }
-
-    #[test]
     fn response_decode_fails_for_client_with_wrong_key() {
-        let server =
-            RdsServer::with_policy(echo_handler(), Acl::allow_by_default(), Some(b"k".to_vec()));
+        let server = RdsServer::with_policy(
+            echo_handler(),
+            Acl::allow_by_default(),
+            Some(b"k".to_vec()),
+            &Telemetry::new(),
+        );
         let req =
             codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), 1, Some(b"k"));
         let resp_bytes = server.process(&req);

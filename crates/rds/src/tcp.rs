@@ -146,11 +146,11 @@ pub struct TcpServerConfig {
     /// Connection-table capacity; a connection beyond it is answered
     /// with `Busy` (request id 0) and closed at accept.
     pub max_connections: usize,
-    /// Telemetry domain the server records into (`rds.tcp.*`); `None`
-    /// keeps a private domain readable only through the handle's
+    /// Telemetry domain the server records into (`rds.tcp.*`); the
+    /// default is a fresh domain readable only through the handle's
     /// accessors. Share the embedding server's domain so a single
     /// snapshot sees transport and runtime together.
-    pub telemetry: Option<Telemetry>,
+    pub telemetry: Telemetry,
     /// The keyed-digest secret the embedding RDS server uses: the
     /// reactor signs its own `Busy` frames with it, so a keyed server's
     /// clients can verify a shed before backing off. `None` sheds
@@ -186,7 +186,7 @@ impl Default for TcpServerConfig {
             workers: 8,
             backlog: 64,
             max_connections: 8192,
-            telemetry: None,
+            telemetry: Telemetry::new(),
             key: None,
             on_panic: None,
             on_shed: None,
@@ -412,7 +412,7 @@ mod tests {
         let tel = Telemetry::new();
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
-            TcpServerConfig { telemetry: Some(tel.clone()), ..TcpServerConfig::default() },
+            TcpServerConfig { telemetry: tel.clone(), ..TcpServerConfig::default() },
             |req| req.to_vec(),
         )
         .unwrap();
@@ -428,7 +428,6 @@ mod tests {
         drop(t);
         server.shutdown();
         let snap = tel.snapshot();
-        assert_eq!(snap.histogram("rds.tcp.request").unwrap().count(), 2);
         // queue_wait is per *request* (execution-tier wait), not per
         // connection.
         assert_eq!(snap.histogram("rds.tcp.queue_wait").unwrap().count(), 2);
@@ -443,7 +442,7 @@ mod tests {
         let tel = Telemetry::new();
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
-            TcpServerConfig { telemetry: Some(tel.clone()), ..TcpServerConfig::default() },
+            TcpServerConfig { telemetry: tel.clone(), ..TcpServerConfig::default() },
             |req| {
                 assert!(req != [66], "poison request");
                 req.to_vec()
@@ -641,6 +640,7 @@ mod tests {
                     },
                     mbd_auth::Acl::allow_by_default(),
                     Some(KEY.to_vec()),
+                    &Telemetry::new(),
                 );
                 move |bytes: &[u8]| rds.process(bytes)
             },
@@ -764,7 +764,7 @@ mod tests {
         let tel = Telemetry::new();
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
-            TcpServerConfig { telemetry: Some(tel.clone()), ..TcpServerConfig::default() },
+            TcpServerConfig { telemetry: tel.clone(), ..TcpServerConfig::default() },
             |req| req.to_vec(),
         )
         .unwrap();

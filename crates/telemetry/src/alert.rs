@@ -1,7 +1,7 @@
 //! Server-side SLO alert rules over the metrics history.
 //!
 //! The paper's thesis is that threshold watches belong *at the device*;
-//! this engine evaluates them in-server against [`History`](crate::History)
+//! this engine evaluates them in-server against [`History`]
 //! so a manager only hears about *transitions*. Two rule shapes:
 //!
 //! - **threshold** — the latest 1 s sample breaches a bound

@@ -68,7 +68,7 @@ pub use ring::Ring;
 pub use series::{
     pattern_matches, History, HistoryConfig, Point, SeriesKind, SeriesView, RESOLUTIONS,
 };
-pub use span::{OwnedSpan, Span, Timer};
+pub use span::{Span, Timer};
 pub use store::{Keep, TraceStore, TraceStoreConfig, TraceTree};
 pub use trace::{
     current_span_id, current_trace_id, enter_trace, enter_trace_with_parent, next_span_id,
@@ -148,20 +148,6 @@ impl Telemetry {
             hist: self.inner.registry.histogram(name),
             inner: Arc::clone(&self.inner),
         }
-    }
-
-    /// Starts a span for `name`, resolving the metric now (convenient
-    /// for cold paths; hot paths should hold a [`Timer`]).
-    pub fn span(&self, name: &str) -> OwnedSpan {
-        let timer = self.timer(name);
-        let ctx = if self.inner.ring.get().is_some() {
-            let id = trace::next_span_id();
-            let parent = trace::push_span(id);
-            Some((id, parent))
-        } else {
-            None
-        };
-        OwnedSpan { timer, start: Instant::now(), finished: false, ctx }
     }
 
     /// Turns on structured tracing with a drop-oldest ring of
@@ -327,15 +313,6 @@ impl Telemetry {
     }
 }
 
-/// Starts an RAII span on a [`Telemetry`] handle:
-/// `let _guard = span!(tel, "rds.verb.invoke");`
-#[macro_export]
-macro_rules! span {
-    ($telemetry:expr, $name:expr) => {
-        $crate::Telemetry::span(&$telemetry, $name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,15 +324,6 @@ mod tests {
         a.counter("shared").inc();
         b.counter("shared").add(2);
         assert_eq!(a.snapshot().counter("shared"), Some(3));
-    }
-
-    #[test]
-    fn span_macro_times_a_block() {
-        let tel = Telemetry::new();
-        {
-            let _guard = span!(tel, "macro.block");
-        }
-        assert_eq!(tel.snapshot().histogram("macro.block").unwrap().count(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! health function wants "what happened over the last two minutes". This
 //! module retains that history in-server, the way the agent-based
 //! MIB-collection literature delegates buffering to the element: once a
-//! second a sample walks a [`RegistrySnapshot`](crate::RegistrySnapshot) and
+//! second a sample walks a [`RegistrySnapshot`] and
 //! appends one point per metric into three fixed-capacity rings —
 //! 1 s × 120, 10 s × 180 and 60 s × 240 by default — with coarser rings
 //! downsampled to `min`/`max`/`avg`/`last`. Counters are recorded as

@@ -97,7 +97,7 @@ impl Timer {
         }
         if let Some((span_id, parent)) = ctx {
             // Restore only if we are still the innermost span on this
-            // thread — an owned span dropped on another thread must not
+            // thread — a span dropped on another thread must not
             // clobber that thread's context.
             if trace::current_span_id() == span_id {
                 trace::pop_span(parent);
@@ -136,40 +136,6 @@ impl Span<'_> {
 }
 
 impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = self.timer.record_span(self.start, self.ctx);
-        }
-    }
-}
-
-/// A span that owns its timer (returned by
-/// [`Telemetry::span`](crate::Telemetry::span), which resolves the
-/// metric by name at enter time).
-#[derive(Debug)]
-#[must_use = "a span records when dropped — binding it to `_` ends it immediately"]
-pub struct OwnedSpan {
-    pub(crate) timer: Timer,
-    pub(crate) start: Instant,
-    pub(crate) finished: bool,
-    pub(crate) ctx: Option<(u64, u64)>,
-}
-
-impl OwnedSpan {
-    /// Ends the span now, returning the recorded duration in
-    /// nanoseconds.
-    pub fn finish(mut self) -> u64 {
-        self.finished = true;
-        self.timer.record_span(self.start, self.ctx)
-    }
-
-    /// This span's id (0 when tracing is off).
-    pub fn span_id(&self) -> u64 {
-        self.ctx.map(|(id, _)| id).unwrap_or(0)
-    }
-}
-
-impl Drop for OwnedSpan {
     fn drop(&mut self) {
         if !self.finished {
             let _ = self.timer.record_span(self.start, self.ctx);
@@ -222,8 +188,8 @@ mod tests {
         let tel = Telemetry::new();
         assert!(tel.enable_tracing(16));
         assert!(!tel.enable_tracing(32), "second enable is a no-op");
-        tel.span("a").finish();
-        tel.span("b").finish();
+        tel.timer("a").start().finish();
+        tel.timer("b").start().finish();
         let events = tel.trace_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "a");
@@ -235,7 +201,7 @@ mod tests {
     #[test]
     fn spans_without_tracing_only_touch_histograms() {
         let tel = Telemetry::new();
-        tel.span("quiet").finish();
+        tel.timer("quiet").start().finish();
         assert!(tel.trace_events().is_empty());
         assert_eq!(tel.snapshot().histogram("quiet").unwrap().count(), 1);
     }

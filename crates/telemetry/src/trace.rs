@@ -109,7 +109,7 @@ impl Drop for TraceScope {
     }
 }
 
-/// Arms per-thread span capture: until [`take_capture`], every *traced*
+/// Arms per-thread span capture: until `take_capture`, every *traced*
 /// event this thread records is staged in a thread-local buffer instead
 /// of being pushed into the ring one lock at a time — the request
 /// front-end brackets each dispatched request with this pair, flushes
@@ -161,7 +161,7 @@ pub(crate) struct RawEvent {
 }
 
 /// One finished span, resolved for consumers (the ring stores interned
-/// [`RawEvent`]s; names are materialised on drain/snapshot, off the hot
+/// `RawEvent`s; names are materialised on drain/snapshot, off the hot
 /// path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {

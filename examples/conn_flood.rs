@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let config = TcpServerConfig {
                 workers: 4,
                 max_connections: conns + 64,
-                telemetry: Some(process.telemetry().clone()),
+                telemetry: process.telemetry().clone(),
                 ..Default::default()
             };
             Some(TcpServer::spawn_with("127.0.0.1:0", config, move |bytes| {

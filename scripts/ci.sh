@@ -12,6 +12,10 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, warnings are errors)"
+# A doc link left pointing at a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -108,7 +112,7 @@ echo "smoke ok: $ACCT_ROWS accounting rows walked, $(wc -l < "$JOURNAL_OUT") jou
 
 stop_server
 for metric in 'rds\.verb\.invoke +5 ' 'ep\.invoke +5 ' \
-    'rds\.verb\.suspend +1 ' 'rds\.tcp\.request +[1-9]'; do
+    'rds\.verb\.suspend +1 ' 'rds\.tcp\.queue_wait +[1-9]'; do
     grep -Eq "  $metric" "$SMOKE_LOG" || {
         echo "smoke FAILED: \`$metric\` not in the server's --stats output:"
         cat "$SMOKE_LOG"

@@ -312,7 +312,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = TcpServerConfig {
             workers,
             max_connections,
-            telemetry: Some(process.telemetry().clone()),
+            telemetry: process.telemetry().clone(),
             // A keyed server sheds with a keyed Busy frame (under the
             // shed request's own id) so retrying clients can verify the
             // digest before backing off.

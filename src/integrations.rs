@@ -2,7 +2,7 @@
 //!
 //! The thesis's MCVA is itself a *delegated* service: view evaluation
 //! runs inside the elastic process, next to the MIB. This module wires a
-//! [`vdl::Mcva`] into an [`ElasticProcess`](mbd_core::ElasticProcess) as
+//! [`vdl::Mcva`] into an [`ElasticProcess`] as
 //! host services, so delegated DPL agents can define, evaluate and
 //! materialize views themselves:
 //!

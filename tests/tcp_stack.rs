@@ -8,6 +8,7 @@ use mbd::core::{DpiQuota, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::tcp::{read_frame, write_frame};
 use mbd::rds::{
     codec, RdsClient, RdsPipeline, RdsRequest, RdsResponse, ServerHealth, TcpDuplex, TcpServer,
+    TcpServerConfig,
 };
 use mbd_auth::Principal;
 use std::sync::Arc;
@@ -17,7 +18,11 @@ fn spawn_server_with(config: ElasticConfig, key: Option<Vec<u8>>) -> (TcpServer,
     mbd::snmp::mib2::install_system(process.mib(), "tcp device", "tcp1").unwrap();
     let server =
         Arc::new(MbdServer::with_policy(process.clone(), mbd_auth::Acl::allow_by_default(), key));
-    let tcp = TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap();
+    // The transport records into the process's domain, as in mbd-server.
+    let config = TcpServerConfig { telemetry: process.telemetry().clone(), ..Default::default() };
+    let tcp =
+        TcpServer::spawn_with("127.0.0.1:0", config, move |bytes| server.process_request(bytes))
+            .unwrap();
     (tcp, process)
 }
 
@@ -92,6 +97,7 @@ fn agent_side_delegation_visible_to_remote_manager() {
 fn one_request_carries_one_trace_id_everywhere() {
     let (tcp, process) = spawn_server(None);
     process.telemetry().enable_tracing(256);
+    process.telemetry().enable_trace_store(mbd::telemetry::TraceStoreConfig::default());
     let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "noc");
     client.delegate("t", r#"fn main() { log("ping"); return 1; }"#).unwrap();
     let dpi = client.instantiate("t").unwrap();
@@ -110,6 +116,9 @@ fn one_request_carries_one_trace_id_everywhere() {
         events.iter().any(|e| e.name == "ep.invoke" && e.trace_id == trace),
         "runtime span missing trace {trace:016x}"
     );
+    // Every span the transport and the front-end record belongs to some
+    // request's tree: none finishes outside a trace scope.
+    assert!(events.iter().all(|e| e.trace_id != 0), "orphan span: {events:?}");
     // (b) The dpi's accounting row shows the same trace as last toucher.
     assert_eq!(process.dpi_account(dpi).unwrap().last_trace_id, trace);
     // (c) The audit journal records the request under the trace.
