@@ -521,6 +521,187 @@ fn recovery_at_scale_restores_exactly_the_live_dpis() {
 }
 
 // ---------------------------------------------------------------------
+// The on-disk formats, pinned by checked-in fixtures.
+// ---------------------------------------------------------------------
+
+/// One file of `tests/data/durable/`: the durable formats as the first
+/// release wrote them, which every later build must keep reading.
+///
+/// - `snapshot.ber`: programs `count` and `bag`; dpi 1 (`count`, Ready,
+///   total 5, quota armed), dpi 2 (`count`, Suspended, total 2, no
+///   quota), dpi 3 (`count`, Ready, total 9); burned nonces `0x11…` and
+///   `0x22…`.
+/// - `wal.log`: one record of each op 0–8, trace ids `0x70`–`0x78`:
+///   delegate and delete `extra`, instantiate dpi 4 (`bag`), an invoke
+///   leaving a map with a NaN and a nested map in its global, an armed
+///   quota, suspend and resume of dpi 4, terminate dpi 3, and a restore
+///   of `checkpoint.blob`.
+/// - `checkpoint.blob`: dpi 7 of `mover` (hops 41, load 2.5, busy-time
+///   quota), nonce `0x33…`.
+fn fixture(name: &str) -> Vec<u8> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/durable");
+    std::fs::read(dir.join(name)).expect("fixture present")
+}
+
+/// The fixtures decode, and encoding what they decode to gives back
+/// every byte: the formats have not drifted.
+#[test]
+fn fixtures_re_encode_byte_for_byte() {
+    use mbd::core::durable::{snapshot, SNAPSHOT_FILE, WAL_FILE};
+    let snap = fixture(SNAPSHOT_FILE);
+    assert_eq!(snapshot::encode(&snapshot::decode(&snap).unwrap()), snap);
+    let blob = fixture("checkpoint.blob");
+    assert_eq!(CheckpointBlob::decode(&blob).unwrap().encode(), blob);
+
+    let log = fixture(WAL_FILE);
+    let scan = wal::scan(&log);
+    assert_eq!((scan.clean_len, scan.torn_bytes), (log.len() as u64, 0));
+    let ops: Vec<u8> = scan
+        .entries
+        .iter()
+        .map(|e| match e.record {
+            WalRecord::Delegate { .. } => 0,
+            WalRecord::DeleteProgram { .. } => 1,
+            WalRecord::Instantiate { .. } => 2,
+            WalRecord::Suspend { .. } => 3,
+            WalRecord::Resume { .. } => 4,
+            WalRecord::Terminate { .. } => 5,
+            WalRecord::SetQuota { .. } => 6,
+            WalRecord::Invoke { .. } => 7,
+            WalRecord::Restore { .. } => 8,
+        })
+        .collect();
+    assert_eq!(ops, [0, 1, 2, 7, 6, 3, 4, 5, 8]);
+    let reencoded: Vec<u8> =
+        scan.entries.iter().flat_map(|e| wal::frame(&wal::encode_entry(e))).collect();
+    assert_eq!(reencoded, log);
+}
+
+/// A copy of the fixture directory boots into exactly the state the
+/// fixtures describe: programs, census, globals (NaN bits included),
+/// accounts, quotas and burned nonces.
+#[test]
+fn fixtures_recover_programs_dpis_accounts_quotas_and_nonces() {
+    let dir = StateDir::new("fixture");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/durable");
+    for file in std::fs::read_dir(&src).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), dir.path().join(file.file_name())).unwrap();
+    }
+    let process = ElasticProcess::new(ElasticConfig::default());
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!(
+        (report.restored_programs, report.wal_records, report.torn_bytes),
+        (2, 9, 0),
+        "{report:?}"
+    );
+    assert_eq!((report.restored_dpis, report.abandoned_dpis), (4, 0));
+    assert_eq!(process.list_programs(), ["bag", "count", "mover"]);
+    let census: Vec<_> =
+        process.list_instances().into_iter().map(|s| (s.id.0, s.dp_name, s.state)).collect();
+    let names = |n: &str| n.to_string();
+    assert_eq!(
+        census,
+        [
+            (1, names("count"), DpiState::Ready),
+            (2, names("count"), DpiState::Suspended),
+            (4, names("bag"), DpiState::Ready),
+            (7, names("mover"), DpiState::Suspended),
+        ]
+    );
+
+    // Each dpi's image, read back through a checkpoint of it.
+    let image = |id: u64| {
+        let dpi = DpiId(id);
+        if process.list_instances().iter().any(|s| s.id == dpi && s.state == DpiState::Ready) {
+            process.suspend(dpi).unwrap();
+        }
+        CheckpointBlob::decode(&process.checkpoint(dpi).unwrap()).unwrap()
+    };
+    let account = |ok, busy_ns, vm_fuel, last_trace_id| DpiAccountSnapshot {
+        invocations_ok: ok,
+        busy_ns,
+        vm_fuel,
+        last_trace_id,
+        ..DpiAccountSnapshot::default()
+    };
+
+    let one = image(1);
+    assert_eq!((one.initialized, &one.globals[..]), (true, &[Value::Int(5)][..]));
+    assert_eq!(
+        one.account,
+        DpiAccountSnapshot {
+            invocations_failed: 1,
+            bytes_in: 640,
+            bytes_out: 320,
+            notifications: 2,
+            log_lines: 1,
+            ..account(5, 12_345, 99, 0x51)
+        }
+    );
+    assert_eq!(
+        one.quota,
+        Some(DpiQuota {
+            max_invocations: Some(100),
+            max_vm_fuel: Some(10_000),
+            ..DpiQuota::default()
+        })
+    );
+    assert_eq!((one.source.as_str(), one.principal.as_str()), (PROGRAM, "noc"));
+
+    let two = image(2);
+    assert_eq!(two.globals, [Value::Int(2)]);
+    assert_eq!((two.account, two.quota), (account(2, 800, 40, 0x52), None));
+
+    let four = image(4);
+    assert_eq!(four.principal, "ops");
+    let Some(Value::Map(bag)) = four.globals.first() else { panic!("{:?}", four.globals) };
+    let Some(Value::Float(nan)) = bag.get("nan") else { panic!("{bag:?}") };
+    assert_eq!(nan.to_bits(), 0x7FF8_0000_0000_1234, "NaN payload survives");
+    assert_eq!(bag.get("none"), Some(&Value::Nil));
+    let Some(Value::Map(nested)) = bag.get("nested") else { panic!("{bag:?}") };
+    assert_eq!(nested.get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(
+        nested.get("list"),
+        Some(&Value::list(vec![Value::Int(1), Value::Str("x".to_string())]))
+    );
+    assert_eq!(four.account, DpiAccountSnapshot { bytes_in: 96, ..account(1, 777, 42, 0x73) });
+    assert_eq!(
+        four.quota,
+        Some(DpiQuota { max_invocations: Some(50), max_log_lines: Some(3), ..DpiQuota::default() })
+    );
+
+    let seven = image(7);
+    assert_eq!(seven.globals, [Value::Int(41), Value::Float(2.5)]);
+    assert_eq!((seven.dp_name.as_str(), seven.principal.as_str()), ("mover", "peer"));
+    assert_eq!(seven.account, account(41, 90_000, 4_100, 0x61));
+    assert_eq!(seven.quota, Some(DpiQuota { max_busy_ns: Some(1_000_000), ..DpiQuota::default() }));
+
+    // The ids continue above the restored dpi 7, and dpi 1 counts on.
+    process.resume(DpiId(1)).unwrap();
+    assert_eq!(process.invoke(DpiId(1), "bump", &[]).unwrap(), Value::Int(6));
+    assert_eq!(process.instantiate("count").unwrap(), DpiId(8));
+
+    // The WAL burned the blob's nonce and the snapshot two more; an
+    // unburned nonce on the same blob still installs.
+    process.terminate(DpiId(7)).unwrap();
+    let blob = fixture("checkpoint.blob");
+    let at = blob.windows(16).position(|w| w == [0x33; 16]).expect("nonce in the blob");
+    for (nonce, burned) in [(0x33, true), (0x11, true), (0x22, true), (0x44, false)] {
+        let mut patched = blob.clone();
+        patched[at..at + 16].fill(nonce);
+        let result = process.restore(&patched);
+        if burned {
+            let err = result.unwrap_err();
+            assert!(matches!(err, mbd::core::CoreError::NonceReused), "{nonce:#x}: {err:?}");
+        } else {
+            assert_eq!(result.unwrap(), DpiId(7));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Persistence-codec round trips (satellite: BER proptests).
 // ---------------------------------------------------------------------
 
