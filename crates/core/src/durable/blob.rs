@@ -10,9 +10,9 @@
 
 use super::codec;
 use super::wal::read_nonce;
-use crate::process::{DpiAccountSnapshot, DpiQuota};
+use super::{DpiImage, ProgramRecord};
+use crate::process::DpiQuota;
 use ber::{BerError, BerReader, BerWriter};
-use dpl::Value;
 
 /// Blob format version.
 const VERSION: i64 = 1;
@@ -24,37 +24,22 @@ pub struct CheckpointBlob {
     pub nonce: [u8; 16],
     /// The dpi's id on the source server (preserved on restore).
     pub dpi: u64,
-    /// Program name.
-    pub dp_name: String,
-    /// DPL source.
-    pub source: String,
-    /// Original delegating principal.
-    pub principal: String,
-    /// Whether global initializers have run.
-    pub initialized: bool,
-    /// VM globals, in declaration order.
-    pub globals: Vec<Value>,
-    /// Account totals at checkpoint time.
-    pub account: DpiAccountSnapshot,
+    /// The dp it instantiates, source and original principal included.
+    pub program: ProgramRecord,
+    /// Globals and account totals at checkpoint time.
+    pub image: DpiImage,
     /// Armed quota, if any.
     pub quota: Option<DpiQuota>,
 }
 
 impl CheckpointBlob {
-    /// Encodes the blob to wire bytes.
+    /// Encodes the blob to wire bytes: the format version, then its
+    /// fields.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = BerWriter::new();
         w.write_sequence(|w| {
             w.write_i64(VERSION);
-            w.write_octet_string(&self.nonce);
-            w.write_i64(self.dpi as i64);
-            w.write_octet_string(self.dp_name.as_bytes());
-            w.write_octet_string(self.source.as_bytes());
-            w.write_octet_string(self.principal.as_bytes());
-            w.write_i64(i64::from(self.initialized));
-            codec::write_globals(w, &self.globals);
-            codec::write_account(w, &self.account);
-            codec::write_quota(w, &self.quota);
+            self.write_fields(w);
         });
         w.into_bytes()
     }
@@ -70,37 +55,58 @@ impl CheckpointBlob {
             if r.read_i64()? != VERSION {
                 return Err(BerError::BadInteger);
             }
-            Ok(CheckpointBlob {
-                nonce: read_nonce(r)?,
-                dpi: r.read_i64()? as u64,
-                dp_name: codec::read_string(r)?,
-                source: codec::read_string(r)?,
-                principal: codec::read_string(r)?,
-                initialized: r.read_i64()? != 0,
-                globals: codec::read_globals(r)?,
-                account: codec::read_account(r)?,
-                quota: codec::read_quota(r)?,
-            })
+            CheckpointBlob::read_fields(r)
         })?;
         r.expect_end()?;
         Ok(blob)
+    }
+
+    /// Writes the fields inline — the blob after its version, and the
+    /// whole of the WAL's `Restore` record after its op and trace id.
+    pub(super) fn write_fields(&self, w: &mut BerWriter) {
+        w.write_octet_string(&self.nonce);
+        w.write_i64(self.dpi as i64);
+        self.program.write(w);
+        self.image.write(w);
+        codec::write_quota(w, &self.quota);
+    }
+
+    /// Reads the fields written by [`CheckpointBlob::write_fields`].
+    pub(super) fn read_fields(r: &mut BerReader<'_>) -> Result<CheckpointBlob, BerError> {
+        Ok(CheckpointBlob {
+            nonce: read_nonce(r)?,
+            dpi: r.read_i64()? as u64,
+            program: ProgramRecord::read(r)?,
+            image: DpiImage::read(r)?,
+            quota: codec::read_quota(r)?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::DpiAccountSnapshot;
+    use dpl::Value;
 
     fn sample() -> CheckpointBlob {
         CheckpointBlob {
             nonce: [7; 16],
             dpi: 3,
-            dp_name: "counter".to_string(),
-            source: "var n = 0; fn bump() { n = n + 1; return n; }".to_string(),
-            principal: "mgr".to_string(),
-            initialized: true,
-            globals: vec![Value::Int(5)],
-            account: DpiAccountSnapshot { invocations_ok: 5, vm_fuel: 77, ..Default::default() },
+            program: ProgramRecord {
+                name: "counter".to_string(),
+                source: "var n = 0; fn bump() { n = n + 1; return n; }".to_string(),
+                delegated_by: "mgr".to_string(),
+            },
+            image: DpiImage {
+                initialized: true,
+                globals: vec![Value::Int(5)],
+                account: DpiAccountSnapshot {
+                    invocations_ok: 5,
+                    vm_fuel: 77,
+                    ..Default::default()
+                },
+            },
             quota: None,
         }
     }

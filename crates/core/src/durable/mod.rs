@@ -13,6 +13,9 @@
 //!   agent-migration primitive behind the RDS `Checkpoint`/`Restore`
 //!   verbs.
 //!
+//! All three build on two shared pieces, [`ProgramRecord`] (a stored
+//! dp) and [`DpiImage`] (a dpi's globals and account totals).
+//!
 //! The runtime glue — WAL hooks on the mutation paths, boot recovery,
 //! the `checkpoint`/`restore` verbs — lives on
 //! [`ElasticProcess`](crate::ElasticProcess) in `process::durability`.
@@ -22,10 +25,12 @@ pub mod snapshot;
 pub mod wal;
 
 pub use blob::CheckpointBlob;
-pub use snapshot::{DpiRecord, ProgramRecord, SnapshotData};
+pub use image::{DpiImage, ProgramRecord};
+pub use snapshot::{DpiRecord, SnapshotData};
 pub use wal::{Wal, WalEntry, WalRecord, WalScan};
 
 mod codec;
+mod image;
 
 use parking_lot::Mutex;
 use std::fs::File;

@@ -9,10 +9,10 @@
 //! tail on top.
 
 use super::codec;
-use super::wal::read_nonce;
-use crate::process::{DpiAccountSnapshot, DpiQuota};
+use super::wal::{read_nonce, read_state};
+use super::{DpiImage, ProgramRecord};
+use crate::process::DpiQuota;
 use ber::{BerError, BerReader, BerWriter};
-use dpl::Value;
 use rds::DpiState;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -20,17 +20,6 @@ use std::path::Path;
 
 /// Snapshot format version.
 const VERSION: i64 = 1;
-
-/// One stored dp, as persisted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramRecord {
-    /// Repository name.
-    pub name: String,
-    /// DPL source.
-    pub source: String,
-    /// Delegating principal.
-    pub delegated_by: String,
-}
 
 /// One dpi, as persisted.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,12 +30,8 @@ pub struct DpiRecord {
     pub dp_name: String,
     /// Lifecycle state.
     pub state: DpiState,
-    /// Whether global initializers have run.
-    pub initialized: bool,
-    /// Persistent globals.
-    pub globals: Vec<Value>,
-    /// Account totals.
-    pub account: DpiAccountSnapshot,
+    /// Globals and account totals.
+    pub image: DpiImage,
     /// Armed quota.
     pub quota: Option<DpiQuota>,
 }
@@ -74,11 +59,7 @@ pub fn encode(data: &SnapshotData) -> Vec<u8> {
         w.write_i64(data.next_dpi as i64);
         w.write_sequence(|w| {
             for p in &data.programs {
-                w.write_sequence(|w| {
-                    w.write_octet_string(p.name.as_bytes());
-                    w.write_octet_string(p.source.as_bytes());
-                    w.write_octet_string(p.delegated_by.as_bytes());
-                });
+                w.write_sequence(|w| p.write(w));
             }
         });
         w.write_sequence(|w| {
@@ -87,9 +68,7 @@ pub fn encode(data: &SnapshotData) -> Vec<u8> {
                     w.write_i64(d.id as i64);
                     w.write_octet_string(d.dp_name.as_bytes());
                     w.write_i64(d.state.code());
-                    w.write_i64(i64::from(d.initialized));
-                    codec::write_globals(w, &d.globals);
-                    codec::write_account(w, &d.account);
+                    d.image.write(w);
                     codec::write_quota(w, &d.quota);
                 });
             }
@@ -118,13 +97,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, BerError> {
         let programs = r.read_sequence(|r| {
             let mut out = Vec::new();
             while !r.at_end() {
-                out.push(r.read_sequence(|r| {
-                    Ok(ProgramRecord {
-                        name: codec::read_string(r)?,
-                        source: codec::read_string(r)?,
-                        delegated_by: codec::read_string(r)?,
-                    })
-                })?);
+                out.push(r.read_sequence(ProgramRecord::read)?);
             }
             Ok(out)
         })?;
@@ -135,10 +108,8 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, BerError> {
                     Ok(DpiRecord {
                         id: r.read_i64()? as u64,
                         dp_name: codec::read_string(r)?,
-                        state: DpiState::from_code(r.read_i64()?).ok_or(BerError::BadInteger)?,
-                        initialized: r.read_i64()? != 0,
-                        globals: codec::read_globals(r)?,
-                        account: codec::read_account(r)?,
+                        state: read_state(r)?,
+                        image: DpiImage::read(r)?,
                         quota: codec::read_quota(r)?,
                     })
                 })?);
@@ -198,6 +169,8 @@ pub fn read_file(path: &Path) -> io::Result<Option<SnapshotData>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::DpiAccountSnapshot;
+    use dpl::Value;
 
     fn sample() -> SnapshotData {
         SnapshotData {
@@ -211,9 +184,11 @@ mod tests {
                 id: 7,
                 dp_name: "counter".to_string(),
                 state: DpiState::Suspended,
-                initialized: true,
-                globals: vec![Value::Int(12), Value::Str("x".to_string())],
-                account: DpiAccountSnapshot { invocations_ok: 12, ..Default::default() },
+                image: DpiImage {
+                    initialized: true,
+                    globals: vec![Value::Int(12), Value::Str("x".to_string())],
+                    account: DpiAccountSnapshot { invocations_ok: 12, ..Default::default() },
+                },
                 quota: Some(DpiQuota { max_vm_fuel: Some(1000), ..Default::default() }),
             }],
             nonces: vec![[1; 16], [2; 16]],

@@ -30,10 +30,9 @@
 //! [`Durability::stage`]: super::Durability::stage
 //! [`Durability::flush`]: super::Durability::flush
 
-use super::codec;
-use crate::process::{DpiAccountSnapshot, DpiQuota};
+use super::{codec, CheckpointBlob, DpiImage, ProgramRecord};
+use crate::process::DpiQuota;
 use ber::{BerError, BerReader, BerWriter};
-use dpl::Value;
 use rds::DpiState;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -62,15 +61,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// covers fault-termination and quota-breach suspension uniformly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A dp entered the repository.
-    Delegate {
-        /// Repository name.
-        name: String,
-        /// DPL source (recovery recompiles it).
-        source: String,
-        /// Delegating principal.
-        principal: String,
-    },
+    /// A dp entered the repository (recovery recompiles its source).
+    Delegate(ProgramRecord),
     /// A dp left the repository.
     DeleteProgram {
         /// Repository name.
@@ -106,41 +98,20 @@ pub enum WalRecord {
         quota: Option<DpiQuota>,
     },
     /// An invocation finished; the record carries the dpi's complete
-    /// post-invocation state.
+    /// post-invocation state. It carries no quota (see [`DpiImage`]).
     Invoke {
         /// Instance id.
         dpi: u64,
         /// Lifecycle state after the invocation (quota breaches suspend,
         /// faults terminate).
         state: DpiState,
-        /// Whether global initializers have run.
-        initialized: bool,
-        /// Post-invocation globals.
-        globals: Vec<Value>,
-        /// Post-invocation account totals.
-        account: DpiAccountSnapshot,
+        /// Post-invocation globals and account totals.
+        image: DpiImage,
     },
-    /// A checkpoint blob was installed on this server.
-    Restore {
-        /// The blob's single-use nonce (now burned on this server).
-        nonce: [u8; 16],
-        /// Restored instance id (preserved from the source server).
-        dpi: u64,
-        /// Program name.
-        dp_name: String,
-        /// DPL source carried by the blob.
-        source: String,
-        /// Original delegating principal.
-        principal: String,
-        /// Whether global initializers have run.
-        initialized: bool,
-        /// Restored globals.
-        globals: Vec<Value>,
-        /// Restored account totals.
-        account: DpiAccountSnapshot,
-        /// Restored quota.
-        quota: Option<DpiQuota>,
-    },
+    /// A checkpoint blob was installed on this server; its nonce is now
+    /// burned here. The record's fields are the blob's, after the
+    /// blob's format version.
+    Restore(CheckpointBlob),
 }
 
 /// A [`WalRecord`] plus the trace id of the request that caused it —
@@ -158,21 +129,21 @@ impl WalRecord {
     /// The dpi this record targets, if any.
     pub fn dpi(&self) -> Option<u64> {
         match self {
-            WalRecord::Delegate { .. } | WalRecord::DeleteProgram { .. } => None,
+            WalRecord::Delegate(_) | WalRecord::DeleteProgram { .. } => None,
             WalRecord::Instantiate { dpi, .. }
             | WalRecord::Suspend { dpi }
             | WalRecord::Resume { dpi }
             | WalRecord::Terminate { dpi }
             | WalRecord::SetQuota { dpi, .. }
             | WalRecord::Invoke { dpi, .. }
-            | WalRecord::Restore { dpi, .. } => Some(*dpi),
+            | WalRecord::Restore(CheckpointBlob { dpi, .. }) => Some(*dpi),
         }
     }
 }
 
 fn op_code(record: &WalRecord) -> i64 {
     match record {
-        WalRecord::Delegate { .. } => 0,
+        WalRecord::Delegate(_) => 0,
         WalRecord::DeleteProgram { .. } => 1,
         WalRecord::Instantiate { .. } => 2,
         WalRecord::Suspend { .. } => 3,
@@ -180,7 +151,7 @@ fn op_code(record: &WalRecord) -> i64 {
         WalRecord::Terminate { .. } => 5,
         WalRecord::SetQuota { .. } => 6,
         WalRecord::Invoke { .. } => 7,
-        WalRecord::Restore { .. } => 8,
+        WalRecord::Restore(_) => 8,
     }
 }
 
@@ -191,11 +162,7 @@ pub fn encode_entry(entry: &WalEntry) -> Vec<u8> {
         w.write_i64(op_code(&entry.record));
         w.write_i64(entry.trace_id as i64);
         match &entry.record {
-            WalRecord::Delegate { name, source, principal } => {
-                w.write_octet_string(name.as_bytes());
-                w.write_octet_string(source.as_bytes());
-                w.write_octet_string(principal.as_bytes());
-            }
+            WalRecord::Delegate(program) => program.write(w),
             WalRecord::DeleteProgram { name } => w.write_octet_string(name.as_bytes()),
             WalRecord::Instantiate { dpi, dp_name } => {
                 w.write_i64(*dpi as i64);
@@ -208,34 +175,12 @@ pub fn encode_entry(entry: &WalEntry) -> Vec<u8> {
                 w.write_i64(*dpi as i64);
                 codec::write_quota(w, quota);
             }
-            WalRecord::Invoke { dpi, state, initialized, globals, account } => {
+            WalRecord::Invoke { dpi, state, image } => {
                 w.write_i64(*dpi as i64);
                 w.write_i64(state.code());
-                w.write_i64(i64::from(*initialized));
-                codec::write_globals(w, globals);
-                codec::write_account(w, account);
+                image.write(w);
             }
-            WalRecord::Restore {
-                nonce,
-                dpi,
-                dp_name,
-                source,
-                principal,
-                initialized,
-                globals,
-                account,
-                quota,
-            } => {
-                w.write_octet_string(nonce);
-                w.write_i64(*dpi as i64);
-                w.write_octet_string(dp_name.as_bytes());
-                w.write_octet_string(source.as_bytes());
-                w.write_octet_string(principal.as_bytes());
-                w.write_i64(i64::from(*initialized));
-                codec::write_globals(w, globals);
-                codec::write_account(w, account);
-                codec::write_quota(w, quota);
-            }
+            WalRecord::Restore(blob) => blob.write_fields(w),
         }
     });
     w.into_bytes()
@@ -252,11 +197,7 @@ pub fn decode_entry(payload: &[u8]) -> Result<WalEntry, BerError> {
         let op = r.read_i64()?;
         let trace_id = r.read_i64()? as u64;
         let record = match op {
-            0 => WalRecord::Delegate {
-                name: codec::read_string(r)?,
-                source: codec::read_string(r)?,
-                principal: codec::read_string(r)?,
-            },
+            0 => WalRecord::Delegate(ProgramRecord::read(r)?),
             1 => WalRecord::DeleteProgram { name: codec::read_string(r)? },
             2 => WalRecord::Instantiate {
                 dpi: r.read_i64()? as u64,
@@ -269,21 +210,9 @@ pub fn decode_entry(payload: &[u8]) -> Result<WalEntry, BerError> {
             7 => WalRecord::Invoke {
                 dpi: r.read_i64()? as u64,
                 state: read_state(r)?,
-                initialized: r.read_i64()? != 0,
-                globals: codec::read_globals(r)?,
-                account: codec::read_account(r)?,
+                image: DpiImage::read(r)?,
             },
-            8 => WalRecord::Restore {
-                nonce: read_nonce(r)?,
-                dpi: r.read_i64()? as u64,
-                dp_name: codec::read_string(r)?,
-                source: codec::read_string(r)?,
-                principal: codec::read_string(r)?,
-                initialized: r.read_i64()? != 0,
-                globals: codec::read_globals(r)?,
-                account: codec::read_account(r)?,
-                quota: codec::read_quota(r)?,
-            },
+            8 => WalRecord::Restore(CheckpointBlob::read_fields(r)?),
             _ => return Err(BerError::BadInteger),
         };
         Ok(WalEntry { trace_id, record })
@@ -292,7 +221,7 @@ pub fn decode_entry(payload: &[u8]) -> Result<WalEntry, BerError> {
     Ok(entry)
 }
 
-fn read_state(r: &mut BerReader<'_>) -> Result<DpiState, BerError> {
+pub(super) fn read_state(r: &mut BerReader<'_>) -> Result<DpiState, BerError> {
     DpiState::from_code(r.read_i64()?).ok_or(BerError::BadInteger)
 }
 
@@ -451,16 +380,18 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::DpiAccountSnapshot;
+    use dpl::Value;
 
     fn sample_entries() -> Vec<WalEntry> {
         vec![
             WalEntry {
                 trace_id: 0xAA,
-                record: WalRecord::Delegate {
+                record: WalRecord::Delegate(ProgramRecord {
                     name: "counter".to_string(),
                     source: "var n = 0; fn bump() { n = n + 1; return n; }".to_string(),
-                    principal: "mgr".to_string(),
-                },
+                    delegated_by: "mgr".to_string(),
+                }),
             },
             WalEntry {
                 trace_id: 0xBB,
@@ -471,14 +402,16 @@ mod tests {
                 record: WalRecord::Invoke {
                     dpi: 1,
                     state: DpiState::Ready,
-                    initialized: true,
-                    globals: vec![Value::Int(1)],
-                    account: DpiAccountSnapshot {
-                        invocations_ok: 1,
-                        busy_ns: 999,
-                        vm_fuel: 55,
-                        last_trace_id: 0xCC,
-                        ..DpiAccountSnapshot::default()
+                    image: DpiImage {
+                        initialized: true,
+                        globals: vec![Value::Int(1)],
+                        account: DpiAccountSnapshot {
+                            invocations_ok: 1,
+                            busy_ns: 999,
+                            vm_fuel: 55,
+                            last_trace_id: 0xCC,
+                            ..DpiAccountSnapshot::default()
+                        },
                     },
                 },
             },
@@ -490,6 +423,24 @@ mod tests {
                     quota: Some(DpiQuota { max_invocations: Some(10), ..DpiQuota::default() }),
                 },
             },
+            WalEntry {
+                trace_id: 0xFF,
+                record: WalRecord::Restore(CheckpointBlob {
+                    nonce: [9; 16],
+                    dpi: 3,
+                    program: ProgramRecord {
+                        name: "agent".to_string(),
+                        source: "var t = 0;".to_string(),
+                        delegated_by: "mgr".to_string(),
+                    },
+                    image: DpiImage {
+                        initialized: true,
+                        globals: vec![Value::Str("s".to_string()), Value::Nil],
+                        account: DpiAccountSnapshot::default(),
+                    },
+                    quota: None,
+                }),
+            },
         ]
     }
 
@@ -499,25 +450,6 @@ mod tests {
             let payload = encode_entry(&entry);
             assert_eq!(decode_entry(&payload).unwrap(), entry);
         }
-    }
-
-    #[test]
-    fn restore_record_round_trips() {
-        let entry = WalEntry {
-            trace_id: 7,
-            record: WalRecord::Restore {
-                nonce: [9; 16],
-                dpi: 3,
-                dp_name: "agent".to_string(),
-                source: "var t = 0;".to_string(),
-                principal: "mgr".to_string(),
-                initialized: true,
-                globals: vec![Value::Str("s".to_string()), Value::Nil],
-                account: DpiAccountSnapshot::default(),
-                quota: None,
-            },
-        };
-        assert_eq!(decode_entry(&encode_entry(&entry)).unwrap(), entry);
     }
 
     #[test]

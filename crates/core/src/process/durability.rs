@@ -15,15 +15,16 @@
 //! never the WAL lock — so the invoke path may append while still
 //! holding an instance cell lock.
 
+use super::table::DpiSlot;
 use super::ElasticProcess;
 use crate::durable::{
-    snapshot::{self, DpiRecord, ProgramRecord, SnapshotData},
+    snapshot::{self, DpiRecord, SnapshotData},
     wal::{self, WalEntry, WalRecord},
-    CheckpointBlob, Durability, RecoveryReport,
+    CheckpointBlob, DpiImage, Durability, ProgramRecord, RecoveryReport,
 };
-use crate::process::{DpiAccountSnapshot, DpiQuota};
+use crate::process::DpiQuota;
+use crate::repository::StoredDp;
 use crate::CoreError;
-use dpl::Value;
 use rds::{DpiId, DpiState};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,6 +59,25 @@ fn mint_nonce() -> [u8; 16] {
     out[..8].copy_from_slice(&hi.to_be_bytes());
     out[8..].copy_from_slice(&lo.to_be_bytes());
     out
+}
+
+/// The one capture of a dpi's image. Callers hold the dpi's cell lock
+/// (`vm` is borrowed from it), so the globals and the account totals
+/// describe the same moment.
+pub(super) fn capture_image(slot: &DpiSlot, vm: &dpl::Instance) -> DpiImage {
+    DpiImage {
+        initialized: vm.initialized(),
+        globals: vm.globals_snapshot(),
+        account: slot.account.snapshot(),
+    }
+}
+
+fn program_record(dp: &StoredDp) -> ProgramRecord {
+    ProgramRecord {
+        name: dp.name.clone(),
+        source: dp.source.clone(),
+        delegated_by: dp.delegated_by.clone(),
+    }
 }
 
 /// A minted trace id for server-originated work (recovery); never 0.
@@ -97,63 +117,40 @@ impl ElasticProcess {
         if let Some(data) = snapshot::read_file(&durable.snapshot_path()).map_err(io_err)? {
             self.inner.next_dpi.fetch_max(data.next_dpi, Ordering::Relaxed);
             for p in &data.programs {
-                let registry = self.registry_snapshot();
-                match dpl::compile_program(&p.source, &registry) {
-                    Ok(program) => {
-                        self.inner.repository.store(&p.name, &p.source, program, &p.delegated_by);
-                        report.restored_programs += 1;
-                    }
-                    Err(e) => {
-                        self.journal_event(
-                            "recovery.abandon_program",
-                            DpiId(0),
-                            false,
-                            &format!("{}: {e}", p.name),
-                        );
-                    }
+                match self.install_program(p) {
+                    Ok(()) => report.restored_programs += 1,
+                    Err(e) => self.journal_event(
+                        "recovery.abandon_program",
+                        DpiId(0),
+                        false,
+                        &format!("{}: {e}", p.name),
+                    ),
                 }
             }
             // A `Terminated` record is a dead dpi (earlier builds kept
             // them, and a slot caught mid-terminate reads that way): it
             // stays out of the table, like any other terminated id.
-            for d in data.dpis.iter().filter(|d| d.state != DpiState::Terminated) {
-                match self.install_slot(
-                    d.id,
-                    &d.dp_name,
-                    d.state,
-                    Some((d.initialized, d.globals.clone(), d.account)),
-                    d.quota,
-                ) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        report.abandoned_dpis += 1;
-                        self.journal_event(
-                            "recovery.abandon_dpi",
-                            DpiId(d.id),
-                            false,
-                            &e.to_string(),
-                        );
-                    }
+            for d in data.dpis.into_iter().filter(|d| d.state != DpiState::Terminated) {
+                let DpiRecord { id, dp_name, state, image, quota } = d;
+                if let Err(e) = self.install_slot(id, &dp_name, state, Some(image), quota) {
+                    report.abandoned_dpis += 1;
+                    self.journal_event("recovery.abandon_dpi", DpiId(id), false, &e.to_string());
                 }
             }
-            self.inner.nonces.lock().extend(data.nonces.iter().copied());
+            self.inner.nonces.lock().extend(data.nonces);
         }
 
         let scan = wal::scan_file(&durable.wal_path()).map_err(io_err)?;
         report.wal_records = scan.entries.len() as u64;
         report.torn_bytes = scan.torn_bytes;
-        for entry in &scan.entries {
+        for entry in scan.entries {
             if entry.trace_id != 0 {
                 self.inner.cold_traces.lock().insert(entry.trace_id);
             }
-            if let Err(e) = self.apply_wal_entry(entry) {
+            let dpi = DpiId(entry.record.dpi().unwrap_or(0));
+            if let Err(e) = self.apply_wal_record(entry.record) {
                 report.abandoned_dpis += 1;
-                self.journal_event(
-                    "recovery.abandon_record",
-                    DpiId(entry.record.dpi().unwrap_or(0)),
-                    false,
-                    &e.to_string(),
-                );
+                self.journal_event("recovery.abandon_record", dpi, false, &e.to_string());
             }
         }
         // Cut the torn tail so new appends extend the clean prefix, and
@@ -295,30 +292,18 @@ impl ElasticProcess {
             .names()
             .into_iter()
             .filter_map(|name| self.inner.repository.lookup(&name))
-            .map(|dp| ProgramRecord {
-                name: dp.name.clone(),
-                source: dp.source.clone(),
-                delegated_by: dp.delegated_by.clone(),
-            })
+            .map(|dp| program_record(&dp))
             .collect();
         let mut slots = self.inner.dpis.snapshot();
         slots.sort_by_key(|(id, _)| *id);
         let dpis = slots
             .into_iter()
-            .map(|(id, slot)| {
-                let (initialized, globals) = {
-                    let cell = slot.cell.lock();
-                    (cell.vm.initialized(), cell.vm.globals_snapshot())
-                };
-                DpiRecord {
-                    id: id.0,
-                    dp_name: slot.dp_name.clone(),
-                    state: slot.state(),
-                    initialized,
-                    globals,
-                    account: slot.account.snapshot(),
-                    quota: slot.quota(),
-                }
+            .map(|(id, slot)| DpiRecord {
+                id: id.0,
+                dp_name: slot.dp_name.clone(),
+                state: slot.state(),
+                image: capture_image(&slot, &slot.cell.lock().vm),
+                quota: slot.quota(),
             })
             .collect();
         let mut nonces: Vec<[u8; 16]> = self.inner.nonces.lock().iter().copied().collect();
@@ -331,8 +316,17 @@ impl ElasticProcess {
         }
     }
 
+    /// Compiles a persisted program and stores it in the repository —
+    /// recovery, replay, restore and live delegation all come through
+    /// here.
+    pub(super) fn install_program(&self, p: &ProgramRecord) -> Result<(), dpl::DplError> {
+        let program = dpl::compile_program(&p.source, &self.registry_snapshot())?;
+        self.inner.repository.store(&p.name, &p.source, program, &p.delegated_by);
+        Ok(())
+    }
+
     /// Installs a dpi slot from persisted state (recovery, WAL replay,
-    /// checkpoint restore). `restore` is `None` for a fresh
+    /// checkpoint restore). `image` is `None` for a fresh
     /// instantiation replay (VM defaults, config quota applies via
     /// `quota`).
     fn install_slot(
@@ -340,7 +334,7 @@ impl ElasticProcess {
         id: u64,
         dp_name: &str,
         state: DpiState,
-        restore: Option<(bool, Vec<Value>, DpiAccountSnapshot)>,
+        image: Option<DpiImage>,
         quota: Option<DpiQuota>,
     ) -> Result<(), CoreError> {
         let dp = self
@@ -352,9 +346,9 @@ impl ElasticProcess {
         if self.inner.config.profile_sample > 0 {
             instance.enable_profiling(self.inner.config.profile_sample);
         }
-        let account = restore.as_ref().map(|(_, _, a)| *a);
-        if let Some((initialized, globals, _)) = restore {
-            instance.restore_state(globals, initialized)?;
+        let account = image.as_ref().map(|i| i.account);
+        if let Some(image) = image {
+            instance.restore_state(image.globals, image.initialized)?;
         }
         if !self.inner.dpis.try_reserve_live(self.inner.config.max_instances) {
             return Err(CoreError::TooManyInstances { limit: self.inner.config.max_instances });
@@ -369,7 +363,32 @@ impl ElasticProcess {
         Ok(())
     }
 
-    /// Applies one replayed WAL entry. Replay is single-threaded and the
+    /// Installs a checkpoint blob as a suspended dpi: burns its nonce,
+    /// (re)delegates its program under the original name and principal,
+    /// and installs its image. The live `restore` and replay of a WAL
+    /// `Restore` both come through here. On failure the nonce is
+    /// un-burned: the blob was not applied, so a corrected retry must
+    /// stay possible.
+    fn install_blob(&self, blob: &CheckpointBlob) -> Result<(), CoreError> {
+        let id = DpiId(blob.dpi);
+        if self.inner.dpis.get(id).is_some() {
+            return Err(CoreError::InstanceExists { dpi: id });
+        }
+        if !self.inner.nonces.lock().insert(blob.nonce) {
+            return Err(CoreError::NonceReused);
+        }
+        let (name, image) = (&blob.program.name, Some(blob.image.clone()));
+        let installed = match self.install_program(&blob.program) {
+            Ok(()) => self.install_slot(blob.dpi, name, DpiState::Suspended, image, blob.quota),
+            Err(e) => Err(CoreError::BadCheckpoint { message: format!("recompile: {e}") }),
+        };
+        if installed.is_err() {
+            self.inner.nonces.lock().remove(&blob.nonce);
+        }
+        installed
+    }
+
+    /// Applies one replayed WAL record. Replay is single-threaded and the
     /// recorded transition already happened, so states are stored
     /// unconditionally.
     ///
@@ -378,65 +397,38 @@ impl ElasticProcess {
     /// `Running` invoke stages `Terminate` before the invoke's
     /// `Invoke { state: Terminated }`, and a snapshot taken mid-terminate
     /// leaves out a dpi whose `Terminate` lands in the WAL tail.
-    fn apply_wal_entry(&self, entry: &WalEntry) -> Result<(), CoreError> {
-        match &entry.record {
-            WalRecord::Delegate { name, source, principal } => {
-                let registry = self.registry_snapshot();
-                let program = dpl::compile_program(source, &registry)?;
-                self.inner.repository.store(name, source, program, principal);
-                Ok(())
-            }
-            WalRecord::DeleteProgram { name } => self.inner.repository.delete(name).map(|_| ()),
+    fn apply_wal_record(&self, record: WalRecord) -> Result<(), CoreError> {
+        match record {
+            WalRecord::Delegate(program) => Ok(self.install_program(&program)?),
+            WalRecord::DeleteProgram { name } => self.inner.repository.delete(&name).map(|_| ()),
             WalRecord::Instantiate { dpi, dp_name } => {
-                self.install_slot(*dpi, dp_name, DpiState::Ready, None, self.inner.config.quota)
+                self.install_slot(dpi, &dp_name, DpiState::Ready, None, self.inner.config.quota)
             }
             WalRecord::Suspend { dpi } => {
-                self.slot(DpiId(*dpi))?.set_state(DpiState::Suspended);
+                self.slot(DpiId(dpi))?.set_state(DpiState::Suspended);
                 Ok(())
             }
             WalRecord::Resume { dpi } => {
-                self.slot(DpiId(*dpi))?.set_state(DpiState::Ready);
+                self.slot(DpiId(dpi))?.set_state(DpiState::Ready);
                 Ok(())
             }
             WalRecord::Terminate { dpi }
             | WalRecord::Invoke { dpi, state: DpiState::Terminated, .. } => {
-                self.retire(DpiId(*dpi));
+                self.retire(DpiId(dpi));
                 Ok(())
             }
             WalRecord::SetQuota { dpi, quota } => {
-                self.slot(DpiId(*dpi))?.set_quota(*quota);
+                self.slot(DpiId(dpi))?.set_quota(quota);
                 Ok(())
             }
-            WalRecord::Invoke { dpi, state, initialized, globals, account } => {
-                let slot = self.slot(DpiId(*dpi))?;
-                slot.cell.lock().vm.restore_state(globals.clone(), *initialized)?;
-                slot.account.restore(account);
-                slot.set_state(*state);
+            WalRecord::Invoke { dpi, state, image } => {
+                let slot = self.slot(DpiId(dpi))?;
+                slot.cell.lock().vm.restore_state(image.globals, image.initialized)?;
+                slot.account.restore(&image.account);
+                slot.set_state(state);
                 Ok(())
             }
-            WalRecord::Restore {
-                nonce,
-                dpi,
-                dp_name,
-                source,
-                principal,
-                initialized,
-                globals,
-                account,
-                quota,
-            } => {
-                self.inner.nonces.lock().insert(*nonce);
-                let registry = self.registry_snapshot();
-                let program = dpl::compile_program(source, &registry)?;
-                self.inner.repository.store(dp_name, source, program, principal);
-                self.install_slot(
-                    *dpi,
-                    dp_name,
-                    DpiState::Suspended,
-                    Some((*initialized, globals.clone(), *account)),
-                    *quota,
-                )
-            }
+            WalRecord::Restore(blob) => self.install_blob(&blob),
         }
     }
 
@@ -452,7 +444,7 @@ impl ElasticProcess {
     /// has left the repository.
     pub fn checkpoint(&self, dpi: DpiId) -> Result<Vec<u8>, CoreError> {
         let slot = self.slot(dpi)?;
-        let (initialized, globals) = {
+        let image = {
             let cell = slot.cell.lock();
             // Checked under the instance lock: no invocation is in
             // flight, and a Running dpi can't slip in behind the check.
@@ -460,7 +452,7 @@ impl ElasticProcess {
             if state != DpiState::Suspended {
                 return Err(CoreError::BadState { dpi, state, operation: "checkpoint" });
             }
-            (cell.vm.initialized(), cell.vm.globals_snapshot())
+            capture_image(&slot, &cell.vm)
         };
         let dp = self
             .inner
@@ -470,12 +462,8 @@ impl ElasticProcess {
         let blob = CheckpointBlob {
             nonce: mint_nonce(),
             dpi: dpi.0,
-            dp_name: slot.dp_name.clone(),
-            source: dp.source.clone(),
-            principal: dp.delegated_by.clone(),
-            initialized,
-            globals,
-            account: slot.account.snapshot(),
+            program: program_record(&dp),
+            image,
             quota: slot.quota(),
         };
         self.journal_event("lifecycle.checkpoint", dpi, true, &slot.dp_name);
@@ -497,44 +485,10 @@ impl ElasticProcess {
     pub fn restore(&self, bytes: &[u8]) -> Result<DpiId, CoreError> {
         let blob = CheckpointBlob::decode(bytes)
             .map_err(|e| CoreError::BadCheckpoint { message: e.to_string() })?;
+        self.install_blob(&blob)?;
         let id = DpiId(blob.dpi);
-        if self.inner.dpis.get(id).is_some() {
-            return Err(CoreError::InstanceExists { dpi: id });
-        }
-        if !self.inner.nonces.lock().insert(blob.nonce) {
-            return Err(CoreError::NonceReused);
-        }
-        // Un-burn the nonce if the install fails: the blob was not
-        // actually applied, so a corrected retry must stay possible.
-        let result = (|| {
-            let registry = self.registry_snapshot();
-            let program = dpl::compile_program(&blob.source, &registry)
-                .map_err(|e| CoreError::BadCheckpoint { message: format!("recompile: {e}") })?;
-            self.inner.repository.store(&blob.dp_name, &blob.source, program, &blob.principal);
-            self.install_slot(
-                blob.dpi,
-                &blob.dp_name,
-                DpiState::Suspended,
-                Some((blob.initialized, blob.globals.clone(), blob.account)),
-                blob.quota,
-            )
-        })();
-        if let Err(e) = result {
-            self.inner.nonces.lock().remove(&blob.nonce);
-            return Err(e);
-        }
-        self.journal_event("lifecycle.restore", id, true, &blob.dp_name);
-        self.durable_append(WalRecord::Restore {
-            nonce: blob.nonce,
-            dpi: blob.dpi,
-            dp_name: blob.dp_name,
-            source: blob.source,
-            principal: blob.principal,
-            initialized: blob.initialized,
-            globals: blob.globals,
-            account: blob.account,
-            quota: blob.quota,
-        });
+        self.journal_event("lifecycle.restore", id, true, &blob.program.name);
+        self.durable_append(WalRecord::Restore(blob));
         Ok(id)
     }
 

@@ -122,9 +122,7 @@ impl ElasticProcess {
             self.durable_append(crate::durable::WalRecord::Invoke {
                 dpi: dpi.0,
                 state: slot.state(),
-                initialized: cell.vm.initialized(),
-                globals: cell.vm.globals_snapshot(),
-                account: slot.account.snapshot(),
+                image: super::durability::capture_image(slot, &cell.vm),
             });
         }
         (outcome, std::mem::take(&mut cell.ctx.pending))

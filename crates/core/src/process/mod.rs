@@ -510,16 +510,15 @@ impl ElasticProcess {
     /// As for [`ElasticProcess::delegate`].
     pub fn delegate_as(&self, name: &str, source: &str, principal: &str) -> Result<(), CoreError> {
         let _span = self.inner.metrics.delegate.start();
-        let registry = self.registry_snapshot();
-        match dpl::compile_program(source, &registry) {
-            Ok(program) => {
-                self.inner.repository.store(name, source, program, principal);
+        let program = crate::durable::ProgramRecord {
+            name: name.to_string(),
+            source: source.to_string(),
+            delegated_by: principal.to_string(),
+        };
+        match self.install_program(&program) {
+            Ok(()) => {
                 stats::bump(&self.inner.stats.delegations_accepted);
-                self.durable_append(crate::durable::WalRecord::Delegate {
-                    name: name.to_string(),
-                    source: source.to_string(),
-                    principal: principal.to_string(),
-                });
+                self.durable_append(crate::durable::WalRecord::Delegate(program));
                 Ok(())
             }
             Err(e) => {

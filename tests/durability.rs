@@ -15,6 +15,7 @@
 //! link — running total intact, blob single-use.
 
 use mbd::core::durable::wal::{self, WalEntry, WalRecord};
+use mbd::core::durable::{DpiImage, ProgramRecord};
 use mbd::core::{
     CheckpointBlob, DpiAccountSnapshot, DpiId, DpiQuota, DpiState, ElasticConfig, ElasticProcess,
     RecoveryReport,
@@ -101,7 +102,7 @@ fn replay_model(entries: &[WalEntry]) -> Model {
     let mut m = Model::default();
     for entry in entries {
         match &entry.record {
-            WalRecord::Delegate { name, .. } => {
+            WalRecord::Delegate(ProgramRecord { name, .. }) => {
                 if !m.programs.contains(name) {
                     m.programs.push(name.clone());
                 }
@@ -119,20 +120,21 @@ fn replay_model(entries: &[WalEntry]) -> Model {
                 m.dpis.remove(dpi);
             }
             WalRecord::SetQuota { .. } => {}
-            WalRecord::Invoke { dpi, state, globals, .. } => {
+            WalRecord::Invoke { dpi, state, image } => {
                 let slot = m.dpis.get_mut(dpi).unwrap();
                 slot.1 = *state;
                 slot.2 += 1;
-                if let Some(Value::Int(total)) = globals.first() {
+                if let Some(Value::Int(total)) = image.globals.first() {
                     slot.3 = *total;
                 }
             }
-            WalRecord::Restore { dpi, dp_name, globals, .. } => {
-                let total = match globals.first() {
+            WalRecord::Restore(blob) => {
+                let total = match blob.image.globals.first() {
                     Some(Value::Int(t)) => *t,
                     _ => 0,
                 };
-                m.dpis.insert(*dpi, (dp_name.clone(), DpiState::Suspended, 0, total));
+                let name = blob.program.name.clone();
+                m.dpis.insert(blob.dpi, (name, DpiState::Suspended, 0, total));
             }
         }
     }
@@ -397,19 +399,24 @@ fn replay_of_a_terminate_racing_an_invoke_abandons_nothing() {
     write_wal(
         &dir,
         vec![
-            WalRecord::Delegate {
+            WalRecord::Delegate(ProgramRecord {
                 name: "count".to_string(),
                 source: PROGRAM.to_string(),
-                principal: "noc".to_string(),
-            },
+                delegated_by: "noc".to_string(),
+            }),
             WalRecord::Instantiate { dpi: 1, dp_name: "count".to_string() },
             WalRecord::Terminate { dpi: 1 },
             WalRecord::Invoke {
                 dpi: 1,
                 state: DpiState::Terminated,
-                initialized: true,
-                globals: vec![Value::Int(1)],
-                account: DpiAccountSnapshot { invocations_ok: 1, ..DpiAccountSnapshot::default() },
+                image: DpiImage {
+                    initialized: true,
+                    globals: vec![Value::Int(1)],
+                    account: DpiAccountSnapshot {
+                        invocations_ok: 1,
+                        ..DpiAccountSnapshot::default()
+                    },
+                },
             },
         ],
     );
@@ -430,16 +437,18 @@ fn replay_of_a_terminate_racing_an_invoke_abandons_nothing() {
 /// the live census.
 #[test]
 fn a_terminated_snapshot_record_stays_out_of_the_table() {
-    use mbd::core::durable::snapshot::{self, DpiRecord, ProgramRecord, SnapshotData};
+    use mbd::core::durable::snapshot::{self, DpiRecord, SnapshotData};
     let dir = StateDir::new("dead-record");
     std::fs::create_dir_all(dir.path()).unwrap();
     let record = |id, state| DpiRecord {
         id,
         dp_name: "count".to_string(),
         state,
-        initialized: true,
-        globals: vec![Value::Int(7)],
-        account: DpiAccountSnapshot { invocations_ok: 7, ..DpiAccountSnapshot::default() },
+        image: DpiImage {
+            initialized: true,
+            globals: vec![Value::Int(7)],
+            account: DpiAccountSnapshot { invocations_ok: 7, ..DpiAccountSnapshot::default() },
+        },
         quota: None,
     };
     let data = SnapshotData {
@@ -628,9 +637,9 @@ fn fixtures_recover_programs_dpis_accounts_quotas_and_nonces() {
     };
 
     let one = image(1);
-    assert_eq!((one.initialized, &one.globals[..]), (true, &[Value::Int(5)][..]));
+    assert_eq!((one.image.initialized, &one.image.globals[..]), (true, &[Value::Int(5)][..]));
     assert_eq!(
-        one.account,
+        one.image.account,
         DpiAccountSnapshot {
             invocations_failed: 1,
             bytes_in: 640,
@@ -648,15 +657,15 @@ fn fixtures_recover_programs_dpis_accounts_quotas_and_nonces() {
             ..DpiQuota::default()
         })
     );
-    assert_eq!((one.source.as_str(), one.principal.as_str()), (PROGRAM, "noc"));
+    assert_eq!((one.program.source.as_str(), one.program.delegated_by.as_str()), (PROGRAM, "noc"));
 
     let two = image(2);
-    assert_eq!(two.globals, [Value::Int(2)]);
-    assert_eq!((two.account, two.quota), (account(2, 800, 40, 0x52), None));
+    assert_eq!(two.image.globals, [Value::Int(2)]);
+    assert_eq!((two.image.account, two.quota), (account(2, 800, 40, 0x52), None));
 
     let four = image(4);
-    assert_eq!(four.principal, "ops");
-    let Some(Value::Map(bag)) = four.globals.first() else { panic!("{:?}", four.globals) };
+    assert_eq!(four.program.delegated_by, "ops");
+    let Some(Value::Map(bag)) = four.image.globals.first() else { panic!("{:?}", four.image) };
     let Some(Value::Float(nan)) = bag.get("nan") else { panic!("{bag:?}") };
     assert_eq!(nan.to_bits(), 0x7FF8_0000_0000_1234, "NaN payload survives");
     assert_eq!(bag.get("none"), Some(&Value::Nil));
@@ -666,16 +675,22 @@ fn fixtures_recover_programs_dpis_accounts_quotas_and_nonces() {
         nested.get("list"),
         Some(&Value::list(vec![Value::Int(1), Value::Str("x".to_string())]))
     );
-    assert_eq!(four.account, DpiAccountSnapshot { bytes_in: 96, ..account(1, 777, 42, 0x73) });
+    assert_eq!(
+        four.image.account,
+        DpiAccountSnapshot { bytes_in: 96, ..account(1, 777, 42, 0x73) }
+    );
     assert_eq!(
         four.quota,
         Some(DpiQuota { max_invocations: Some(50), max_log_lines: Some(3), ..DpiQuota::default() })
     );
 
     let seven = image(7);
-    assert_eq!(seven.globals, [Value::Int(41), Value::Float(2.5)]);
-    assert_eq!((seven.dp_name.as_str(), seven.principal.as_str()), ("mover", "peer"));
-    assert_eq!(seven.account, account(41, 90_000, 4_100, 0x61));
+    assert_eq!(seven.image.globals, [Value::Int(41), Value::Float(2.5)]);
+    assert_eq!(
+        (seven.program.name.as_str(), seven.program.delegated_by.as_str()),
+        ("mover", "peer")
+    );
+    assert_eq!(seven.image.account, account(41, 90_000, 4_100, 0x61));
     assert_eq!(seven.quota, Some(DpiQuota { max_busy_ns: Some(1_000_000), ..DpiQuota::default() }));
 
     // The ids continue above the restored dpi 7, and dpi 1 counts on.
@@ -753,12 +768,12 @@ proptest! {
         let blob = CheckpointBlob {
             nonce,
             dpi,
-            dp_name: "agent".to_string(),
-            source: PROGRAM.to_string(),
-            principal: "noc".to_string(),
-            initialized,
-            globals,
-            account,
+            program: ProgramRecord {
+                name: "agent".to_string(),
+                source: PROGRAM.to_string(),
+                delegated_by: "noc".to_string(),
+            },
+            image: DpiImage { initialized, globals, account },
             quota: if quota_limit.is_multiple_of(2) {
                 None
             } else {
