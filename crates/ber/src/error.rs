@@ -31,6 +31,8 @@ pub enum BerError {
     HighTagNumber,
     /// A primitive value carried the constructed bit, or vice versa.
     WrongConstruction,
+    /// Constructed values nested deeper than [`crate::MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for BerError {
@@ -49,6 +51,7 @@ impl fmt::Display for BerError {
             BerError::WrongConstruction => {
                 write!(f, "BER primitive/constructed bit does not match type")
             }
+            BerError::TooDeep => write!(f, "BER values nested too deeply"),
         }
     }
 }
@@ -75,6 +78,7 @@ mod tests {
             BerError::TrailingBytes,
             BerError::HighTagNumber,
             BerError::WrongConstruction,
+            BerError::TooDeep,
         ];
         for e in errs {
             let s = e.to_string();

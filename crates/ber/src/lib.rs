@@ -44,7 +44,7 @@ mod writer;
 
 pub use error::BerError;
 pub use oid::{Oid, ParseOidError};
-pub use reader::BerReader;
+pub use reader::{BerReader, MAX_DEPTH};
 pub use tag::{Class, Tag};
 pub use value::BerValue;
 pub use writer::BerWriter;

@@ -1,5 +1,12 @@
 use crate::{BerError, BerValue, Class, Oid, Tag};
 
+/// How many constructed values [`BerReader::read_value`] follows, one
+/// inside the next, before it returns [`BerError::TooDeep`]. Each level
+/// is one recursive call, so without a bound a small frame of nested
+/// empty SEQUENCEs (two bytes a level) could overflow the decoding
+/// thread's stack and abort the process.
+pub const MAX_DEPTH: usize = 256;
+
 /// An incremental BER decoder over a byte slice.
 ///
 /// The reader validates definite lengths, rejects the indefinite form and
@@ -234,14 +241,21 @@ impl<'a> BerReader<'a> {
     ///
     /// # Errors
     ///
-    /// Errors on any malformed or unsupported encoding.
+    /// Errors on any malformed or unsupported encoding, and with
+    /// [`BerError::TooDeep`] past [`MAX_DEPTH`] nested constructed values.
     pub fn read_value(&mut self) -> Result<BerValue, BerError> {
+        self.read_value_within(MAX_DEPTH)
+    }
+
+    /// [`BerReader::read_value`] with `levels` constructed levels left.
+    fn read_value_within(&mut self, levels: usize) -> Result<BerValue, BerError> {
         let (tag, constructed, len) = self.read_header()?;
         if constructed {
+            let levels = levels.checked_sub(1).ok_or(BerError::TooDeep)?;
             let mut inner = BerReader { input: self.input, pos: self.pos, end: self.pos + len };
             let mut items = Vec::new();
             while !inner.at_end() {
-                items.push(inner.read_value()?);
+                items.push(inner.read_value_within(levels)?);
             }
             self.pos += len;
             return match (tag.class(), tag.number()) {
@@ -326,6 +340,30 @@ mod tests {
         let bytes = w.into_bytes();
         let err = BerReader::new(&bytes).read_i64().unwrap_err();
         assert_eq!(err, BerError::TagMismatch { expected: Tag::INTEGER, found: Tag::NULL });
+    }
+
+    /// `levels` SEQUENCEs, each holding the next, the innermost empty.
+    fn nested(levels: usize) -> Vec<u8> {
+        let mut w = BerWriter::new();
+        fn nest(w: &mut BerWriter, levels: usize) {
+            if levels > 0 {
+                w.write_sequence(|w| nest(w, levels - 1));
+            }
+        }
+        nest(&mut w, levels);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn nesting_is_read_up_to_the_limit_and_refused_past_it() {
+        let mut value = BerReader::new(&nested(MAX_DEPTH)).read_value().unwrap();
+        for _ in 1..MAX_DEPTH {
+            let BerValue::Sequence(mut items) = value else { panic!("{value:?}") };
+            value = items.pop().unwrap();
+        }
+        assert_eq!(value, BerValue::Sequence(Vec::new()));
+        let err = BerReader::new(&nested(MAX_DEPTH + 1)).read_value().unwrap_err();
+        assert_eq!(err, BerError::TooDeep);
     }
 
     #[test]

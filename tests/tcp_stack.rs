@@ -312,6 +312,59 @@ fn legacy_untraced_frames_interoperate_over_tcp() {
     tcp.shutdown();
 }
 
+/// `levels` nested empty SEQUENCEs, as one TLV, built from the inside
+/// out without recursion.
+fn nested_sequences(levels: usize) -> Vec<u8> {
+    let mut reversed = Vec::new();
+    for _ in 0..levels {
+        let len = reversed.len();
+        if len < 0x80 {
+            reversed.push(len as u8);
+        } else {
+            let bytes = len.to_be_bytes();
+            let digits = &bytes[bytes.iter().position(|&b| b != 0).unwrap()..];
+            reversed.extend(digits.iter().rev());
+            reversed.push(0x80 | digits.len() as u8);
+        }
+        reversed.push(0x30);
+    }
+    reversed.reverse();
+    reversed
+}
+
+/// An `Invoke` whose one argument nests 100 000 SEQUENCEs (a ~400 kB
+/// frame, far below the frame cap) is refused as undecodable instead of
+/// overflowing the decoding worker's stack, and the server serves on.
+#[test]
+fn deeply_nested_invoke_arguments_are_refused_not_fatal() {
+    let (tcp, process) = spawn_server(None);
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr");
+    client.delegate("f", "fn main(x) { return 7; }").unwrap();
+    let dpi = client.instantiate("f").unwrap();
+
+    // Encode the invoke with an OCTET STRING holding the nesting's
+    // content: it has the same length header, and it ends the frame, so
+    // turning its tag into SEQUENCE's yields the nested argument.
+    let nested = nested_sequences(100_000);
+    let header = if nested[1] < 0x80 { 2 } else { 2 + usize::from(nested[1] & 0x7f) };
+    let arg = BerValue::OctetString(nested[header..].to_vec());
+    let req = RdsRequest::Invoke { dpi, entry: "main".to_string(), args: vec![arg] };
+    let mut frame = codec::encode_request(&req, &Principal::new("deep"), 1, None);
+    let tag_at = frame.len() - nested.len();
+    assert_eq!(&frame[tag_at + 1..tag_at + header], &nested[1..header]);
+    frame[tag_at] = 0x30;
+
+    let mut raw = std::net::TcpStream::connect(tcp.local_addr()).unwrap();
+    write_frame(&mut raw, &frame).unwrap();
+    let resp = read_frame(&mut raw).unwrap().expect("a reply before close");
+    let (decoded, _) = codec::decode_response(&resp, None).unwrap();
+    assert!(matches!(decoded, RdsResponse::Error { .. }), "{decoded:?}");
+    let counter = process.telemetry().snapshot().counter("rds.decode_fail.codec");
+    assert_eq!(counter, Some(1));
+    assert_eq!(client.invoke(dpi, "main", &[BerValue::Integer(1)]).unwrap(), BerValue::Integer(7));
+    tcp.shutdown();
+}
+
 #[test]
 fn quota_breach_over_tcp_correlates_by_trace() {
     let config = ElasticConfig {
