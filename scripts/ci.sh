@@ -333,16 +333,19 @@ cargo test --release -q -p mbd-bench --lib e10
 
 echo "==> durability smoke: kill -9 a stateful server, reboot, state survives"
 # Boots the real binary with a state directory, delegates a counting
-# agent, drives it to 3, terminates a second instance, then SIGKILLs the
-# process mid-life. The reboot on the same directory must journal a
-# traced recovery record that abandoned nothing, still list the live
-# dpi and not the terminated one, and continue the count at 4 — proving
-# globals, the id allocator and the dp repository all came back from
-# WAL+snapshot, and that a terminated dpi stays gone.
+# agent, drives it to 3, terminates a second instance, and migrates the
+# counter onto the same server: suspend, checkpoint to a file,
+# terminate, restore (same id). Then SIGKILLs the process mid-life. The
+# reboot on the same directory replays the restore from the WAL (no
+# periodic snapshot absorbs it first); it must journal a traced recovery
+# record that abandoned nothing, list the restored dpi suspended and
+# not the terminated one, and after a resume continue the count at 4 —
+# proving globals, the id allocator and the dp repository all came back,
+# through a migration, and that a terminated dpi stays gone.
 DUR_STATE="$SMOKE_DIR/state"
 DUR_LOG="$SMOKE_DIR/durable_server.log"
 echo 'var n = 0; fn main() { n = n + 1; return n; }' > "$SMOKE_DIR/counter.dpl"
-boot_server "$DUR_LOG" --state-dir "$DUR_STATE"
+boot_server "$DUR_LOG" --state-dir "$DUR_STATE" --snapshot-every 0
 "${MBDCTL[@]}" delegate counter "$SMOKE_DIR/counter.dpl" >/dev/null
 DUR_DPI="$("${MBDCTL[@]}" instantiate counter)"
 for want in 1 2 3; do
@@ -354,14 +357,22 @@ for want in 1 2 3; do
 done
 DEAD_DPI="$("${MBDCTL[@]}" instantiate counter)"
 "${MBDCTL[@]}" terminate "$DEAD_DPI" >/dev/null
+"${MBDCTL[@]}" suspend "$DUR_DPI" >/dev/null
+"${MBDCTL[@]}" checkpoint "$DUR_DPI" -o "$SMOKE_DIR/counter.ckpt" >/dev/null
+"${MBDCTL[@]}" terminate "$DUR_DPI" >/dev/null
+GOT="$("${MBDCTL[@]}" restore "$SMOKE_DIR/counter.ckpt")"
+[ "$GOT" = "$DUR_DPI" ] || {
+    echo "durability smoke FAILED: restore installed \`$GOT\`, wanted the checkpointed $DUR_DPI"
+    exit 1
+}
 sleep 1 # let group commit flush the staged WAL tail (10 ms) + the 1 Hz sync
 stop_server -9
 boot_server "$DUR_LOG" --state-dir "$DUR_STATE" # a new port; MBDCTL follows it
 # File-then-grep (not a pipe): grep -q quitting early would SIGPIPE
 # mbdctl under pipefail.
 "${MBDCTL[@]}" instances > "$SMOKE_DIR/dur_instances.txt"
-grep -q "^$DUR_DPI	counter" "$SMOKE_DIR/dur_instances.txt" || {
-    echo "durability smoke FAILED: rebooted server does not list $DUR_DPI:"
+grep -q "^$DUR_DPI	counter	suspended" "$SMOKE_DIR/dur_instances.txt" || {
+    echo "durability smoke FAILED: rebooted server does not list $DUR_DPI as restored (suspended):"
     cat "$SMOKE_DIR/dur_instances.txt"
     exit 1
 }
@@ -370,6 +381,7 @@ if grep -q "^$DEAD_DPI	" "$SMOKE_DIR/dur_instances.txt"; then
     cat "$SMOKE_DIR/dur_instances.txt"
     exit 1
 fi
+"${MBDCTL[@]}" resume "$DUR_DPI" >/dev/null
 GOT="$("${MBDCTL[@]}" invoke "$DUR_DPI" main)"
 [ "$GOT" = "4" ] || {
     echo "durability smoke FAILED: post-crash count returned \`$GOT\`, wanted 4 (globals lost?)"
@@ -383,7 +395,7 @@ grep -Eq "trace=[0-9a-f]{16} principal=server verb=recovery .* abandoned=0 " \
     exit 1
 }
 stop_server
-echo "durability smoke ok: $DUR_DPI survived kill -9 and counted on ($GOT); $DEAD_DPI stayed gone"
+echo "durability smoke ok: $DUR_DPI migrated, survived kill -9 and counted on ($GOT); $DEAD_DPI stayed gone"
 
 echo "==> idle smoke: one execution tier, and it sleeps"
 # `--workers 2` must mean main (which also samples history) + WAL

@@ -332,7 +332,7 @@ fn nested_sequences(levels: usize) -> Vec<u8> {
     reversed
 }
 
-/// An `Invoke` whose one argument nests 100 000 SEQUENCEs (a ~400 kB
+/// An `Invoke` whose one argument nests 100 000 SEQUENCEs (a ~480 kB
 /// frame, far below the frame cap) is refused as undecodable instead of
 /// overflowing the decoding worker's stack, and the server serves on.
 #[test]
