@@ -130,8 +130,8 @@ impl ElasticProcess {
             // A `Terminated` record is a dead dpi (earlier builds kept
             // them, and a slot caught mid-terminate reads that way): it
             // stays out of the table, like any other terminated id.
-            for d in data.dpis.into_iter().filter(|d| d.state != DpiState::Terminated) {
-                let DpiRecord { id, dp_name, state, image, quota } = d;
+            let live = data.dpis.into_iter().filter(|d| d.state != DpiState::Terminated);
+            for DpiRecord { id, dp_name, state, image, quota } in live {
                 if let Err(e) = self.install_slot(id, &dp_name, state, Some(image), quota) {
                     report.abandoned_dpis += 1;
                     self.journal_event("recovery.abandon_dpi", DpiId(id), false, &e.to_string());
