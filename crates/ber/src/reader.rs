@@ -362,6 +362,9 @@ mod tests {
             value = items.pop().unwrap();
         }
         assert_eq!(value, BerValue::Sequence(Vec::new()));
+        let deepest = BerReader::new(&nested(MAX_DEPTH)).read_value().unwrap();
+        assert!(!deepest.nests_deeper_than(MAX_DEPTH));
+        assert!(BerValue::Sequence(vec![deepest]).nests_deeper_than(MAX_DEPTH));
         let err = BerReader::new(&nested(MAX_DEPTH + 1)).read_value().unwrap_err();
         assert_eq!(err, BerError::TooDeep);
     }

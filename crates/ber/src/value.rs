@@ -92,6 +92,18 @@ impl BerValue {
         1 + length_of_length(content) + content
     }
 
+    /// Whether this value nests more than `levels` constructed values,
+    /// one inside the next. Past [`crate::MAX_DEPTH`] no
+    /// [`crate::BerReader`] decodes it. Looks no deeper than `levels`.
+    pub fn nests_deeper_than(&self, levels: usize) -> bool {
+        match self {
+            BerValue::Sequence(items) | BerValue::ContextConstructed(_, items) => {
+                levels == 0 || items.iter().any(|v| v.nests_deeper_than(levels - 1))
+            }
+            _ => false,
+        }
+    }
+
     fn content_len(&self) -> usize {
         match self {
             BerValue::Integer(v) => crate::writer::integer_content_len(*v),

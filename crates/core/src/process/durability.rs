@@ -363,29 +363,19 @@ impl ElasticProcess {
         Ok(())
     }
 
-    /// Installs a checkpoint blob as a suspended dpi: burns its nonce,
-    /// (re)delegates its program under the original name and principal,
-    /// and installs its image. The live `restore` and replay of a WAL
-    /// `Restore` both come through here. On failure the nonce is
-    /// un-burned: the blob was not applied, so a corrected retry must
-    /// stay possible.
+    /// Installs a checkpoint blob as a suspended dpi: (re)delegates its
+    /// program under the original name and principal, and installs its
+    /// image. The live `restore` and replay of a WAL `Restore` both come
+    /// through here; each burns the blob's nonce by its own rule.
     fn install_blob(&self, blob: &CheckpointBlob) -> Result<(), CoreError> {
         let id = DpiId(blob.dpi);
         if self.inner.dpis.get(id).is_some() {
             return Err(CoreError::InstanceExists { dpi: id });
         }
-        if !self.inner.nonces.lock().insert(blob.nonce) {
-            return Err(CoreError::NonceReused);
-        }
-        let (name, image) = (&blob.program.name, Some(blob.image.clone()));
-        let installed = match self.install_program(&blob.program) {
-            Ok(()) => self.install_slot(blob.dpi, name, DpiState::Suspended, image, blob.quota),
-            Err(e) => Err(CoreError::BadCheckpoint { message: format!("recompile: {e}") }),
-        };
-        if installed.is_err() {
-            self.inner.nonces.lock().remove(&blob.nonce);
-        }
-        installed
+        self.install_program(&blob.program)
+            .map_err(|e| CoreError::BadCheckpoint { message: format!("recompile: {e}") })?;
+        let image = Some(blob.image.clone());
+        self.install_slot(blob.dpi, &blob.program.name, DpiState::Suspended, image, blob.quota)
     }
 
     /// Applies one replayed WAL record. Replay is single-threaded and the
@@ -428,7 +418,14 @@ impl ElasticProcess {
                 slot.set_state(state);
                 Ok(())
             }
-            WalRecord::Restore(blob) => self.install_blob(&blob),
+            WalRecord::Restore(blob) => {
+                // The nonce stays burned whatever replay makes of the
+                // record, and a burned one does not refuse it: a snapshot
+                // taken between a live restore's burn and its append
+                // holds the nonce but not the dpi.
+                self.inner.nonces.lock().insert(blob.nonce);
+                self.install_blob(&blob)
+            }
         }
     }
 
@@ -485,8 +482,19 @@ impl ElasticProcess {
     pub fn restore(&self, bytes: &[u8]) -> Result<DpiId, CoreError> {
         let blob = CheckpointBlob::decode(bytes)
             .map_err(|e| CoreError::BadCheckpoint { message: e.to_string() })?;
-        self.install_blob(&blob)?;
         let id = DpiId(blob.dpi);
+        if self.inner.dpis.get(id).is_some() {
+            return Err(CoreError::InstanceExists { dpi: id });
+        }
+        if !self.inner.nonces.lock().insert(blob.nonce) {
+            return Err(CoreError::NonceReused);
+        }
+        // Un-burn the nonce if the install fails: the blob was not
+        // applied, so a corrected retry must stay possible.
+        if let Err(e) = self.install_blob(&blob) {
+            self.inner.nonces.lock().remove(&blob.nonce);
+            return Err(e);
+        }
         self.journal_event("lifecycle.restore", id, true, &blob.program.name);
         self.durable_append(WalRecord::Restore(blob));
         Ok(id)

@@ -94,8 +94,14 @@ impl RdsHandler for Dispatcher {
             }
             RdsRequest::Invoke { dpi, entry, args } => {
                 let args: Vec<dpl::Value> = args.iter().map(convert::from_ber).collect();
-                to_response(self.process.invoke(dpi, &entry, &args), |v| RdsResponse::Result {
-                    value: convert::to_ber(&v),
+                to_response(self.process.invoke(dpi, &entry, &args), |v| {
+                    let value = convert::to_ber(&v);
+                    if value.nests_deeper_than(ber::MAX_DEPTH) {
+                        // No client would decode it (`BerError::TooDeep`).
+                        let message = format!("result nests deeper than {}", ber::MAX_DEPTH);
+                        return RdsResponse::Error { code: ErrorCode::RuntimeFault, message };
+                    }
+                    RdsResponse::Result { value }
                 })
             }
             RdsRequest::Suspend { dpi } => {

@@ -368,6 +368,68 @@ fn burned_nonces_survive_restart() {
     assert!(matches!(err, mbd::core::CoreError::NonceReused), "nonce survives via snapshot");
 }
 
+/// A blob restoring dpi 3 of [`PROGRAM`] with its total at 4.
+fn restore_blob(nonce: u8, source: &str) -> CheckpointBlob {
+    CheckpointBlob {
+        nonce: [nonce; 16],
+        dpi: 3,
+        program: ProgramRecord {
+            name: "count".to_string(),
+            source: source.to_string(),
+            delegated_by: "noc".to_string(),
+        },
+        image: DpiImage {
+            initialized: true,
+            globals: vec![Value::Int(4)],
+            account: DpiAccountSnapshot { invocations_ok: 4, ..DpiAccountSnapshot::default() },
+        },
+        quota: None,
+    }
+}
+
+/// Regression: a live `restore` burns its nonce before its `Restore`
+/// record is staged, so a snapshot taken in between holds the nonce but
+/// not the dpi, and the record lands in the fresh log. Replay applies
+/// that record: the burned nonce is its own, not a reason to refuse it.
+#[test]
+fn replay_of_a_restore_whose_nonce_the_snapshot_burned_recovers_the_dpi() {
+    use mbd::core::durable::snapshot::{self, SnapshotData};
+    let dir = StateDir::new("restore-race");
+    let blob = restore_blob(0x5a, PROGRAM);
+    write_wal(&dir, vec![WalRecord::Restore(blob.clone())]);
+    let data = SnapshotData {
+        next_dpi: 1,
+        programs: Vec::new(),
+        dpis: Vec::new(),
+        nonces: vec![blob.nonce],
+    };
+    snapshot::write_file(&dir.path().join(mbd::core::durable::SNAPSHOT_FILE), &data).unwrap();
+
+    let process = ElasticProcess::new(ElasticConfig::default());
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!((report.restored_dpis, report.abandoned_dpis), (1, 0));
+    assert_eq!(abandon_records(&process), Vec::<String>::new());
+    process.resume(DpiId(3)).unwrap();
+    assert_eq!(process.invoke(DpiId(3), "bump", &[]).unwrap(), Value::Int(5));
+    process.terminate(DpiId(3)).unwrap();
+    let err = process.restore(&blob.encode()).unwrap_err();
+    assert!(matches!(err, mbd::core::CoreError::NonceReused), "{err:?}");
+}
+
+/// A logged `Restore` keeps its nonce burned even when replay cannot
+/// install it: the blob was installed once, so it stays refused.
+#[test]
+fn a_restore_replay_cannot_install_still_burns_its_nonce() {
+    let dir = StateDir::new("restore-abandon");
+    let blob = restore_blob(0x5b, "fn bump( {");
+    write_wal(&dir, vec![WalRecord::Restore(blob.clone())]);
+    let process = ElasticProcess::new(ElasticConfig::default());
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!((report.restored_dpis, report.abandoned_dpis), (0, 1));
+    let err = process.restore(&blob.encode()).unwrap_err();
+    assert!(matches!(err, mbd::core::CoreError::NonceReused), "{err:?}");
+}
+
 // ---------------------------------------------------------------------
 // Retention: a terminated dpi leaves the table, the snapshot and replay.
 // ---------------------------------------------------------------------

@@ -7,8 +7,8 @@ use ber::BerValue;
 use mbd::core::{DpiQuota, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::tcp::{read_frame, write_frame};
 use mbd::rds::{
-    codec, RdsClient, RdsPipeline, RdsRequest, RdsResponse, ServerHealth, TcpDuplex, TcpServer,
-    TcpServerConfig,
+    codec, ErrorCode, RdsClient, RdsError, RdsPipeline, RdsRequest, RdsResponse, ServerHealth,
+    TcpDuplex, TcpServer, TcpServerConfig,
 };
 use mbd_auth::Principal;
 use std::sync::Arc;
@@ -362,6 +362,29 @@ fn deeply_nested_invoke_arguments_are_refused_not_fatal() {
     let counter = process.telemetry().snapshot().counter("rds.decode_fail.codec");
     assert_eq!(counter, Some(1));
     assert_eq!(client.invoke(dpi, "main", &[BerValue::Integer(1)]).unwrap(), BerValue::Integer(7));
+    tcp.shutdown();
+}
+
+/// A dp result nested deeper than `ber::MAX_DEPTH` would be refused by
+/// every client's decoder, so the server answers it with an `Error`;
+/// one level less comes back whole.
+#[test]
+fn a_result_nested_past_the_decode_bound_is_an_error_reply() {
+    let (tcp, _process) = spawn_server(None);
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr");
+    let src =
+        "fn main(n) { var x = []; var i = 1; while (i < n) { x = [x]; i = i + 1; } return x; }";
+    client.delegate("deep", src).unwrap();
+    let dpi = client.instantiate("deep").unwrap();
+    let limit = ber::MAX_DEPTH;
+    let value = client.invoke(dpi, "main", &[BerValue::Integer(limit as i64)]).unwrap();
+    assert!(value.nests_deeper_than(limit - 1) && !value.nests_deeper_than(limit));
+    let err = client.invoke(dpi, "main", &[BerValue::Integer(limit as i64 + 1)]).unwrap_err();
+    let message = format!("result nests deeper than {limit}");
+    assert!(
+        matches!(&err, RdsError::Remote { code: ErrorCode::RuntimeFault, message: m } if *m == message),
+        "{err:?}"
+    );
     tcp.shutdown();
 }
 
