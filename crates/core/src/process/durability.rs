@@ -365,13 +365,9 @@ impl ElasticProcess {
 
     /// Installs a checkpoint blob as a suspended dpi: (re)delegates its
     /// program under the original name and principal, and installs its
-    /// image. The live `restore` and replay of a WAL `Restore` both come
-    /// through here; each burns the blob's nonce by its own rule.
+    /// image. The live `restore` and op-8 replay call it once each has
+    /// checked the id and burned the nonce by its own rule.
     fn install_blob(&self, blob: &CheckpointBlob) -> Result<(), CoreError> {
-        let id = DpiId(blob.dpi);
-        if self.inner.dpis.get(id).is_some() {
-            return Err(CoreError::InstanceExists { dpi: id });
-        }
         self.install_program(&blob.program)
             .map_err(|e| CoreError::BadCheckpoint { message: format!("recompile: {e}") })?;
         let image = Some(blob.image.clone());
@@ -424,6 +420,10 @@ impl ElasticProcess {
                 // taken between a live restore's burn and its append
                 // holds the nonce but not the dpi.
                 self.inner.nonces.lock().insert(blob.nonce);
+                let id = DpiId(blob.dpi);
+                if self.inner.dpis.get(id).is_some() {
+                    return Err(CoreError::InstanceExists { dpi: id });
+                }
                 self.install_blob(&blob)
             }
         }
