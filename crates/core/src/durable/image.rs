@@ -43,12 +43,9 @@ impl ProgramRecord {
 
 /// A dpi's runtime state, as persisted: what an invocation changes.
 ///
-/// The quota is deliberately not part of the image. `set_quota` does
-/// not take the dpi's cell lock, so an image captured under that lock
-/// by an invocation could be staged *after* a newer `SetQuota` record;
-/// a quota carried in it would then undo that `SetQuota` on replay.
-/// The shapes that need a quota (snapshot record, checkpoint blob)
-/// carry it beside the image.
+/// The quota is not part of the image, so the `Invoke` record carries
+/// none; the snapshot record and the checkpoint blob carry it beside
+/// the image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpiImage {
     /// Whether global initializers have run.

@@ -36,6 +36,7 @@ use parking_lot::Mutex;
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// File name of the WAL inside a state directory.
@@ -55,9 +56,9 @@ pub const FLUSH_PERIOD: Duration = Duration::from_millis(10);
 
 /// An armed durability store: the state directory plus the open WAL.
 ///
-/// The WAL mutex also serializes snapshots against appends: a snapshot
-/// collects state and truncates the log under the same lock, so no
-/// record written concurrently can fall between the snapshot and the
+/// The WAL mutex also serializes snapshots against flushes: a snapshot
+/// collects state, truncates the log and trims the staging buffer under
+/// the same lock, so no record is written between the cut and the
 /// truncation.
 ///
 /// Writing is *group commit*, fully off the operation path: appenders
@@ -77,8 +78,11 @@ pub const FLUSH_PERIOD: Duration = Duration::from_millis(10);
 pub struct Durability {
     dir: PathBuf,
     wal: Mutex<Wal>,
-    /// Encoded frames accepted but not yet written: `(bytes, records)`.
-    staged: Mutex<(Vec<u8>, usize)>,
+    /// Encoded frames accepted but not yet written.
+    staged: Mutex<Staged>,
+    /// Records ever staged: each record's place in the staging order,
+    /// taken under the staging mutex.
+    staged_count: AtomicU64,
     /// Staged records that trigger an eager flush wake-up.
     fsync_every: usize,
     /// A second handle to the WAL's open file description, so fsync
@@ -103,7 +107,8 @@ impl Durability {
         Ok(Durability {
             dir: dir.to_path_buf(),
             wal: Mutex::new(wal),
-            staged: Mutex::new((Vec::new(), 0)),
+            staged: Mutex::new(Staged::default()),
+            staged_count: AtomicU64::new(0),
             fsync_every: fsync_every.max(1),
             sync_handle,
             flush_requested: std::sync::Mutex::new(false),
@@ -111,23 +116,40 @@ impl Durability {
         })
     }
 
-    /// Accepts one encoded frame into the staging buffer. Returns true
+    /// Accepts one encoded frame into the staging buffer, tagged with
+    /// the dpi its record touched (`None`: the repository). Returns true
     /// when the batch threshold is reached and the caller should
     /// [`Durability::request_flush`].
-    pub fn stage(&self, framed: &[u8]) -> bool {
+    pub fn stage(&self, framed: &[u8], dpi: Option<u64>) -> bool {
         let mut staged = self.staged.lock();
-        staged.0.extend_from_slice(framed);
-        staged.1 += 1;
-        staged.1 >= self.fsync_every
+        let seq = self.staged_count.fetch_add(1, Ordering::AcqRel);
+        staged.bytes.extend_from_slice(framed);
+        staged.tags.push((dpi, seq, framed.len()));
+        staged.tags.len() >= self.fsync_every
     }
 
-    /// Drops everything in the staging buffer — the snapshot path calls
-    /// this (under the WAL lock) once the in-memory state those records
-    /// describe has been absorbed into the snapshot.
-    pub fn discard_staged(&self) {
+    /// How many records have been staged so far. A reader inside an
+    /// object's critical section learns that every record staged on
+    /// that object before it sits below this count, and every later
+    /// one at or above it.
+    pub(crate) fn staged_count(&self) -> u64 {
+        self.staged_count.load(Ordering::Acquire)
+    }
+
+    /// Keeps only the staged records for which `keep(dpi, seq)` holds —
+    /// the snapshot path drops, under the WAL lock, exactly the records
+    /// whose effects it absorbed.
+    pub(crate) fn retain_staged(&self, mut keep: impl FnMut(Option<u64>, u64) -> bool) {
         let mut staged = self.staged.lock();
-        staged.0.clear();
-        staged.1 = 0;
+        let Staged { bytes, tags } = std::mem::take(&mut *staged);
+        let mut at = 0;
+        for (dpi, seq, len) in tags {
+            if keep(dpi, seq) {
+                staged.bytes.extend_from_slice(&bytes[at..at + len]);
+                staged.tags.push((dpi, seq, len));
+            }
+            at += len;
+        }
     }
 
     /// Group commit: drains the staging buffer into the WAL file (one
@@ -142,14 +164,9 @@ impl Durability {
     /// I/O errors from the write or the fsync.
     pub fn flush(&self) -> io::Result<Option<(Instant, Instant)>> {
         let pending = self.with_wal_locked(|w| -> io::Result<usize> {
-            let (bytes, records) = {
-                let mut staged = self.staged.lock();
-                let records = staged.1;
-                staged.1 = 0;
-                (std::mem::take(&mut staged.0), records)
-            };
-            if records > 0 {
-                w.append_batch(&bytes, records)?;
+            let Staged { bytes, tags } = std::mem::take(&mut *self.staged.lock());
+            if !tags.is_empty() {
+                w.append_batch(&bytes, tags.len())?;
             }
             Ok(w.unsynced())
         })?;
@@ -157,7 +174,7 @@ impl Durability {
             return Ok(None);
         }
         let start = Instant::now();
-        self.sync_data()?;
+        self.sync_handle.sync_data()?;
         self.with_wal_locked(|w| w.mark_synced(pending));
         Ok(Some((start, Instant::now())))
     }
@@ -182,21 +199,6 @@ impl Durability {
         *requested = false;
     }
 
-    /// fsyncs the WAL file through the dup'ed handle — safe to call
-    /// without (and deliberately outside) the WAL lock.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from fsync.
-    pub fn sync_data(&self) -> io::Result<()> {
-        self.sync_handle.sync_data()
-    }
-
-    /// The state directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The snapshot file path.
     pub fn snapshot_path(&self) -> PathBuf {
         self.dir.join(SNAPSHOT_FILE)
@@ -207,30 +209,21 @@ impl Durability {
         self.dir.join(WAL_FILE)
     }
 
-    /// The WAL, for appends and maintenance.
-    pub fn wal(&self) -> &Mutex<Wal> {
-        &self.wal
-    }
-
-    /// Writes `data` as the new snapshot and truncates the WAL, all
-    /// under the WAL lock (the caller collects `data` via
-    /// [`Durability::with_wal_locked`] to close the race against
-    /// concurrent appends).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the snapshot write or the truncation.
-    pub fn install_snapshot(&self, wal: &mut Wal, data: &snapshot::SnapshotData) -> io::Result<()> {
-        snapshot::write_file(&self.snapshot_path(), data)?;
-        wal.reset()
-    }
-
     /// Runs `f` with the WAL locked — the snapshot path uses this to
     /// collect process state and truncate atomically with respect to
     /// appends.
     pub fn with_wal_locked<T>(&self, f: impl FnOnce(&mut Wal) -> T) -> T {
         f(&mut self.wal.lock())
     }
+}
+
+/// The staging buffer: concatenated frames, and per record the dpi it
+/// touched (`None`: the repository), its place in the staging order and
+/// its frame length.
+#[derive(Debug, Default)]
+struct Staged {
+    bytes: Vec<u8>,
+    tags: Vec<(Option<u64>, u64, usize)>,
 }
 
 /// What boot recovery found and did — journaled as the `recovery`

@@ -36,7 +36,7 @@ use ber::{BerError, BerReader, BerWriter};
 use rds::DpiState;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Sanity bound on one record's payload — a torn length field must not
 /// make the reader attempt a multi-gigabyte allocation.
@@ -299,7 +299,6 @@ pub fn scan_file(path: &Path) -> io::Result<WalScan> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     unsynced: usize,
 }
 
@@ -311,22 +310,17 @@ impl Wal {
     /// I/O errors from open.
     pub fn open(path: &Path) -> io::Result<Wal> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Wal { file, path: path.to_path_buf(), unsynced: 0 })
+        Ok(Wal { file, unsynced: 0 })
     }
 
     /// A second handle to the same open file description, for fsyncing
-    /// outside the WAL lock (see [`super::Durability::sync_data`]).
+    /// outside the WAL lock (see [`super::Durability::flush`]).
     ///
     /// # Errors
     ///
     /// I/O errors from dup.
     pub fn try_clone_file(&self) -> io::Result<File> {
         self.file.try_clone()
-    }
-
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Truncates the file to `len` bytes — recovery cutting a torn tail
@@ -380,123 +374,19 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::DpiAccountSnapshot;
-    use dpl::Value;
 
+    // Codec round trips, whole-log scans and truncation are pinned over
+    // the checked-in fixtures and by proptests in tests/durability.rs.
     fn sample_entries() -> Vec<WalEntry> {
-        vec![
-            WalEntry {
-                trace_id: 0xAA,
-                record: WalRecord::Delegate(ProgramRecord {
-                    name: "counter".to_string(),
-                    source: "var n = 0; fn bump() { n = n + 1; return n; }".to_string(),
-                    delegated_by: "mgr".to_string(),
-                }),
-            },
-            WalEntry {
-                trace_id: 0xBB,
-                record: WalRecord::Instantiate { dpi: 1, dp_name: "counter".to_string() },
-            },
-            WalEntry {
-                trace_id: 0xCC,
-                record: WalRecord::Invoke {
-                    dpi: 1,
-                    state: DpiState::Ready,
-                    image: DpiImage {
-                        initialized: true,
-                        globals: vec![Value::Int(1)],
-                        account: DpiAccountSnapshot {
-                            invocations_ok: 1,
-                            busy_ns: 999,
-                            vm_fuel: 55,
-                            last_trace_id: 0xCC,
-                            ..DpiAccountSnapshot::default()
-                        },
-                    },
-                },
-            },
-            WalEntry { trace_id: 0xDD, record: WalRecord::Suspend { dpi: 1 } },
-            WalEntry {
-                trace_id: 0xEE,
-                record: WalRecord::SetQuota {
-                    dpi: 1,
-                    quota: Some(DpiQuota { max_invocations: Some(10), ..DpiQuota::default() }),
-                },
-            },
-            WalEntry {
-                trace_id: 0xFF,
-                record: WalRecord::Restore(CheckpointBlob {
-                    nonce: [9; 16],
-                    dpi: 3,
-                    program: ProgramRecord {
-                        name: "agent".to_string(),
-                        source: "var t = 0;".to_string(),
-                        delegated_by: "mgr".to_string(),
-                    },
-                    image: DpiImage {
-                        initialized: true,
-                        globals: vec![Value::Str("s".to_string()), Value::Nil],
-                        account: DpiAccountSnapshot::default(),
-                    },
-                    quota: None,
-                }),
-            },
-        ]
-    }
-
-    #[test]
-    fn entries_round_trip_through_the_payload_codec() {
-        for entry in sample_entries() {
-            let payload = encode_entry(&entry);
-            assert_eq!(decode_entry(&payload).unwrap(), entry);
-        }
-    }
-
-    #[test]
-    fn scan_reads_a_whole_log() {
-        let mut bytes = Vec::new();
-        for entry in sample_entries() {
-            bytes.extend_from_slice(&frame(&encode_entry(&entry)));
-        }
-        let scan = scan(&bytes);
-        assert_eq!(scan.entries, sample_entries());
-        assert_eq!(scan.clean_len, bytes.len() as u64);
-        assert_eq!(scan.torn_bytes, 0);
-    }
-
-    #[test]
-    fn any_truncation_yields_a_clean_prefix() {
-        let entries = sample_entries();
-        let mut bytes = Vec::new();
-        let mut boundaries = vec![0usize];
-        for entry in &entries {
-            bytes.extend_from_slice(&frame(&encode_entry(entry)));
-            boundaries.push(bytes.len());
-        }
-        for cut in 0..=bytes.len() {
-            let scan = scan(&bytes[..cut]);
-            // The number of whole frames before the cut.
-            let complete = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
-            assert_eq!(scan.entries.len(), complete, "cut at {cut}");
-            assert_eq!(scan.entries[..], entries[..complete], "cut at {cut}");
-            assert_eq!(scan.clean_len as usize, boundaries[complete]);
-            assert_eq!(scan.torn_bytes as usize, cut - boundaries[complete]);
-        }
-    }
-
-    #[test]
-    fn corrupted_byte_stops_the_scan_at_the_previous_record() {
-        let entries = sample_entries();
-        let mut bytes = Vec::new();
-        for entry in &entries {
-            bytes.extend_from_slice(&frame(&encode_entry(entry)));
-        }
-        let first_len = frame(&encode_entry(&entries[0])).len();
-        // Flip a payload byte inside the second record.
-        bytes[first_len + 13] ^= 0xFF;
-        let scan = scan(&bytes);
-        assert_eq!(scan.entries.len(), 1, "checksum catches the damage");
-        assert_eq!(scan.clean_len as usize, first_len);
+        let source = "var n = 0;".to_string();
+        let program = ProgramRecord { name: "c".into(), source, delegated_by: "mgr".into() };
+        let records = [
+            WalRecord::Delegate(program),
+            WalRecord::Instantiate { dpi: 1, dp_name: "c".to_string() },
+            WalRecord::Suspend { dpi: 1 },
+        ];
+        let entries = records.into_iter().enumerate();
+        entries.map(|(i, record)| WalEntry { trace_id: i as u64, record }).collect()
     }
 
     #[test]
@@ -511,12 +401,24 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_byte_stops_the_scan_at_the_previous_record() {
+        let entries = sample_entries();
+        let mut bytes: Vec<u8> = entries.iter().flat_map(|e| frame(&encode_entry(e))).collect();
+        let first_len = frame(&encode_entry(&entries[0])).len();
+        // Flip a payload byte inside the second record.
+        bytes[first_len + 13] ^= 0xFF;
+        let scan = scan(&bytes);
+        assert_eq!(scan.entries.len(), 1, "checksum catches the damage");
+        assert_eq!(scan.clean_len as usize, first_len);
+    }
+
+    #[test]
     fn wal_file_appends_and_rescans() {
         let dir = std::env::temp_dir().join(format!("mbd-wal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let durable = crate::durable::Durability::open(&dir, 2).unwrap();
         for entry in sample_entries() {
-            durable.stage(&frame(&encode_entry(&entry)));
+            durable.stage(&frame(&encode_entry(&entry)), None);
         }
         // One bulk `append_batch` of the staged frames, then the fsync.
         assert!(durable.flush().unwrap().is_some(), "the staged batch is written and synced");

@@ -1,19 +1,26 @@
-//! Runtime glue for durable delegation: WAL hooks, boot recovery, the
-//! periodic snapshot, and the checkpoint/restore migration verbs.
+//! Runtime glue for durable delegation: the one commit path, boot
+//! recovery, the periodic snapshot, and the checkpoint/restore
+//! migration verbs.
 //!
 //! The storage formats live in [`crate::durable`]; this module owns the
 //! policy — *which* operations are logged, *how* replay rebuilds the
 //! dpi table, and the single-use-nonce discipline that makes a
 //! checkpoint blob installable exactly once per server.
 //!
-//! Lock ordering: the snapshotter collects state *under* the WAL mutex
-//! (so no concurrent append can fall between the collected state and
-//! the log truncation), taking instance locks inside. Every other path
-//! must therefore release any instance lock *before* taking the WAL
-//! lock. *Staging* a record ([`Durability::stage`] via
-//! [`ElasticProcess::durable_append`]) takes only the staging mutex —
-//! never the WAL lock — so the invoke path may append while still
-//! holding an instance cell lock.
+//! Every mutating verb goes through [`ElasticProcess::commit`], which
+//! applies the effect, journals it and stages its WAL record inside one
+//! critical section of the object it changes: a dpi's slot section
+//! ([`DpiSlot::section`]), or the repository's write lock for program
+//! verbs and restores (`instantiate` holds the repository's read lock
+//! around its slot section). The WAL's order is therefore the order of
+//! effects on each object.
+//!
+//! Lock order: WAL lock, then the repository, then a dpi's cell lock,
+//! then its section, then a shard lock or the nonces, then the staging
+//! mutex. A snapshot holds the WAL lock throughout (no flush runs during
+//! it) and the repository's read lock across its collection, and reads
+//! each dpi inside its cell lock and section. Staging takes only the
+//! staging mutex, so a verb may stage inside any of the locks above it.
 
 use super::table::DpiSlot;
 use super::ElasticProcess;
@@ -80,6 +87,50 @@ fn program_record(dp: &StoredDp) -> ProgramRecord {
     }
 }
 
+fn recompile(e: dpl::DplError) -> CoreError {
+    CoreError::BadCheckpoint { message: format!("recompile: {e}") }
+}
+
+/// What a verb's effect hands [`ElasticProcess::commit`]: its reply
+/// value, the journal line (verb, dpi, ok, detail), the WAL record, and
+/// a dpi it terminated.
+pub(super) struct Effect<T> {
+    pub(super) value: T,
+    pub(super) journal: Option<(&'static str, DpiId, bool, String)>,
+    pub(super) record: Option<WalRecord>,
+    pub(super) retire: Option<DpiId>,
+}
+
+impl<T> Effect<T> {
+    /// An effect that stages `record`.
+    pub(super) fn logged(value: T, record: WalRecord) -> Effect<T> {
+        Effect { value, journal: None, record: Some(record), retire: None }
+    }
+
+    /// Adds a successful journal line.
+    pub(super) fn journaled(self, verb: &'static str, dpi: DpiId, detail: String) -> Effect<T> {
+        Effect { journal: Some((verb, dpi, true, detail)), ..self }
+    }
+}
+
+/// Where a snapshot cut each object's records: the staging count noted
+/// while it read the repository, each dpi it listed, and each shard (for
+/// the dpis absent from its listing). A staged record below its
+/// object's count is absorbed by the snapshot.
+#[derive(Default)]
+struct Cut {
+    repository: u64,
+    shards: [u64; super::table::SHARDS],
+    dpis: std::collections::HashMap<u64, u64>,
+}
+
+impl Cut {
+    fn count(&self, dpi: Option<u64>) -> u64 {
+        let absent = |id| self.shards[super::table::shard_of(DpiId(id))];
+        dpi.map_or(self.repository, |id| self.dpis.get(&id).copied().unwrap_or_else(|| absent(id)))
+    }
+}
+
 /// A minted trace id for server-originated work (recovery); never 0.
 fn mint_trace_id() -> u64 {
     let t = SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default().as_nanos() as u64;
@@ -132,7 +183,10 @@ impl ElasticProcess {
             // stays out of the table, like any other terminated id.
             let live = data.dpis.into_iter().filter(|d| d.state != DpiState::Terminated);
             for DpiRecord { id, dp_name, state, image, quota } in live {
-                if let Err(e) = self.install_slot(id, &dp_name, state, Some(image), quota) {
+                let installed = self.lookup(&dp_name);
+                let installed =
+                    installed.and_then(|dp| self.install_slot(id, &dp, state, Some(image), quota));
+                if let Err(e) = installed {
                     report.abandoned_dpis += 1;
                     self.journal_event("recovery.abandon_dpi", DpiId(id), false, &e.to_string());
                 }
@@ -219,19 +273,44 @@ impl ElasticProcess {
         }
     }
 
-    /// Appends one record to the WAL, stamped with the ambient trace id.
-    /// A no-op until durability is armed; append failures are journaled
-    /// (`wal.error`) rather than failing the operation that already
-    /// happened in memory.
-    pub(in crate::process) fn durable_append(&self, record: WalRecord) {
+    /// The one commit path. `section` is the held critical section of
+    /// the object the verb changes (see the module docs); `effect`
+    /// checks and applies the verb inside it. Still inside it, the
+    /// journal line is written, the WAL record staged, and a dpi the
+    /// effect terminated leaves the table — after its record, so a
+    /// snapshot that misses the slot has already seen the record
+    /// staged. An `Err` from `effect` commits nothing.
+    pub(super) fn commit<G, T>(
+        &self,
+        mut section: G,
+        effect: impl FnOnce(&mut G) -> Result<Effect<T>, CoreError>,
+    ) -> Result<T, CoreError> {
+        let Effect { value, journal, record, retire } = effect(&mut section)?;
+        if let Some((verb, dpi, ok, detail)) = journal {
+            self.journal_event(verb, dpi, ok, &detail);
+        }
+        if let Some(record) = record {
+            self.durable_append(record);
+        }
+        if let Some(dpi) = retire {
+            self.retire(dpi);
+        }
+        Ok(value) // `section` is released here
+    }
+
+    /// Stages one record, stamped with the ambient trace id and tagged
+    /// with the dpi it touches. A no-op until durability is armed;
+    /// [`ElasticProcess::commit`] is its only caller.
+    fn durable_append(&self, record: WalRecord) {
         let Some(durable) = self.durability() else { return };
+        let dpi = record.dpi();
         let entry = WalEntry { trace_id: mbd_telemetry::current_trace_id(), record };
         // The operation path only encodes and stages (a lock + memcpy);
         // the flusher thread owns every write and fsync (group commit).
         let framed = wal::frame(&wal::encode_entry(&entry));
         self.inner.metrics.wal_records.inc();
         self.inner.metrics.wal_bytes.add(framed.len() as u64);
-        if durable.stage(&framed) {
+        if durable.stage(&framed, dpi) {
             durable.request_flush();
         }
     }
@@ -254,179 +333,165 @@ impl ElasticProcess {
     }
 
     /// Takes a snapshot of the whole delegation state and truncates the
-    /// WAL it absorbs, atomically with respect to concurrent appends.
-    /// A no-op when durability is off.
+    /// WAL it absorbs. The staging buffer then keeps exactly the records
+    /// the snapshot did not absorb, which go to the fresh log. A no-op
+    /// when durability is off.
     ///
     /// # Errors
     ///
     /// [`CoreError::Durability`] on snapshot-write or truncation I/O
-    /// failures (the WAL is left intact on failure).
+    /// failures (the WAL and the staged records are left intact on a
+    /// failed write).
     pub fn snapshot_now(&self) -> Result<(), CoreError> {
         let Some(durable) = self.durability() else { return Ok(()) };
         let (programs, dpis) = durable
             .with_wal_locked(|w| {
-                // Staged-but-unwritten records describe mutations that
-                // are already visible in memory, so the snapshot below
-                // absorbs them; discarding first keeps the truncated
-                // log from replaying them on top of it.
-                durable.discard_staged();
-                let data = self.collect_snapshot_data();
-                let counts = (data.programs.len(), data.dpis.len());
-                durable.install_snapshot(w, &data).map(|()| counts)
+                let (data, cut) = self.collect_snapshot_data(durable);
+                snapshot::write_file(&durable.snapshot_path(), &data)?;
+                w.reset()?;
+                durable.retain_staged(|dpi, seq| seq >= cut.count(dpi));
+                Ok((data.programs.len(), data.dpis.len()))
             })
             .map_err(io_err)?;
-        self.journal_event(
-            "durability.snapshot",
-            DpiId(0),
-            true,
-            &format!("programs={programs} dpis={dpis}"),
-        );
+        let detail = format!("programs={programs} dpis={dpis}");
+        self.journal_event("durability.snapshot", DpiId(0), true, &detail);
         Ok(())
     }
 
-    /// Serializes the repository, the dpi table and the burned nonces.
-    fn collect_snapshot_data(&self) -> SnapshotData {
-        let programs = self
-            .inner
-            .repository
-            .names()
-            .into_iter()
-            .filter_map(|name| self.inner.repository.lookup(&name))
-            .map(|dp| program_record(&dp))
-            .collect();
-        let mut slots = self.inner.dpis.snapshot();
+    /// Serializes the dpi table, the repository and the burned nonces,
+    /// noting for each object the staging count at the moment it was
+    /// read. The repository's read lock is held throughout, so program
+    /// verbs and restores land wholly before or after the cut.
+    fn collect_snapshot_data(&self, durable: &Durability) -> (SnapshotData, Cut) {
+        let repository = self.inner.repository.read();
+        let mut cut = Cut { repository: durable.staged_count(), ..Cut::default() };
+        let (mut slots, shards) = self.inner.dpis.snapshot_noting(|| durable.staged_count());
+        cut.shards = shards;
         slots.sort_by_key(|(id, _)| *id);
-        let dpis = slots
-            .into_iter()
-            .map(|(id, slot)| DpiRecord {
-                id: id.0,
-                dp_name: slot.dp_name.clone(),
-                state: slot.state(),
-                image: capture_image(&slot, &slot.cell.lock().vm),
-                quota: slot.quota(),
-            })
-            .collect();
+        let mut dpis = Vec::with_capacity(slots.len());
+        for (id, slot) in slots {
+            let cell = slot.cell.lock();
+            let quota = slot.section();
+            cut.dpis.insert(id.0, durable.staged_count());
+            let state = slot.state();
+            if state != DpiState::Terminated {
+                let image = capture_image(&slot, &cell.vm);
+                let dp_name = slot.dp_name.clone();
+                dpis.push(DpiRecord { id: id.0, dp_name, state, image, quota: *quota });
+            }
+        }
+        let programs = repository.values().map(|dp| program_record(dp)).collect();
         let mut nonces: Vec<[u8; 16]> = self.inner.nonces.lock().iter().copied().collect();
         nonces.sort_unstable();
-        SnapshotData {
-            next_dpi: self.inner.next_dpi.load(Ordering::Relaxed),
-            programs,
-            dpis,
-            nonces,
-        }
+        let next_dpi = self.inner.next_dpi.load(Ordering::Relaxed);
+        (SnapshotData { next_dpi, programs, dpis, nonces }, cut)
+    }
+
+    pub(super) fn compile(&self, source: &str) -> Result<dpl::Program, dpl::DplError> {
+        dpl::compile_program(source, &self.registry_snapshot())
     }
 
     /// Compiles a persisted program and stores it in the repository —
-    /// recovery, replay, restore and live delegation all come through
-    /// here.
-    pub(super) fn install_program(&self, p: &ProgramRecord) -> Result<(), dpl::DplError> {
-        let program = dpl::compile_program(&p.source, &self.registry_snapshot())?;
+    /// snapshot recovery and op-0 replay.
+    fn install_program(&self, p: &ProgramRecord) -> Result<(), dpl::DplError> {
+        let program = self.compile(&p.source)?;
         self.inner.repository.store(&p.name, &p.source, program, &p.delegated_by);
         Ok(())
     }
 
     /// Installs a dpi slot from persisted state (recovery, WAL replay,
-    /// checkpoint restore). `image` is `None` for a fresh
-    /// instantiation replay (VM defaults, config quota applies via
-    /// `quota`).
+    /// checkpoint restore); `image` is `None` for a fresh instantiation.
     fn install_slot(
         &self,
         id: u64,
-        dp_name: &str,
+        dp: &StoredDp,
         state: DpiState,
         image: Option<DpiImage>,
         quota: Option<DpiQuota>,
     ) -> Result<(), CoreError> {
-        let dp = self
-            .inner
-            .repository
-            .lookup(dp_name)
-            .ok_or_else(|| CoreError::NoSuchProgram { name: dp_name.to_string() })?;
-        let mut instance = dpl::Instance::new(Arc::clone(&dp.program));
-        if self.inner.config.profile_sample > 0 {
-            instance.enable_profiling(self.inner.config.profile_sample);
-        }
-        let account = image.as_ref().map(|i| i.account);
+        let slot = self.new_slot(DpiId(id), dp, state);
         if let Some(image) = image {
-            instance.restore_state(image.globals, image.initialized)?;
+            slot.cell.lock().vm.restore_state(image.globals, image.initialized)?;
+            slot.account.restore(&image.account);
         }
         if !self.inner.dpis.try_reserve_live(self.inner.config.max_instances) {
             return Err(CoreError::TooManyInstances { limit: self.inner.config.max_instances });
         }
-        let slot = self.new_slot(DpiId(id), dp_name, instance, state);
-        if let Some(a) = account {
-            slot.account.restore(&a);
-        }
-        slot.set_quota(quota);
+        slot.set_quota(&mut slot.section(), quota);
         self.inner.dpis.insert(DpiId(id), Arc::new(slot));
         self.inner.next_dpi.fetch_max(id + 1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Installs a checkpoint blob as a suspended dpi: (re)delegates its
-    /// program under the original name and principal, and installs its
-    /// image. The live `restore` and op-8 replay call it once each has
-    /// checked the id and burned the nonce by its own rule.
-    fn install_blob(&self, blob: &CheckpointBlob) -> Result<(), CoreError> {
-        self.install_program(&blob.program)
-            .map_err(|e| CoreError::BadCheckpoint { message: format!("recompile: {e}") })?;
-        let image = Some(blob.image.clone());
-        self.install_slot(blob.dpi, &blob.program.name, DpiState::Suspended, image, blob.quota)
+    fn lookup(&self, name: &str) -> Result<Arc<StoredDp>, CoreError> {
+        let dp = self.inner.repository.lookup(name);
+        dp.ok_or_else(|| CoreError::NoSuchProgram { name: name.to_string() })
     }
 
-    /// Applies one replayed WAL record. Replay is single-threaded and the
-    /// recorded transition already happened, so states are stored
-    /// unconditionally.
+    /// Installs a checkpoint blob, compiled as `program`, as a suspended
+    /// dpi and stores its program under the original name and principal
+    /// in `map` (the held repository write lock). The live `restore` and
+    /// op-8 replay call it once each has checked the id and the nonce by
+    /// its own rule; nothing changes unless it returns `Ok`.
+    fn install_blob(
+        &self,
+        map: &mut crate::repository::Programs,
+        blob: &CheckpointBlob,
+        program: dpl::Program,
+    ) -> Result<(), CoreError> {
+        let ProgramRecord { name, source, delegated_by } = &blob.program;
+        let dp = crate::repository::next_version(map, name, source, program, delegated_by);
+        let image = Some(blob.image.clone());
+        self.install_slot(blob.dpi, &dp, DpiState::Suspended, image, blob.quota)?;
+        map.insert(name.clone(), dp);
+        Ok(())
+    }
+
+    /// Applies one replayed WAL record by one rule, whichever log wrote
+    /// it:
+    /// - a creating record (`Instantiate`, `Restore`) installs only onto
+    ///   an absent id, and `Restore` always burns its nonce;
+    /// - any other record on an absent dpi or program is skipped;
+    /// - a record on a present object assigns what it carries (a
+    ///   `Terminated` post-state retires the dpi).
     ///
-    /// A record whose post-state is `Terminated` retires its id, and is
-    /// a no-op on an id already out of the table: a terminate racing a
-    /// `Running` invoke stages `Terminate` before the invoke's
-    /// `Invoke { state: Terminated }`, and a snapshot taken mid-terminate
-    /// leaves out a dpi whose `Terminate` lands in the WAL tail.
+    /// An install that fails is the caller's to abandon and journal.
     fn apply_wal_record(&self, record: WalRecord) -> Result<(), CoreError> {
-        match record {
-            WalRecord::Delegate(program) => Ok(self.install_program(&program)?),
-            WalRecord::DeleteProgram { name } => self.inner.repository.delete(&name).map(|_| ()),
-            WalRecord::Instantiate { dpi, dp_name } => {
-                self.install_slot(dpi, &dp_name, DpiState::Ready, None, self.inner.config.quota)
+        let slot = record.dpi().and_then(|id| self.inner.dpis.get(DpiId(id)));
+        match (record, slot) {
+            (WalRecord::Delegate(program), _) => self.install_program(&program)?,
+            (WalRecord::DeleteProgram { name }, _) => {
+                self.inner.repository.write().remove(&name);
             }
-            WalRecord::Suspend { dpi } => {
-                self.slot(DpiId(dpi))?.set_state(DpiState::Suspended);
-                Ok(())
+            (WalRecord::Restore(blob), slot) => {
+                self.inner.nonces.lock().insert(blob.nonce);
+                if slot.is_none() {
+                    let program = self.compile(&blob.program.source).map_err(recompile)?;
+                    self.install_blob(&mut self.inner.repository.write(), &blob, program)?;
+                }
             }
-            WalRecord::Resume { dpi } => {
-                self.slot(DpiId(dpi))?.set_state(DpiState::Ready);
-                Ok(())
+            (WalRecord::Instantiate { dpi, dp_name }, None) => {
+                let dp = self.lookup(&dp_name)?;
+                self.install_slot(dpi, &dp, DpiState::Ready, None, self.inner.config.quota)?;
             }
-            WalRecord::Terminate { dpi }
-            | WalRecord::Invoke { dpi, state: DpiState::Terminated, .. } => {
-                self.retire(DpiId(dpi));
-                Ok(())
+            (_, None) | (WalRecord::Instantiate { .. }, Some(_)) => {}
+            (WalRecord::Suspend { .. }, Some(slot)) => slot.set_state(DpiState::Suspended),
+            (WalRecord::Resume { .. }, Some(slot)) => slot.set_state(DpiState::Ready),
+            (
+                WalRecord::Terminate { dpi }
+                | WalRecord::Invoke { dpi, state: DpiState::Terminated, .. },
+                Some(_),
+            ) => self.retire(DpiId(dpi)),
+            (WalRecord::SetQuota { quota, .. }, Some(slot)) => {
+                slot.set_quota(&mut slot.section(), quota);
             }
-            WalRecord::SetQuota { dpi, quota } => {
-                self.slot(DpiId(dpi))?.set_quota(quota);
-                Ok(())
-            }
-            WalRecord::Invoke { dpi, state, image } => {
-                let slot = self.slot(DpiId(dpi))?;
+            (WalRecord::Invoke { state, image, .. }, Some(slot)) => {
                 slot.cell.lock().vm.restore_state(image.globals, image.initialized)?;
                 slot.account.restore(&image.account);
                 slot.set_state(state);
-                Ok(())
-            }
-            WalRecord::Restore(blob) => {
-                // The nonce stays burned whatever replay makes of the
-                // record, and a burned one does not refuse it: a snapshot
-                // taken between a live restore's burn and its append
-                // holds the nonce but not the dpi.
-                self.inner.nonces.lock().insert(blob.nonce);
-                let id = DpiId(blob.dpi);
-                if self.inner.dpis.get(id).is_some() {
-                    return Err(CoreError::InstanceExists { dpi: id });
-                }
-                self.install_blob(&blob)
             }
         }
+        Ok(())
     }
 
     /// **Checkpoint**: serializes a *suspended* dpi — dp source, VM
@@ -451,11 +516,7 @@ impl ElasticProcess {
             }
             capture_image(&slot, &cell.vm)
         };
-        let dp = self
-            .inner
-            .repository
-            .lookup(&slot.dp_name)
-            .ok_or_else(|| CoreError::NoSuchProgram { name: slot.dp_name.clone() })?;
+        let dp = self.lookup(&slot.dp_name)?;
         let blob = CheckpointBlob {
             nonce: mint_nonce(),
             dpi: dpi.0,
@@ -471,7 +532,9 @@ impl ElasticProcess {
     /// burning its nonce so the same blob can never be installed here
     /// twice. The blob's dp source is (re)delegated into the repository
     /// under its original name and principal; `resume` then continues
-    /// the agent exactly where the source server suspended it.
+    /// the agent exactly where the source server suspended it. The
+    /// source compiles first; the program, the nonce and the slot then
+    /// commit as one step under the repository's write lock.
     ///
     /// # Errors
     ///
@@ -483,21 +546,30 @@ impl ElasticProcess {
         let blob = CheckpointBlob::decode(bytes)
             .map_err(|e| CoreError::BadCheckpoint { message: e.to_string() })?;
         let id = DpiId(blob.dpi);
-        if self.inner.dpis.get(id).is_some() {
-            return Err(CoreError::InstanceExists { dpi: id });
-        }
-        if !self.inner.nonces.lock().insert(blob.nonce) {
-            return Err(CoreError::NonceReused);
-        }
-        // Un-burn the nonce if the install fails: the blob was not
-        // applied, so a corrected retry must stay possible.
-        if let Err(e) = self.install_blob(&blob) {
-            self.inner.nonces.lock().remove(&blob.nonce);
-            return Err(e);
-        }
-        self.journal_event("lifecycle.restore", id, true, &blob.program.name);
-        self.durable_append(WalRecord::Restore(blob));
-        Ok(id)
+        // Checked before the compile, and again inside the commit.
+        let nonce = blob.nonce;
+        let refused = move || {
+            if self.inner.dpis.get(id).is_some() {
+                Err(CoreError::InstanceExists { dpi: id })
+            } else if self.inner.nonces.lock().contains(&nonce) {
+                Err(CoreError::NonceReused)
+            } else {
+                Ok(())
+            }
+        };
+        refused()?;
+        let program = self.compile(&blob.program.source).map_err(recompile)?;
+        self.commit(self.inner.repository.write(), |map| {
+            refused()?;
+            self.install_blob(map, &blob, program)?;
+            self.inner.nonces.lock().insert(nonce);
+            let detail = blob.program.name.clone();
+            Ok(Effect::logged(id, WalRecord::Restore(blob)).journaled(
+                "lifecycle.restore",
+                id,
+                detail,
+            ))
+        })
     }
 
     /// Whether `trace_id` was replayed from the WAL at boot — and if so,

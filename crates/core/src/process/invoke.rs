@@ -6,8 +6,10 @@
 //! periodic driver, an in-process manager — runs the VM on its own
 //! thread; a dpi's invocations serialize on its cell lock.
 
+use super::durability::Effect;
 use super::table::{DpiSlot, InstanceCell};
 use super::{stats, ElasticProcess};
+use crate::durable::WalRecord;
 use crate::services::{Notification, PendingAction};
 use crate::CoreError;
 use dpl::Value;
@@ -57,9 +59,9 @@ impl ElasticProcess {
     }
 
     /// Runs one entry on an already-locked instance cell: the Running
-    /// claim, the VM run, accounting, quota enforcement, fault
-    /// isolation and the WAL append (staging only — safe under the
-    /// cell lock, see the `durability` module docs on lock ordering).
+    /// claim and the VM run, then — committed inside the slot's section,
+    /// still under the cell lock — the return to Ready, accounting,
+    /// quota enforcement or fault isolation, and the WAL record.
     ///
     /// Returns the outcome and any actions the agent queued (the caller
     /// applies those *after* releasing the cell lock).
@@ -91,57 +93,60 @@ impl ElasticProcess {
         self.inner.metrics.vm_run.record_interval(started, vm_done);
         let busy_ns = vm_done.duration_since(started).as_nanos() as u64;
         let fuel = vm.last_stats().fuel_used;
-        // Return to Ready unless an admin retargeted the state
-        // (e.g. suspended us mid-run) — their transition wins.
-        let _ = slot.try_transition(DpiState::Running, DpiState::Ready);
-        slot.account.record_invocation(result.is_ok(), busy_ns, fuel);
-        let outcome = match result {
-            Ok(v) => {
-                stats::bump(&self.inner.stats.invocations_ok);
-                // The account may have crossed its quota during this
-                // invocation (time, fuel, notify/log emissions).
-                self.enforce_quota(dpi, slot);
-                Ok(v)
-            }
-            Err(e) => {
-                stats::bump(&self.inner.stats.invocations_failed);
-                // Fault isolation: a faulting dpi is terminated.
-                if slot.force_terminate().is_some() {
-                    self.retire(dpi);
-                }
-                let detail = format!("{e}; {}", super::lifecycle::final_bill(slot));
-                self.journal_event("lifecycle.fault", dpi, false, &detail);
-                Err(CoreError::Runtime(e))
-            }
-        };
-        // WAL the invocation as its *post-state* (globals, account,
-        // lifecycle) so replay is pure state application. Appending only
-        // *stages* the record (one mutex, one memcpy) — the WAL lock is
-        // never taken here, so holding the cell lock is safe.
-        if self.inner.durable.get().is_some() {
-            self.durable_append(crate::durable::WalRecord::Invoke {
-                dpi: dpi.0,
-                state: slot.state(),
-                image: super::durability::capture_image(slot, &cell.vm),
+        let committed =
+            self.commit(slot.section(), |quota| {
+                // Return to Ready unless a verb retargeted the state while
+                // the VM ran — its transition wins.
+                let ended = slot.try_transition(DpiState::Running, DpiState::Ready);
+                slot.account.record_invocation(result.is_ok(), busy_ns, fuel);
+                let (value, journal, retire) = match result {
+                    Ok(v) => {
+                        stats::bump(&self.inner.stats.invocations_ok);
+                        // The account may have crossed its quota during this
+                        // invocation (time, fuel, notify/log emissions).
+                        (Ok(v), self.enforce_quota(dpi, slot, **quota), None)
+                    }
+                    Err(e) => {
+                        stats::bump(&self.inner.stats.invocations_failed);
+                        // Fault isolation: a faulting dpi is terminated.
+                        let retire = slot.force_terminate().map(|_| dpi);
+                        let detail = format!("{e}; {}", super::lifecycle::final_bill(slot));
+                        (
+                            Err(CoreError::Runtime(e)),
+                            Some(("lifecycle.fault", dpi, false, detail)),
+                            retire,
+                        )
+                    }
+                };
+                // The record is the invocation's *post-state* (globals,
+                // account, lifecycle), so replay is pure state application.
+                // A dpi another caller terminated meanwhile has its record.
+                let record = (ended != Err(DpiState::Terminated) && self.durability().is_some())
+                    .then(|| WalRecord::Invoke {
+                        dpi: dpi.0,
+                        state: slot.state(),
+                        image: super::durability::capture_image(slot, vm),
+                    });
+                Ok(Effect { value, journal, record, retire })
             });
-        }
-        (outcome, std::mem::take(&mut cell.ctx.pending))
+        (committed.and_then(|outcome| outcome), std::mem::take(&mut ctx.pending))
     }
 
-    /// Suspends `dpi` if its account has crossed the armed quota,
-    /// journaling the breach and notifying the manager with the trace id
-    /// of the request that tripped it. Lock-free when no quota is armed.
-    fn enforce_quota(&self, dpi: DpiId, slot: &DpiSlot) {
-        let Some(quota) = slot.quota() else { return };
-        let Some((dimension, limit, actual)) = quota.breached(&slot.account) else { return };
+    /// Suspends `dpi` if its account has crossed `quota`, notifying the
+    /// manager with the trace id of the request that tripped it; returns
+    /// the `quota.breach` journal line. Called inside the slot's section.
+    fn enforce_quota(
+        &self,
+        dpi: DpiId,
+        slot: &DpiSlot,
+        quota: Option<super::DpiQuota>,
+    ) -> Option<(&'static str, DpiId, bool, String)> {
+        let (dimension, limit, actual) = quota?.breached(&slot.account)?;
         // Only a Ready dpi is suspended here; if an admin already moved
         // the state (or the dpi terminated), their transition stands.
-        if slot.try_transition(DpiState::Ready, DpiState::Suspended).is_err() {
-            return;
-        }
+        slot.try_transition(DpiState::Ready, DpiState::Suspended).ok()?;
         self.inner.metrics.quota_breaches.inc();
         let detail = format!("{dimension}: {actual} > {limit}");
-        self.journal_event("quota.breach", dpi, false, &detail);
         // Flight recorder: freeze the recent span stream under the
         // tripping request's trace id (no-op unless a trace store is
         // armed).
@@ -162,6 +167,7 @@ impl ElasticProcess {
         if self.inner.outbox.push(note).is_some() {
             slot.account.queue_drops.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
+        Some(("quota.breach", dpi, false, detail))
     }
 
     /// Applies one agent-queued action, reporting the outcome as a

@@ -5,8 +5,10 @@
 //! no table-wide write lock is taken after insertion, so administrative
 //! operations on one dpi never stall invocations of others.
 
+use super::durability::Effect;
 use super::table::DpiSlot;
 use super::{stats, DpiInfo, ElasticProcess};
+use crate::durable::WalRecord;
 use crate::CoreError;
 use dpl::Value;
 use rds::{DpiId, DpiState, DpiSummary};
@@ -20,32 +22,26 @@ impl ElasticProcess {
     /// [`CoreError::NoSuchProgram`] or [`CoreError::TooManyInstances`].
     pub fn instantiate(&self, dp_name: &str) -> Result<DpiId, CoreError> {
         let _span = self.inner.metrics.instantiate.start();
-        let dp = self
-            .inner
-            .repository
-            .lookup(dp_name)
+        // Held from the lookup to the stage: a concurrent `DeleteProgram`
+        // lands wholly before or after this instantiation.
+        let repository = self.inner.repository.read();
+        let dp = repository
+            .get(dp_name)
             .ok_or_else(|| CoreError::NoSuchProgram { name: dp_name.to_string() })?;
         let limit = self.inner.config.max_instances;
         if !self.inner.dpis.try_reserve_live(limit) {
             return Err(CoreError::TooManyInstances { limit });
         }
         let id = DpiId(self.inner.next_dpi.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
-        // Shared-code instantiation: the dpi holds an `Arc` to the stored
-        // dp's compiled program — no per-instance deep clone of the code.
-        let mut instance = dpl::Instance::new(Arc::clone(&dp.program));
-        if self.inner.config.profile_sample > 0 {
-            instance.enable_profiling(self.inner.config.profile_sample);
-        }
-        let slot = self.new_slot(id, dp_name, instance, DpiState::Ready);
-        slot.set_quota(self.inner.config.quota);
-        self.inner.dpis.insert(id, Arc::new(slot));
-        stats::bump(&self.inner.stats.instantiations);
-        self.journal_event("lifecycle.instantiate", id, true, dp_name);
-        self.durable_append(crate::durable::WalRecord::Instantiate {
-            dpi: id.0,
-            dp_name: dp_name.to_string(),
-        });
-        Ok(id)
+        let slot = Arc::new(self.new_slot(id, dp, DpiState::Ready));
+        // The new slot's section is held across its insert and its stage.
+        self.commit(slot.section(), |held| {
+            slot.set_quota(held, self.inner.config.quota);
+            self.inner.dpis.insert(id, Arc::clone(&slot));
+            stats::bump(&self.inner.stats.instantiations);
+            let record = WalRecord::Instantiate { dpi: id.0, dp_name: dp_name.to_string() };
+            Ok(Effect::logged(id, record).journaled("lifecycle.instantiate", id, dp_name.into()))
+        })
     }
 
     /// **Suspend** a dpi: invocations are refused until resume. A dpi
@@ -58,25 +54,26 @@ impl ElasticProcess {
     pub fn suspend(&self, dpi: DpiId) -> Result<(), CoreError> {
         let _span = self.inner.metrics.suspend.start();
         let slot = self.slot(dpi)?;
-        let mut observed = slot.state();
-        loop {
-            if !matches!(observed, DpiState::Ready | DpiState::Running) {
-                return Err(CoreError::BadState { dpi, state: observed, operation: "suspend" });
-            }
-            match slot.try_transition(observed, DpiState::Suspended) {
-                Ok(()) => {
-                    self.journal_event("lifecycle.suspend", dpi, true, "");
-                    self.durable_append(crate::durable::WalRecord::Suspend { dpi: dpi.0 });
-                    return Ok(());
+        self.commit(slot.section(), |_| {
+            let mut observed = slot.state();
+            loop {
+                if !matches!(observed, DpiState::Ready | DpiState::Running) {
+                    let state = observed;
+                    return Err(CoreError::BadState { dpi, state, operation: "suspend" });
                 }
-                Err(now) => {
-                    // Lost the CAS to a concurrent transition; count the
-                    // retry so contention is visible in telemetry.
-                    self.inner.metrics.state_retries.inc();
-                    observed = now;
+                // An invoke's `Ready -> Running` claim takes no section,
+                // so the CAS can lose to it; count the retry.
+                match slot.try_transition(observed, DpiState::Suspended) {
+                    Ok(()) => break,
+                    Err(now) => {
+                        self.inner.metrics.state_retries.inc();
+                        observed = now;
+                    }
                 }
             }
-        }
+            let record = WalRecord::Suspend { dpi: dpi.0 };
+            Ok(Effect::logged((), record).journaled("lifecycle.suspend", dpi, String::new()))
+        })
     }
 
     /// **Resume** a suspended dpi.
@@ -87,12 +84,12 @@ impl ElasticProcess {
     pub fn resume(&self, dpi: DpiId) -> Result<(), CoreError> {
         let _span = self.inner.metrics.resume.start();
         let slot = self.slot(dpi)?;
-        slot.try_transition(DpiState::Suspended, DpiState::Ready)
-            .map(|()| {
-                self.journal_event("lifecycle.resume", dpi, true, "");
-                self.durable_append(crate::durable::WalRecord::Resume { dpi: dpi.0 });
-            })
-            .map_err(|state| CoreError::BadState { dpi, state, operation: "resume" })
+        self.commit(slot.section(), |_| {
+            slot.try_transition(DpiState::Suspended, DpiState::Ready)
+                .map_err(|state| CoreError::BadState { dpi, state, operation: "resume" })?;
+            let record = WalRecord::Resume { dpi: dpi.0 };
+            Ok(Effect::logged((), record).journaled("lifecycle.resume", dpi, String::new()))
+        })
     }
 
     /// **Terminate** a dpi (any non-terminated state). Its slot leaves
@@ -107,22 +104,19 @@ impl ElasticProcess {
     pub fn terminate(&self, dpi: DpiId) -> Result<(), CoreError> {
         let _span = self.inner.metrics.terminate.start();
         let slot = self.slot(dpi)?;
-        if slot.force_terminate().is_none() {
-            return Err(CoreError::BadState {
-                dpi,
-                state: DpiState::Terminated,
-                operation: "terminate",
-            });
-        }
-        self.retire(dpi);
-        self.journal_event("lifecycle.terminate", dpi, true, &final_bill(&slot));
-        self.durable_append(crate::durable::WalRecord::Terminate { dpi: dpi.0 });
-        Ok(())
+        self.commit(slot.section(), |_| {
+            if slot.force_terminate().is_none() {
+                let state = DpiState::Terminated;
+                return Err(CoreError::BadState { dpi, state, operation: "terminate" });
+            }
+            let effect = Effect::logged((), WalRecord::Terminate { dpi: dpi.0 });
+            let effect = effect.journaled("lifecycle.terminate", dpi, final_bill(&slot));
+            Ok(Effect { retire: Some(dpi), ..effect })
+        })
     }
 
     /// Bookkeeping after a slot reaches `Terminated`: drop it from the
-    /// table and return its live-instance reservation. Idempotent, so
-    /// WAL replay may retire an id that already left the table.
+    /// table and return its live-instance reservation. Idempotent.
     pub(super) fn retire(&self, dpi: DpiId) {
         if self.inner.dpis.remove(dpi) {
             self.inner.dpis.release_live();
@@ -150,13 +144,10 @@ impl ElasticProcess {
 
     /// Summaries of all instances, sorted by id.
     pub fn list_instances(&self) -> Vec<DpiSummary> {
-        let (slots, len) = self.inner.dpis.snapshot_with_len();
-        let mut out = Vec::with_capacity(len);
-        out.extend(slots.into_iter().map(|(id, slot)| DpiSummary {
-            id,
-            dp_name: slot.dp_name.clone(),
-            state: slot.state(),
-        }));
+        let slots = self.inner.dpis.snapshot().into_iter();
+        let mut out: Vec<_> = slots
+            .map(|(id, slot)| DpiSummary { id, dp_name: slot.dp_name.clone(), state: slot.state() })
+            .collect();
         out.sort_by_key(|s| s.id);
         out
     }

@@ -23,11 +23,12 @@ mod tests;
 pub use account::{DpiAccount, DpiAccountRow, DpiAccountSnapshot, DpiQuota};
 pub use stats::ProcessStats;
 
-use crate::durable::Durability;
+use crate::durable::{Durability, ProgramRecord, WalRecord};
 use crate::journal::Journal;
 use crate::services::{self, Notification, ServerCtx};
 use crate::{CoreError, Repository};
 use dpl::{Budget, HostRegistry, Value};
+use durability::Effect;
 use mbd_telemetry::{Counter, Gauge, Ring, Telemetry, Timer};
 use parking_lot::{Mutex, RwLock};
 use rds::{DpiId, DpiState};
@@ -284,23 +285,20 @@ impl ElasticProcess {
     }
 
     /// Accounting rows for every live (non-terminated) dpi, sorted by
-    /// id — the source of the `mbdDpiAccounting` OCP table. Runs at
-    /// 1 Hz from the OCP refresher, so it takes the combined
-    /// `ShardedTable::snapshot_with_len` pass: one trip through the
-    /// shard locks yields both the slots and the capacity to pre-size
-    /// the row vector.
+    /// id — the source of the `mbdDpiAccounting` OCP table (1 Hz).
     pub fn account_rows(&self) -> Vec<DpiAccountRow> {
-        let (slots, len) = self.inner.dpis.snapshot_with_len();
-        let mut rows = Vec::with_capacity(len);
-        rows.extend(slots.into_iter().filter_map(|(id, slot)| {
-            let state = slot.state();
-            (state != DpiState::Terminated).then(|| DpiAccountRow {
-                id,
-                dp_name: slot.dp_name.clone(),
-                state,
-                account: slot.account.snapshot(),
+        let slots = self.inner.dpis.snapshot().into_iter();
+        let mut rows: Vec<_> = slots
+            .filter_map(|(id, slot)| {
+                let state = slot.state();
+                (state != DpiState::Terminated).then(|| DpiAccountRow {
+                    id,
+                    dp_name: slot.dp_name.clone(),
+                    state,
+                    account: slot.account.snapshot(),
+                })
             })
-        }));
+            .collect();
         rows.sort_by_key(|r| r.id);
         rows
     }
@@ -359,9 +357,13 @@ impl ElasticProcess {
     /// [`CoreError::NoSuchInstance`].
     pub fn set_quota(&self, dpi: DpiId, quota: Option<DpiQuota>) -> Result<(), CoreError> {
         let slot = self.slot(dpi)?;
-        slot.set_quota(quota);
-        self.durable_append(crate::durable::WalRecord::SetQuota { dpi: dpi.0, quota });
-        Ok(())
+        self.commit(slot.section(), |held| {
+            if slot.state() == DpiState::Terminated {
+                return Err(CoreError::NoSuchInstance(dpi));
+            }
+            slot.set_quota(held, quota);
+            Ok(Effect::logged((), WalRecord::SetQuota { dpi: dpi.0, quota }))
+        })
     }
 
     /// Attributes RDS frame bytes to a dpi's account — wire-boundary
@@ -428,16 +430,20 @@ impl ElasticProcess {
         Arc::clone(&self.inner.registry.read())
     }
 
-    /// Builds a slot for `dpi` with a fresh mailbox/account and this
-    /// process's shared service handles wired into its long-lived
-    /// context.
+    /// Builds a slot for `dpi` running `dp`'s shared compiled program
+    /// (no per-instance copy of the code), with a fresh mailbox and
+    /// account and this process's service handles wired into its
+    /// long-lived context.
     pub(in crate::process) fn new_slot(
         &self,
         dpi: DpiId,
-        dp_name: &str,
-        instance: dpl::Instance,
+        dp: &crate::StoredDp,
         state: DpiState,
     ) -> table::DpiSlot {
+        let mut instance = dpl::Instance::new(Arc::clone(&dp.program));
+        if self.inner.config.profile_sample > 0 {
+            instance.enable_profiling(self.inner.config.profile_sample);
+        }
         let ctx = ServerCtx {
             mib: self.inner.mib.clone(),
             mailbox: Arc::new(Mutex::new(std::collections::VecDeque::new())),
@@ -448,13 +454,7 @@ impl ElasticProcess {
             dpi,
             account: Arc::new(DpiAccount::default()),
         };
-        table::DpiSlot::with_state(
-            dp_name.to_string(),
-            instance,
-            state,
-            ctx,
-            self.registry_snapshot(),
-        )
+        table::DpiSlot::with_state(dp.name.clone(), instance, state, ctx, self.registry_snapshot())
     }
 
     /// Advances the server clock by `ticks` hundredths of a second.
@@ -510,22 +510,23 @@ impl ElasticProcess {
     /// As for [`ElasticProcess::delegate`].
     pub fn delegate_as(&self, name: &str, source: &str, principal: &str) -> Result<(), CoreError> {
         let _span = self.inner.metrics.delegate.start();
-        let program = crate::durable::ProgramRecord {
-            name: name.to_string(),
-            source: source.to_string(),
-            delegated_by: principal.to_string(),
-        };
-        match self.install_program(&program) {
-            Ok(()) => {
-                stats::bump(&self.inner.stats.delegations_accepted);
-                self.durable_append(crate::durable::WalRecord::Delegate(program));
-                Ok(())
-            }
-            Err(e) => {
-                stats::bump(&self.inner.stats.delegations_rejected);
-                Err(CoreError::Translation(e))
-            }
-        }
+        // Compiled outside any lock, committed under the repository's.
+        let compiled = self.compile(source);
+        let stats = &self.inner.stats;
+        stats::bump(match compiled {
+            Ok(_) => &stats.delegations_accepted,
+            Err(_) => &stats.delegations_rejected,
+        });
+        let compiled = compiled.map_err(CoreError::Translation)?;
+        self.commit(self.inner.repository.write(), |map| {
+            let dp = crate::repository::next_version(map, name, source, compiled, principal);
+            map.insert(name.to_string(), dp);
+            let (name, source, delegated_by) = (name.into(), source.into(), principal.into());
+            Ok(Effect::logged(
+                (),
+                WalRecord::Delegate(ProgramRecord { name, source, delegated_by }),
+            ))
+        })
     }
 
     /// Removes a dp from the repository (running dpis are unaffected).
@@ -534,10 +535,9 @@ impl ElasticProcess {
     ///
     /// [`CoreError::NoSuchProgram`] if absent.
     pub fn delete_program(&self, name: &str) -> Result<(), CoreError> {
-        self.inner.repository.delete(name).map(|_| {
-            self.durable_append(crate::durable::WalRecord::DeleteProgram {
-                name: name.to_string(),
-            });
+        self.commit(self.inner.repository.write(), |map| {
+            map.remove(name).ok_or_else(|| CoreError::NoSuchProgram { name: name.to_string() })?;
+            Ok(Effect::logged((), WalRecord::DeleteProgram { name: name.to_string() }))
         })
     }
 

@@ -15,7 +15,7 @@ use super::account::{DpiAccount, DpiQuota};
 use crate::services::ServerCtx;
 use crossbeam::utils::CachePadded;
 use dpl::HostRegistry;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use rds::{DpiId, DpiState};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -60,7 +60,8 @@ pub(super) struct DpiSlot {
     /// Lock-free lifetime resource counters for this dpi.
     pub account: Arc<DpiAccount>,
     /// Optional cumulative resource quota; checked after every
-    /// invocation, breach suspends the dpi. Private so the armed flag
+    /// invocation, breach suspends the dpi. Its mutex is also the slot's
+    /// commit section ([`DpiSlot::section`]). Private so the armed flag
     /// below stays coherent.
     quota: Mutex<Option<DpiQuota>>,
     /// Whether a quota is armed — lets the per-invocation check skip
@@ -95,10 +96,19 @@ impl DpiSlot {
         }
     }
 
-    /// Arms (or clears) the quota, keeping the lock-free armed flag
-    /// coherent.
-    pub fn set_quota(&self, quota: Option<DpiQuota>) {
-        *self.quota.lock() = quota;
+    /// The slot's commit section: every verb on this dpi applies its
+    /// effect and stages its record while holding it, and a snapshot
+    /// reads the dpi inside it. Never held across a VM run; an invoke
+    /// takes it under the cell lock, so the order is cell, then section.
+    /// The guard holds the armed quota.
+    pub fn section(&self) -> MutexGuard<'_, Option<DpiQuota>> {
+        self.quota.lock()
+    }
+
+    /// Arms (or clears) the quota inside the section `held`, keeping
+    /// the lock-free armed flag coherent.
+    pub fn set_quota(&self, held: &mut Option<DpiQuota>, quota: Option<DpiQuota>) {
+        *held = quota;
         self.has_quota.store(quota.is_some(), Ordering::Release);
     }
 
@@ -158,6 +168,11 @@ impl DpiSlot {
     }
 }
 
+/// The shard that holds `id`.
+pub(super) fn shard_of(id: DpiId) -> usize {
+    (id.0 as usize) & (SHARDS - 1)
+}
+
 /// One table shard: the locked map plus a mirror of its entry count,
 /// maintained on the write paths so [`ShardedTable::len`] never takes a
 /// lock and [`ShardedTable::snapshot`] can pre-size its output.
@@ -196,7 +211,7 @@ impl ShardedTable {
     }
 
     fn shard(&self, id: DpiId) -> &Shard {
-        &self.shards[(id.0 as usize) & (SHARDS - 1)]
+        &self.shards[shard_of(id)]
     }
 
     /// The slot for `id`, if present. A terminated dpi leaves the table;
@@ -229,22 +244,23 @@ impl ShardedTable {
     /// per-shard counters, then filled in a single locked pass per
     /// shard.
     pub fn snapshot(&self) -> Vec<(DpiId, Arc<DpiSlot>)> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let map = shard.map.read();
-            out.extend(map.iter().map(|(id, slot)| (*id, Arc::clone(slot))));
-        }
-        out
+        self.snapshot_noting(|| 0).0
     }
 
-    /// [`snapshot`](ShardedTable::snapshot) plus the table length from
-    /// the same pass — the 1 Hz samplers (gauges, account rows, profile
-    /// stacks) want both, and calling `len()` separately used to lock
-    /// all [`SHARDS`] shards a second time.
-    pub fn snapshot_with_len(&self) -> (Vec<(DpiId, Arc<DpiSlot>)>, usize) {
-        let out = self.snapshot();
-        let len = out.len();
-        (out, len)
+    /// [`snapshot`](ShardedTable::snapshot), plus what `note` returned
+    /// for each shard while that shard's lock was held.
+    pub fn snapshot_noting(
+        &self,
+        mut note: impl FnMut() -> u64,
+    ) -> (Vec<(DpiId, Arc<DpiSlot>)>, [u64; SHARDS]) {
+        let mut out = Vec::with_capacity(self.len());
+        let mut notes = [0; SHARDS];
+        for (shard, noted) in self.shards.iter().zip(&mut notes) {
+            let map = shard.map.read();
+            *noted = note();
+            out.extend(map.iter().map(|(id, slot)| (*id, Arc::clone(slot))));
+        }
+        (out, notes)
     }
 
     /// Entries stored across all shards — lock-free, read from the
@@ -346,9 +362,7 @@ mod tests {
         t.remove(DpiId(3));
         t.remove(DpiId(3));
         assert_eq!(t.len(), 7);
-        let (snap, len) = t.snapshot_with_len();
-        assert_eq!(snap.len(), 7);
-        assert_eq!(len, 7);
+        assert_eq!(t.snapshot().len(), 7);
     }
 
     #[test]

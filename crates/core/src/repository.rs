@@ -1,5 +1,5 @@
 use crate::CoreError;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -30,7 +30,28 @@ pub struct StoredDp {
 /// scheduler all reference it.
 #[derive(Clone, Default)]
 pub struct Repository {
-    inner: Arc<RwLock<BTreeMap<String, Arc<StoredDp>>>>,
+    inner: Arc<RwLock<Programs>>,
+}
+
+/// The repository's map, as its lock guards expose it.
+pub(crate) type Programs = BTreeMap<String, Arc<StoredDp>>;
+
+/// The entry that storing `name` into `map` installs: the version after
+/// the one `map` holds. The caller inserts it.
+pub(crate) fn next_version(
+    map: &Programs,
+    name: &str,
+    source: &str,
+    program: dpl::Program,
+    delegated_by: &str,
+) -> Arc<StoredDp> {
+    Arc::new(StoredDp {
+        name: name.to_string(),
+        source: source.to_string(),
+        program: Arc::new(program),
+        version: map.get(name).map_or(1, |old| old.version + 1),
+        delegated_by: delegated_by.to_string(),
+    })
 }
 
 impl fmt::Debug for Repository {
@@ -50,17 +71,20 @@ impl Repository {
     /// dpis keep the old code; new instances get the new version).
     pub fn store(&self, name: &str, source: &str, program: dpl::Program, delegated_by: &str) {
         let mut map = self.inner.write();
-        let version = map.get(name).map_or(1, |old| old.version + 1);
-        map.insert(
-            name.to_string(),
-            Arc::new(StoredDp {
-                name: name.to_string(),
-                source: source.to_string(),
-                program: Arc::new(program),
-                version,
-                delegated_by: delegated_by.to_string(),
-            }),
-        );
+        let dp = next_version(&map, name, source, program, delegated_by);
+        map.insert(name.to_string(), dp);
+    }
+
+    /// The read lock: held by `instantiate` from its lookup to its stage,
+    /// and by a snapshot's cut, so a program verb lands wholly before or
+    /// after either.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Programs> {
+        self.inner.read()
+    }
+
+    /// The write lock: program verbs and restores commit under it.
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Programs> {
+        self.inner.write()
     }
 
     /// Looks up a dp by name. The returned handle shares the stored entry

@@ -493,6 +493,48 @@ fn replay_of_a_terminate_racing_an_invoke_abandons_nothing() {
     assert_eq!(process.instantiate("count").unwrap(), DpiId(2));
 }
 
+/// Regression: `instantiate` used to insert its slot before staging its
+/// `Instantiate`, so a snapshot taken in between held the dpi while the
+/// fresh log still got the record, and replay installed the dpi a second
+/// time over the snapshot's slot: counted twice, globals reset. A
+/// creating record now installs only onto an absent id.
+#[test]
+fn replay_of_an_instantiate_the_snapshot_holds_keeps_the_snapshot_dpi() {
+    use mbd::core::durable::snapshot::{self, DpiRecord, SnapshotData};
+    let dir = StateDir::new("instantiate-cut");
+    write_wal(&dir, vec![WalRecord::Instantiate { dpi: 1, dp_name: "count".to_string() }]);
+    let data = SnapshotData {
+        next_dpi: 2,
+        programs: vec![ProgramRecord {
+            name: "count".to_string(),
+            source: PROGRAM.to_string(),
+            delegated_by: "noc".to_string(),
+        }],
+        dpis: vec![DpiRecord {
+            id: 1,
+            dp_name: "count".to_string(),
+            state: DpiState::Ready,
+            image: DpiImage {
+                initialized: true,
+                globals: vec![Value::Int(5)],
+                account: DpiAccountSnapshot { invocations_ok: 5, ..DpiAccountSnapshot::default() },
+            },
+            quota: None,
+        }],
+        nonces: Vec::new(),
+    };
+    snapshot::write_file(&dir.path().join(mbd::core::durable::SNAPSHOT_FILE), &data).unwrap();
+
+    let process =
+        ElasticProcess::new(ElasticConfig { max_instances: 2, ..ElasticConfig::default() });
+    let report = process.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!((report.restored_dpis, report.abandoned_dpis), (1, 0));
+    assert_eq!(process.list_instances().len(), 1);
+    assert_eq!(process.live_instances(), 1);
+    assert_eq!(process.instantiate("count").unwrap(), DpiId(2), "room for one more");
+    assert_eq!(process.invoke(DpiId(1), "bump", &[]).unwrap(), Value::Int(6));
+}
+
 /// Regression: earlier builds wrote a `Terminated` snapshot record for
 /// every terminated dpi they kept (and a slot caught mid-terminate reads
 /// that way). Recovery leaves such a record out of the table and out of
