@@ -34,6 +34,12 @@ pub struct DpiRecord {
     pub image: DpiImage,
     /// Armed quota.
     pub quota: Option<DpiQuota>,
+    /// The dp this dpi runs, when the snapshot's program list does not
+    /// hold that exact version (re-delegated or deleted since it was
+    /// instantiated); recovery installs the dpi from it without storing
+    /// it. Written after the quota only when present, so a record
+    /// without it has the original bytes.
+    pub program: Option<ProgramRecord>,
 }
 
 /// Everything a snapshot persists.
@@ -70,6 +76,9 @@ pub fn encode(data: &SnapshotData) -> Vec<u8> {
                     w.write_i64(d.state.code());
                     d.image.write(w);
                     codec::write_quota(w, &d.quota);
+                    if let Some(program) = &d.program {
+                        program.write(w);
+                    }
                 });
             }
         });
@@ -111,6 +120,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, BerError> {
                         state: read_state(r)?,
                         image: DpiImage::read(r)?,
                         quota: codec::read_quota(r)?,
+                        program: if r.at_end() { None } else { Some(ProgramRecord::read(r)?) },
                     })
                 })?);
             }
@@ -190,6 +200,11 @@ mod tests {
                     account: DpiAccountSnapshot { invocations_ok: 12, ..Default::default() },
                 },
                 quota: Some(DpiQuota { max_vm_fuel: Some(1000), ..Default::default() }),
+                program: Some(ProgramRecord {
+                    name: "counter".to_string(),
+                    source: "var n = 1;".to_string(),
+                    delegated_by: "mgr".to_string(),
+                }),
             }],
             nonces: vec![[1; 16], [2; 16]],
         }

@@ -30,7 +30,7 @@ use crate::durable::{
     CheckpointBlob, DpiImage, Durability, ProgramRecord, RecoveryReport,
 };
 use crate::process::DpiQuota;
-use crate::repository::StoredDp;
+use crate::repository::{self, StoredDp};
 use crate::CoreError;
 use rds::{DpiId, DpiState};
 use std::path::Path;
@@ -182,8 +182,16 @@ impl ElasticProcess {
             // them, and a slot caught mid-terminate reads that way): it
             // stays out of the table, like any other terminated id.
             let live = data.dpis.into_iter().filter(|d| d.state != DpiState::Terminated);
-            for DpiRecord { id, dp_name, state, image, quota } in live {
-                let installed = self.lookup(&dp_name);
+            for DpiRecord { id, dp_name, state, image, quota, program } in live {
+                // A dpi whose version the program list lacks carries its
+                // own, installed without entering the repository.
+                let installed = match program {
+                    Some(p) => self.compile(&p.source).map_err(CoreError::Translation).map(|dp| {
+                        let own = repository::Programs::new();
+                        repository::next_version(&own, &p.name, &p.source, dp, &p.delegated_by)
+                    }),
+                    None => self.lookup(&dp_name),
+                };
                 let installed =
                     installed.and_then(|dp| self.install_slot(id, &dp, state, Some(image), quota));
                 if let Err(e) = installed {
@@ -376,8 +384,11 @@ impl ElasticProcess {
             let state = slot.state();
             if state != DpiState::Terminated {
                 let image = capture_image(&slot, &cell.vm);
-                let dp_name = slot.dp_name.clone();
-                dpis.push(DpiRecord { id: id.0, dp_name, state, image, quota: *quota });
+                let (dp_name, quota) = (slot.dp.name.clone(), *quota);
+                // Every dpi must be installable from the snapshot alone.
+                let stored = repository.get(&dp_name).is_some_and(|dp| Arc::ptr_eq(dp, &slot.dp));
+                let program = (!stored).then(|| program_record(&slot.dp));
+                dpis.push(DpiRecord { id: id.0, dp_name, state, image, quota, program });
             }
         }
         let programs = repository.values().map(|dp| program_record(dp)).collect();
@@ -404,7 +415,7 @@ impl ElasticProcess {
     fn install_slot(
         &self,
         id: u64,
-        dp: &StoredDp,
+        dp: &Arc<StoredDp>,
         state: DpiState,
         image: Option<DpiImage>,
         quota: Option<DpiQuota>,
@@ -435,12 +446,12 @@ impl ElasticProcess {
     /// its own rule; nothing changes unless it returns `Ok`.
     fn install_blob(
         &self,
-        map: &mut crate::repository::Programs,
+        map: &mut repository::Programs,
         blob: &CheckpointBlob,
         program: dpl::Program,
     ) -> Result<(), CoreError> {
         let ProgramRecord { name, source, delegated_by } = &blob.program;
-        let dp = crate::repository::next_version(map, name, source, program, delegated_by);
+        let dp = repository::next_version(map, name, source, program, delegated_by);
         let image = Some(blob.image.clone());
         self.install_slot(blob.dpi, &dp, DpiState::Suspended, image, blob.quota)?;
         map.insert(name.clone(), dp);
@@ -501,9 +512,9 @@ impl ElasticProcess {
     ///
     /// # Errors
     ///
-    /// [`CoreError::NoSuchInstance`], [`CoreError::BadState`] unless
-    /// the dpi is `Suspended`, or [`CoreError::NoSuchProgram`] if its dp
-    /// has left the repository.
+    /// [`CoreError::NoSuchInstance`], or [`CoreError::BadState`] unless
+    /// the dpi is `Suspended`. The blob carries the dp version the dpi
+    /// runs, even if the repository has moved on or deleted it.
     pub fn checkpoint(&self, dpi: DpiId) -> Result<Vec<u8>, CoreError> {
         let slot = self.slot(dpi)?;
         let image = {
@@ -516,15 +527,14 @@ impl ElasticProcess {
             }
             capture_image(&slot, &cell.vm)
         };
-        let dp = self.lookup(&slot.dp_name)?;
         let blob = CheckpointBlob {
             nonce: mint_nonce(),
             dpi: dpi.0,
-            program: program_record(&dp),
+            program: program_record(&slot.dp),
             image,
             quota: slot.quota(),
         };
-        self.journal_event("lifecycle.checkpoint", dpi, true, &slot.dp_name);
+        self.journal_event("lifecycle.checkpoint", dpi, true, &slot.dp.name);
         Ok(blob.encode())
     }
 

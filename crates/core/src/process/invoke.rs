@@ -42,7 +42,6 @@ impl ElasticProcess {
             }
             DpiState::Ready | DpiState::Running => {}
         }
-        slot.account.touch_trace(mbd_telemetry::current_trace_id());
         let (outcome, pending) = {
             // The per-slot instance mutex serializes this dpi; no table
             // lock is held, so other dpis stay fully available.
@@ -98,6 +97,7 @@ impl ElasticProcess {
                 // Return to Ready unless a verb retargeted the state while
                 // the VM ran — its transition wins.
                 let ended = slot.try_transition(DpiState::Running, DpiState::Ready);
+                slot.account.touch_trace(mbd_telemetry::current_trace_id());
                 slot.account.record_invocation(result.is_ok(), busy_ns, fuel);
                 let (value, journal, retire) = match result {
                     Ok(v) => {

@@ -146,7 +146,7 @@ impl ElasticProcess {
     pub fn list_instances(&self) -> Vec<DpiSummary> {
         let slots = self.inner.dpis.snapshot().into_iter();
         let mut out: Vec<_> = slots
-            .map(|(id, slot)| DpiSummary { id, dp_name: slot.dp_name.clone(), state: slot.state() })
+            .map(|(id, slot)| DpiSummary { id, dp_name: slot.dp.name.clone(), state: slot.state() })
             .collect();
         out.sort_by_key(|s| s.id);
         out
@@ -158,7 +158,7 @@ impl ElasticProcess {
         let queued_messages = slot.mailbox.lock().len();
         Some(DpiInfo {
             id: dpi,
-            dp_name: slot.dp_name.clone(),
+            dp_name: slot.dp.name.clone(),
             state: slot.state(),
             queued_messages,
         })

@@ -293,7 +293,7 @@ impl ElasticProcess {
                 let state = slot.state();
                 (state != DpiState::Terminated).then(|| DpiAccountRow {
                     id,
-                    dp_name: slot.dp_name.clone(),
+                    dp_name: slot.dp.name.clone(),
                     state,
                     account: slot.account.snapshot(),
                 })
@@ -437,7 +437,7 @@ impl ElasticProcess {
     pub(in crate::process) fn new_slot(
         &self,
         dpi: DpiId,
-        dp: &crate::StoredDp,
+        dp: &Arc<crate::StoredDp>,
         state: DpiState,
     ) -> table::DpiSlot {
         let mut instance = dpl::Instance::new(Arc::clone(&dp.program));
@@ -454,7 +454,7 @@ impl ElasticProcess {
             dpi,
             account: Arc::new(DpiAccount::default()),
         };
-        table::DpiSlot::with_state(dp.name.clone(), instance, state, ctx, self.registry_snapshot())
+        table::DpiSlot::with_state(Arc::clone(dp), instance, state, ctx, self.registry_snapshot())
     }
 
     /// Advances the server clock by `ticks` hundredths of a second.

@@ -13,6 +13,7 @@
 
 use super::account::{DpiAccount, DpiQuota};
 use crate::services::ServerCtx;
+use crate::StoredDp;
 use crossbeam::utils::CachePadded;
 use dpl::HostRegistry;
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -51,7 +52,10 @@ pub(super) struct InstanceCell {
 /// A live instance slot. Shared out of the table as an `Arc` so callers
 /// operate on the slot without holding any shard lock.
 pub(super) struct DpiSlot {
-    pub dp_name: String,
+    /// The stored dp this dpi was instantiated from: it keeps that
+    /// version, whatever later re-delegation or deletion does to the
+    /// repository.
+    pub dp: Arc<StoredDp>,
     /// Lifecycle state, encoded with [`DpiState::code`].
     state: AtomicU8,
     /// The per-dpi invocation cell (VM + context + registry cache).
@@ -79,14 +83,14 @@ impl DpiSlot {
     /// `ctx` must be this dpi's context; the slot shares its mailbox
     /// and account.
     pub fn with_state(
-        dp_name: String,
+        dp: Arc<StoredDp>,
         instance: dpl::Instance,
         state: DpiState,
         ctx: ServerCtx,
         registry: Arc<HostRegistry<ServerCtx>>,
     ) -> DpiSlot {
         DpiSlot {
-            dp_name,
+            dp,
             state: AtomicU8::new(state.code() as u8),
             mailbox: Arc::clone(&ctx.mailbox),
             account: Arc::clone(&ctx.account),
@@ -296,7 +300,9 @@ mod tests {
 
     fn slot() -> Arc<DpiSlot> {
         let reg = Arc::new(crate::services::standard_registry());
-        let program = dpl::compile_program("fn main() { return 0; }", &reg).unwrap();
+        let source = "fn main() { return 0; }";
+        let program = dpl::compile_program(source, &reg).unwrap();
+        let dp = crate::repository::next_version(&Default::default(), "t", source, program, "m");
         let account = Arc::new(DpiAccount::default());
         let ctx = ServerCtx {
             mib: snmp::MibStore::new(),
@@ -309,8 +315,8 @@ mod tests {
             account,
         };
         Arc::new(DpiSlot::with_state(
-            "t".to_string(),
-            dpl::Instance::new(std::sync::Arc::new(program)),
+            Arc::clone(&dp),
+            dpl::Instance::new(Arc::clone(&dp.program)),
             DpiState::Ready,
             ctx,
             reg,

@@ -520,6 +520,7 @@ fn replay_of_an_instantiate_the_snapshot_holds_keeps_the_snapshot_dpi() {
                 account: DpiAccountSnapshot { invocations_ok: 5, ..DpiAccountSnapshot::default() },
             },
             quota: None,
+            program: None,
         }],
         nonces: Vec::new(),
     };
@@ -533,6 +534,175 @@ fn replay_of_an_instantiate_the_snapshot_holds_keeps_the_snapshot_dpi() {
     assert_eq!(process.live_instances(), 1);
     assert_eq!(process.instantiate("count").unwrap(), DpiId(2), "room for one more");
     assert_eq!(process.invoke(DpiId(1), "bump", &[]).unwrap(), Value::Int(6));
+}
+
+const COUNTER: &str = "var n = 0; fn bump() { n = n + 1; return n; }";
+
+/// A dpi keeps the dp version it was instantiated from across a
+/// snapshot and a restart: re-delegating its dp leaves it on the old
+/// code, and its checkpoint migrates that old code. (Recovery used to
+/// look the name up and run the newest version over the old globals.)
+#[test]
+fn a_redelegated_dpi_keeps_its_version_across_a_snapshot() {
+    let dir = StateDir::new("redelegate");
+    let process = durable_process(dir.path());
+    process.delegate("c", COUNTER).unwrap();
+    let dpi = process.instantiate("c").unwrap();
+    assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(1));
+    process.delegate("c", "var n = 0; fn bump() { n = n + 100; return n; }").unwrap();
+    assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(2));
+    process.snapshot_now().unwrap();
+    drop(process);
+
+    let recovered = durable_process(dir.path());
+    assert_eq!(recovered.invoke(dpi, "bump", &[]).unwrap(), Value::Int(3));
+    recovered.suspend(dpi).unwrap();
+    let blob = CheckpointBlob::decode(&recovered.checkpoint(dpi).unwrap()).unwrap();
+    assert_eq!(blob.program.source, COUNTER, "the checkpoint carries the dpi's own version");
+    let fresh = recovered.instantiate("c").unwrap();
+    assert_eq!(recovered.invoke(fresh, "bump", &[]).unwrap(), Value::Int(100));
+}
+
+/// A dpi whose dp was deleted keeps running from its own copy across a
+/// snapshot and a restart, and the deleted dp stays out of the
+/// repository. (Recovery used to abandon the dpi.)
+#[test]
+fn a_dpi_of_a_deleted_dp_survives_a_snapshot() {
+    let dir = StateDir::new("deleted-dp");
+    let process = durable_process(dir.path());
+    process.delegate("c", COUNTER).unwrap();
+    let dpi = process.instantiate("c").unwrap();
+    assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(1));
+    process.delete_program("c").unwrap();
+    assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(2));
+    process.snapshot_now().unwrap();
+    drop(process);
+
+    let recovered = ElasticProcess::new(ElasticConfig::default());
+    let report = recovered.attach_durability(dir.path(), 8).unwrap();
+    assert_eq!((report.restored_dpis, report.abandoned_dpis), (1, 0));
+    assert!(recovered.list_programs().is_empty(), "ListPrograms is unchanged");
+    assert_eq!(recovered.invoke(dpi, "bump", &[]).unwrap(), Value::Int(3));
+}
+
+/// A counter whose increment is `k`, with an entry that always faults.
+fn counter_source(k: u64) -> String {
+    format!("var n = 0; fn bump() {{ n = n + {k}; return n; }} fn boom() {{ return 1 / 0; }}")
+}
+
+/// One seed-chosen verb of ops 0–8 against a seed-chosen dpi or dp;
+/// refusals are part of the race and ignored. Dpi 1 is never
+/// terminated or migrated: two other threads suspend and resume it.
+fn random_verb(process: &ElasticProcess, r: u64) {
+    let name = if r & 1 == 0 { "p" } else { "q" };
+    let dpis = process.list_instances();
+    let dpi = dpis.get((r >> 8) as usize % dpis.len().max(1)).map_or(DpiId(1), |s| s.id);
+    let _ = match ((r >> 4) % 16, dpi == DpiId(1)) {
+        (0, _) => process.delegate(name, &counter_source(1 + (r >> 20) % 3)),
+        (1, _) => process.delete_program(name),
+        (2..=4, _) => process.instantiate(name).map(drop),
+        (5, _) => process.suspend(dpi),
+        (6 | 7, _) => process.resume(dpi),
+        (8, false) => process.terminate(dpi),
+        (9, _) => {
+            let quota =
+                DpiQuota { max_invocations: Some(8 + (r >> 24) % 40), ..Default::default() };
+            process.set_quota(dpi, Some(quota))
+        }
+        (14, false) => process.suspend(dpi).and_then(|()| process.checkpoint(dpi)).and_then(|b| {
+            process.terminate(dpi)?;
+            process.restore(&b).map(drop)
+        }),
+        _ => {
+            let entry = if (r >> 30).is_multiple_of(32) { "boom" } else { "bump" };
+            process.invoke(dpi, entry, &[]).map(drop)
+        }
+    };
+}
+
+/// The live verbs of ops 0–8 race a snapshot loop — three threads of
+/// seed-chosen verbs on a few dpis and two dp names, and two threads
+/// suspending and resuming one dpi. A copy of the state directory then
+/// recovers exactly the live process: programs, listing, census and,
+/// through a snapshot of each, every dpi's globals, account, quota and
+/// version, and the burned nonces. A deadlock fails on the bound.
+#[test]
+fn verbs_racing_snapshots_recover_to_the_live_state() {
+    use mbd::core::durable::{snapshot, SnapshotData, SNAPSHOT_FILE, WAL_FILE};
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let dir = StateDir::new("verb-race");
+        let process = durable_process(dir.path());
+        process.delegate("p", &counter_source(1)).unwrap();
+        process.delegate("q", &counter_source(2)).unwrap();
+        let shared = process.instantiate("p").unwrap();
+
+        let stop = AtomicBool::new(false);
+        let snapshots = std::thread::scope(|s| {
+            let snapshotter = s.spawn(|| {
+                let mut taken = 0u32;
+                while !stop.load(Ordering::Relaxed) {
+                    process.snapshot_now().unwrap();
+                    taken += 1;
+                }
+                taken
+            });
+            let process = &process;
+            let mut threads: Vec<_> = (1..=3u64)
+                .map(|seed| {
+                    s.spawn(move || {
+                        let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        for _ in 0..1000 {
+                            r ^= r << 13;
+                            r ^= r >> 7;
+                            r ^= r << 17;
+                            random_verb(process, r);
+                        }
+                    })
+                })
+                .collect();
+            threads.extend((0..2).map(|_| {
+                s.spawn(move || {
+                    for _ in 0..400 {
+                        let _ = process.suspend(shared);
+                        let _ = process.resume(shared);
+                    }
+                })
+            }));
+            threads.into_iter().for_each(|t| t.join().unwrap());
+            stop.store(true, Ordering::Relaxed);
+            snapshotter.join().unwrap()
+        });
+        assert!(snapshots > 0, "the snapshotter never ran beside the verbs");
+        process.durable_sync();
+
+        let copy = StateDir::new("verb-race-copy");
+        std::fs::create_dir_all(copy.path()).unwrap();
+        for file in [SNAPSHOT_FILE, WAL_FILE] {
+            std::fs::copy(dir.path().join(file), copy.path().join(file)).unwrap();
+        }
+        let live = (process.list_programs(), process.list_instances(), process.live_instances());
+        let image = |process: &ElasticProcess, dir: &StateDir| {
+            process.snapshot_now().unwrap();
+            let state = snapshot::read_file(&dir.path().join(SNAPSHOT_FILE)).unwrap().unwrap();
+            SnapshotData { next_dpi: 0, ..state }
+        };
+        let live_image = image(&process, &dir);
+        drop(process);
+
+        let recovered = ElasticProcess::new(ElasticConfig::default());
+        let report = recovered.attach_durability(copy.path(), 8).unwrap();
+        assert_eq!(report.abandoned_dpis, 0, "{:?}", abandon_records(&recovered));
+        let got =
+            (recovered.list_programs(), recovered.list_instances(), recovered.live_instances());
+        assert_eq!(got, live);
+        assert_eq!(image(&recovered, &copy), live_image);
+        done.send(()).unwrap();
+    });
+    // A panic above drops `done` (Disconnected); a deadlock times out.
+    finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("verbs racing snapshots finished and recovered exactly");
 }
 
 /// Regression: earlier builds wrote a `Terminated` snapshot record for
@@ -554,6 +724,7 @@ fn a_terminated_snapshot_record_stays_out_of_the_table() {
             account: DpiAccountSnapshot { invocations_ok: 7, ..DpiAccountSnapshot::default() },
         },
         quota: None,
+        program: None,
     };
     let data = SnapshotData {
         next_dpi: 3,
