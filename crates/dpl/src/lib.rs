@@ -62,6 +62,7 @@ mod vm;
 pub use bytecode::{FunctionInfo, Program};
 pub use error::{CheckError, DplError, LexError, ParseError, RuntimeError};
 pub use host::{HostRegistry, Signature};
+pub use parser::MAX_NESTING;
 pub use profile::{BlockProfile, Profile};
 pub use value::Value;
 pub use vm::{Budget, Entry, Instance, VmStats};

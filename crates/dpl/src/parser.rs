@@ -28,6 +28,16 @@
 //!            | IDENT | IDENT "(" args? ")" | "(" expr ")"
 //!            | "[" args? "]" | "{" (expr ":" expr),* "}"
 //! ```
+//!
+//! The AST may nest at most [`MAX_NESTING`] levels. Each expression,
+//! block, `if` and unary operand parsed inside another counts one level,
+//! and each binary, unary, index, call, list and map node counts one
+//! level above its tallest child — so an operator chain, which this
+//! parser builds in a loop, counts one level per operator. Past the
+//! bound the source is refused with a [`ParseError`]: the parser, the
+//! checker, the compiler, the oracle interpreter and the AST's drop all
+//! recurse once per level, and a delegated program must not be able to
+//! exhaust the stack of the thread that translates it.
 
 use crate::ast::*;
 use crate::lexer::{lex, Tok, Token};
@@ -40,14 +50,34 @@ use crate::{DplError, ParseError};
 /// Returns [`DplError::Lex`] or [`DplError::Parse`] with line information.
 pub fn parse(source: &str) -> Result<ProgramAst, DplError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, height: 0 };
     let ast = p.program()?;
     Ok(ast)
 }
 
+/// How deep a program's AST may nest (see the module docs). Parsing,
+/// checking, compiling and interpreting a program at this bound fit a
+/// 256 KiB stack in a debug build.
+pub const MAX_NESTING: usize = 32;
+
+/// The binary operators by precedence, loosest first.
+const BINARY: [&[(Tok, BinOp)]; 6] = [
+    &[(Tok::OrOr, BinOp::Or)],
+    &[(Tok::AndAnd, BinOp::And)],
+    &[(Tok::Eq, BinOp::Eq), (Tok::Ne, BinOp::Ne)],
+    &[(Tok::Lt, BinOp::Lt), (Tok::Le, BinOp::Le), (Tok::Gt, BinOp::Gt), (Tok::Ge, BinOp::Ge)],
+    &[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)],
+    &[(Tok::Star, BinOp::Mul), (Tok::Slash, BinOp::Div), (Tok::Percent, BinOp::Mod)],
+];
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels enclosing the construct being parsed.
+    depth: usize,
+    /// Height of the expression the last expression parse returned
+    /// (0 for a leaf).
+    height: usize,
 }
 
 impl Parser {
@@ -82,6 +112,49 @@ impl Parser {
 
     fn err(&self, message: String) -> ParseError {
         ParseError { line: self.line(), message }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Runs `parse` one level further in.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth += 1;
+        let parsed = if self.depth > MAX_NESTING { Err(self.too_deep()) } else { parse(self) };
+        self.depth -= 1;
+        parsed
+    }
+
+    /// An expression node one level above children at most `below` high.
+    fn node(&mut self, kind: ExprKind, line: u32, below: usize) -> Result<Expr, ParseError> {
+        self.height = below + 1;
+        if self.depth + self.height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(Expr { kind, line })
+    }
+
+    /// A comma-separated list of expressions up to `close`, with the
+    /// tallest one's height.
+    fn exprs_until(&mut self, close: &Tok) -> Result<(Vec<Expr>, usize), ParseError> {
+        let (mut items, mut tallest) = (Vec::new(), 0);
+        if self.peek() != close {
+            loop {
+                items.push(self.expr()?);
+                tallest = tallest.max(self.height);
+                if self.peek() == &Tok::Comma {
+                    self.bump();
+                } else {
+                    break;
+                }
+            }
+        }
+        self.eat(close)?;
+        Ok((items, tallest))
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -138,6 +211,10 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.eat(&Tok::LBrace)?;
         let mut stmts = Vec::new();
         while self.peek() != &Tok::RBrace {
@@ -163,7 +240,7 @@ impl Parser {
             }
             Tok::If => {
                 self.bump();
-                return self.if_stmt(line);
+                return self.nested(|p| p.if_stmt(line));
             }
             Tok::While => {
                 self.bump();
@@ -244,7 +321,7 @@ impl Parser {
             if self.peek() == &Tok::If {
                 let line2 = self.line();
                 self.bump();
-                vec![self.if_stmt(line2)?]
+                vec![self.nested(|p| p.if_stmt(line2))?]
             } else {
                 self.block()?
             }
@@ -255,133 +332,38 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nested(|p| p.binary(0))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::OrOr {
-            let line = self.line();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr {
-                kind: ExprKind::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while self.peek() == &Tok::AndAnd {
-            let line = self.line();
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = Expr {
-                kind: ExprKind::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Eq => BinOp::Eq,
-                Tok::Ne => BinOp::Ne,
-                _ => return Ok(lhs),
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr {
-                kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            };
-        }
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::Le => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::Ge => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr {
-                kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            };
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr {
-                kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            };
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// Binary operators of precedence `min` and tighter ([`BINARY`]),
+    /// by precedence climbing: left-associative, and a chain at one
+    /// level is a loop, not a recursion.
+    fn binary(&mut self, min: usize) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
         loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
+            let found = BINARY.iter().enumerate().skip(min).find_map(|(level, ops)| {
+                ops.iter().find(|(tok, _)| tok == self.peek()).map(|&(_, op)| (level, op))
+            });
+            let Some((level, op)) = found else { return Ok(lhs) };
             let line = self.line();
             self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr {
-                kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            };
+            let below = self.height;
+            let rhs = self.binary(level + 1)?;
+            let kind = ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.node(kind, line, below.max(self.height))?;
         }
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         let line = self.line();
-        match self.peek() {
-            Tok::Minus => {
-                self.bump();
-                let operand = self.unary()?;
-                Ok(Expr {
-                    kind: ExprKind::Unary { op: UnOp::Neg, operand: Box::new(operand) },
-                    line,
-                })
-            }
-            Tok::Bang => {
-                self.bump();
-                let operand = self.unary()?;
-                Ok(Expr {
-                    kind: ExprKind::Unary { op: UnOp::Not, operand: Box::new(operand) },
-                    line,
-                })
-            }
-            _ => self.postfix(),
-        }
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        let operand = self.nested(Self::unary)?;
+        self.node(ExprKind::Unary { op, operand: Box::new(operand) }, line, self.height)
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
@@ -389,15 +371,18 @@ impl Parser {
         while self.peek() == &Tok::LBracket {
             let line = self.line();
             self.bump();
+            let below = self.height;
             let index = self.expr()?;
             self.eat(&Tok::RBracket)?;
-            e = Expr { kind: ExprKind::Index { base: Box::new(e), index: Box::new(index) }, line };
+            let kind = ExprKind::Index { base: Box::new(e), index: Box::new(index) };
+            e = self.node(kind, line, below.max(self.height))?;
         }
         Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
         let line = self.line();
+        self.height = 0;
         let kind = match self.bump() {
             Tok::Int(v) => ExprKind::Int(v),
             Tok::Float(v) => ExprKind::Float(v),
@@ -411,28 +396,19 @@ impl Parser {
                 return Ok(e);
             }
             Tok::LBracket => {
-                let mut items = Vec::new();
-                if self.peek() != &Tok::RBracket {
-                    loop {
-                        items.push(self.expr()?);
-                        if self.peek() == &Tok::Comma {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat(&Tok::RBracket)?;
-                ExprKind::List(items)
+                let (items, tallest) = self.exprs_until(&Tok::RBracket)?;
+                return self.node(ExprKind::List(items), line, tallest);
             }
             Tok::LBrace => {
-                let mut pairs = Vec::new();
+                let (mut pairs, mut tallest) = (Vec::new(), 0);
                 if self.peek() != &Tok::RBrace {
                     loop {
                         let k = self.expr()?;
+                        tallest = tallest.max(self.height);
                         self.eat(&Tok::Colon)?;
                         let v = self.expr()?;
                         pairs.push((k, v));
+                        tallest = tallest.max(self.height);
                         if self.peek() == &Tok::Comma {
                             self.bump();
                         } else {
@@ -441,28 +417,14 @@ impl Parser {
                     }
                 }
                 self.eat(&Tok::RBrace)?;
-                ExprKind::Map(pairs)
+                return self.node(ExprKind::Map(pairs), line, tallest);
             }
-            Tok::Ident(name) => {
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.peek() == &Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.eat(&Tok::RParen)?;
-                    ExprKind::Call { name, args }
-                } else {
-                    ExprKind::Var(name)
-                }
+            Tok::Ident(name) if self.peek() == &Tok::LParen => {
+                self.bump();
+                let (args, tallest) = self.exprs_until(&Tok::RParen)?;
+                return self.node(ExprKind::Call { name, args }, line, tallest);
             }
+            Tok::Ident(name) => ExprKind::Var(name),
             other => {
                 return Err(ParseError {
                     line,
@@ -624,6 +586,81 @@ mod tests {
     fn unary_chains() {
         let ast = parse_ok("fn f(x) { return --x + !!true; }");
         assert_eq!(ast.functions.len(), 1);
+    }
+
+    #[test]
+    fn operators_associate_left_within_a_level() {
+        let ast = parse_ok("fn f() { return 8 - 2 - 1 == 5 == true; }");
+        let StmtKind::Return { value: Some(e) } = &ast.functions[0].body[0].kind else { panic!() };
+        let ExprKind::Binary { op: BinOp::Eq, lhs, .. } = &e.kind else { panic!("{e:?}") };
+        let ExprKind::Binary { op: BinOp::Eq, lhs, .. } = &lhs.kind else { panic!("{lhs:?}") };
+        let ExprKind::Binary { op: BinOp::Sub, lhs, .. } = &lhs.kind else { panic!("{lhs:?}") };
+        assert!(matches!(lhs.kind, ExprKind::Binary { op: BinOp::Sub, .. }), "{lhs:?}");
+    }
+
+    /// `fn main()` whose body nests `construct` `n` levels deep.
+    fn nested(construct: &str, n: usize) -> String {
+        let wrap = |open: &str, inner: &str, close: &str| {
+            format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+        };
+        let expr = match construct {
+            "paren" => wrap("(", "1", ")"),
+            "unary" => wrap("-", "1", ""),
+            "chain" => wrap("1 + ", "1", ""),
+            "index" => format!("[1]{}", "[0]".repeat(n)),
+            "call" => wrap("abs(", "1", ")"),
+            "list" => wrap("[", "1", "]"),
+            "map" => wrap("{\"k\": ", "1", "}"),
+            "if" => return format!("fn main() {{ {} return 0; }}", wrap("if (true) { ", "", "}")),
+            "while" => {
+                return format!("fn main() {{ {} return 0; }}", wrap("while (false) { ", "", "}"))
+            }
+            other => panic!("{other}"),
+        };
+        format!("fn main() {{ return {expr}; }}")
+    }
+
+    const CONSTRUCTS: [&str; 9] =
+        ["paren", "unary", "chain", "index", "call", "list", "map", "if", "while"];
+
+    /// The deepest nesting of `construct` that still parses.
+    fn bound(construct: &str) -> usize {
+        (1..).find(|&n| parse(&nested(construct, n + 1)).is_err()).unwrap()
+    }
+
+    #[test]
+    fn every_construct_parses_to_its_bound_and_is_refused_one_past_it() {
+        for construct in CONSTRUCTS {
+            let n = bound(construct);
+            assert!(n >= MAX_NESTING / 3, "{construct}: only {n} levels");
+            match parse(&nested(construct, n + 1)).unwrap_err() {
+                DplError::Parse(p) => assert!(p.message.contains("nesting deeper"), "{p:?}"),
+                other => panic!("{construct}: {other:?}"),
+            }
+        }
+        // Hostile sizes fail fast, without building the deep tree.
+        for construct in ["paren", "chain", "unary", "list"] {
+            assert!(parse(&nested(construct, 50_000)).is_err(), "{construct}");
+        }
+    }
+
+    #[test]
+    fn programs_at_the_bound_translate_run_and_drop_on_a_256_kib_stack() {
+        let run = || {
+            let registry: crate::HostRegistry<()> = crate::HostRegistry::with_stdlib();
+            for construct in CONSTRUCTS {
+                let source = nested(construct, bound(construct));
+                let program = crate::compile_program(&source, &registry).expect(construct);
+                let mut vm = crate::Instance::new(std::sync::Arc::new(program));
+                let budget = crate::Budget::default();
+                let compiled = vm.invoke("main", &[], &mut (), &registry, budget);
+                let mut oracle = crate::interp::AstInstance::new(&source, &registry).unwrap();
+                let interpreted = oracle.invoke("main", &[], &mut (), &registry, budget);
+                assert_eq!(compiled, interpreted, "{construct}");
+            }
+        };
+        let small = std::thread::Builder::new().stack_size(256 * 1024).spawn(run).unwrap();
+        small.join().expect("translation at the bound fits the stack");
     }
 
     #[test]

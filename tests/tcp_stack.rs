@@ -365,6 +365,31 @@ fn deeply_nested_invoke_arguments_are_refused_not_fatal() {
     tcp.shutdown();
 }
 
+/// Sources nested past `dpl::MAX_NESTING` — a thousand parentheses, and
+/// a 10 000-term operator chain the parser builds in a loop but check
+/// and compile would recurse over — are Translator errors, not a stack
+/// overflow on the executor worker that compiles them; the server keeps
+/// serving.
+#[test]
+fn deeply_nested_sources_are_translation_errors_not_fatal() {
+    let (tcp, _process) = spawn_server(None);
+    let client = RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr");
+    let parens = format!("fn main() {{ return {}1{}; }}", "(".repeat(1_000), ")".repeat(1_000));
+    let chain = format!("fn main() {{ return 1{}; }}", " + 1".repeat(9_999));
+    for source in [parens, chain] {
+        let err = client.delegate("deep", &source).unwrap_err();
+        assert!(
+            matches!(&err, RdsError::Remote { code: ErrorCode::TranslationFailed, message: m }
+                if m.contains("nesting deeper")),
+            "{err:?}"
+        );
+    }
+    client.delegate("f", "fn main(x) { return x + 1; }").unwrap();
+    let dpi = client.instantiate("f").unwrap();
+    assert_eq!(client.invoke(dpi, "main", &[BerValue::Integer(1)]).unwrap(), BerValue::Integer(2));
+    tcp.shutdown();
+}
+
 /// A dp result nested deeper than `ber::MAX_DEPTH` would be refused by
 /// every client's decoder, so the server answers it with an `Error`;
 /// one level less comes back whole.
