@@ -20,6 +20,10 @@
 //! risk of a lost edge.
 
 #![allow(non_camel_case_types)]
+// Every `unsafe` here is one libc call; each states why its arguments
+// are valid, and clippy (run with `-D warnings` by scripts/ci.sh) keeps
+// it that way.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 use std::os::raw::{c_int, c_void};
@@ -49,6 +53,8 @@ extern "C" {
 /// original backlog stands.
 pub(crate) fn widen_listen_backlog(fd: RawFd, backlog: usize) {
     let backlog = c_int::try_from(backlog.min(65_535)).unwrap_or(c_int::MAX);
+    // SAFETY: `listen` takes plain integers and touches no memory of
+    // ours; on a bad `fd` it fails with EBADF, which is ignored.
     let _ = unsafe { listen(fd, backlog) };
 }
 
@@ -79,6 +85,7 @@ struct RLimit {
 /// it before binding; the library itself never changes process limits.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live, writable `#[repr(C)] struct rlimit`.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return 0;
     }
@@ -90,8 +97,11 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     for attempt in
         [RLimit { cur: want, max: want.max(lim.max) }, RLimit { cur: lim.max, max: lim.max }]
     {
+        // SAFETY: `attempt` is a live `#[repr(C)] struct rlimit` that
+        // `setrlimit` only reads.
         if unsafe { setrlimit(RLIMIT_NOFILE, &attempt) } == 0 {
             let mut now = RLimit { cur: 0, max: 0 };
+            // SAFETY: `now` is a live, writable `struct rlimit`.
             if unsafe { getrlimit(RLIMIT_NOFILE, &mut now) } == 0 {
                 return now.cur;
             }
@@ -102,10 +112,12 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 
 /// Puts `fd` into nonblocking mode.
 pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
+    // SAFETY: `F_GETFL` takes no pointer; a bad `fd` is an error return.
     let flags = unsafe { fcntl(fd, F_GETFL, 0) };
     if flags < 0 {
         return Err(io::Error::last_os_error());
     }
+    // SAFETY: `F_SETFL` takes an integer flag word, no pointer.
     if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -146,6 +158,7 @@ pub(crate) struct Waker {
 impl Waker {
     pub(crate) fn new() -> io::Result<Waker> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `pipe` writes exactly two `c_int`s, and `fds` holds two.
         if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -163,6 +176,8 @@ impl Waker {
     /// so the short write is deliberately ignored.
     pub(crate) fn wake(&self) {
         let byte = 1u8;
+        // SAFETY: the buffer is `byte`, live and one byte long, as the
+        // count says; `write_fd` stays open until `self` drops.
         let _ = unsafe { write(self.write_fd, (&raw const byte).cast(), 1) };
     }
 
@@ -171,6 +186,8 @@ impl Waker {
     pub(crate) fn drain(&self) {
         let mut sink = [0u8; 64];
         loop {
+            // SAFETY: `sink` is writable for `sink.len()` bytes, the count
+            // passed; `read_fd` stays open until `self` drops.
             let n = unsafe { read(self.read_fd, sink.as_mut_ptr().cast(), sink.len()) };
             if n <= 0 {
                 return;
@@ -181,6 +198,8 @@ impl Waker {
 
 impl Drop for Waker {
     fn drop(&mut self) {
+        // SAFETY: the waker owns both pipe ends, nothing else closes
+        // them, and after this drop nothing uses them.
         unsafe {
             close(self.read_fd);
             close(self.write_fd);
@@ -257,6 +276,7 @@ mod epoll {
 
     impl Poller {
         pub(crate) fn new() -> io::Result<Poller> {
+            // SAFETY: `epoll_create1` takes a flag word and no pointer.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -266,6 +286,8 @@ mod epoll {
 
         fn ctl(&self, op: c_int, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
             let mut ev = EpollEvent { events: mask(interest), data: token as u64 };
+            // SAFETY: `ev` is a live `struct epoll_event` in the kernel's
+            // layout (packed on x86-64); the kernel only reads it.
             if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -303,6 +325,8 @@ mod epoll {
         ) -> io::Result<()> {
             out.clear();
             let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+            // SAFETY: the kernel writes at most `buf.len()` events, the
+            // `maxevents` passed, into `buf`, which holds that many.
             let n = unsafe {
                 epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, millis(timeout))
             };
@@ -329,6 +353,8 @@ mod epoll {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: the poller owns `epfd`, and nothing uses it after
+            // this drop.
             unsafe {
                 close(self.epfd);
             }
@@ -418,6 +444,8 @@ mod pollfd {
                 }
                 (fds, tokens)
             };
+            // SAFETY: `fds` holds `fds.len()` `struct pollfd`s, the count
+            // passed; the kernel writes only their `revents`.
             let n = unsafe {
                 poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_uint, millis(timeout))
             };

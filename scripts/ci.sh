@@ -394,8 +394,46 @@ grep -Eq "trace=[0-9a-f]{16} principal=server verb=recovery .* abandoned=0 " \
     cat "$SMOKE_DIR/recovery_journal.txt"
     exit 1
 }
+sleep 1 # the count of 4 reaches the log
 stop_server
 echo "durability smoke ok: $DUR_DPI migrated, survived kill -9 and counted on ($GOT); $DEAD_DPI stayed gone"
+
+# A snapshot plus a WAL tail across kill -9: reboot with snapshots every
+# second, re-delegate the counter as `n + 100` (the dpi keeps its own
+# version), count to 5, let a snapshot absorb the log, count to 6 in the
+# fresh tail, kill -9, reboot: the dpi is listed once, nothing was
+# abandoned, and it counts on to 7.
+dur_count() {
+    GOT="$("${MBDCTL[@]}" invoke "$DUR_DPI" main)"
+    [ "$GOT" = "$1" ] || {
+        echo "durability smoke FAILED: $2 count returned \`$GOT\`, wanted $1"
+        exit 1
+    }
+}
+boot_server "$DUR_LOG" --state-dir "$DUR_STATE" --snapshot-every 1
+echo 'var n = 0; fn main() { n = n + 100; return n; }' > "$SMOKE_DIR/counter100.dpl"
+"${MBDCTL[@]}" delegate counter "$SMOKE_DIR/counter100.dpl" >/dev/null
+dur_count 5 "post-redelegation"
+sleep 2 # a snapshot absorbs the log
+dur_count 6 "post-snapshot"
+sleep 1 # the tail record reaches the log
+stop_server -9
+boot_server "$DUR_LOG" --state-dir "$DUR_STATE"
+"${MBDCTL[@]}" instances > "$SMOKE_DIR/dur_instances.txt"
+[ "$(grep -c "^$DUR_DPI	" "$SMOKE_DIR/dur_instances.txt")" = 1 ] || {
+    echo "durability smoke FAILED: $DUR_DPI is not listed exactly once after snapshot + tail:"
+    cat "$SMOKE_DIR/dur_instances.txt"
+    exit 1
+}
+"${MBDCTL[@]}" journal > "$SMOKE_DIR/recovery_journal.txt"
+grep -Eq "verb=recovery .* abandoned=0 " "$SMOKE_DIR/recovery_journal.txt" || {
+    echo "durability smoke FAILED: the snapshot + tail recovery abandoned something:"
+    cat "$SMOKE_DIR/recovery_journal.txt"
+    exit 1
+}
+dur_count 7 "snapshot + tail"
+stop_server
+echo "durability smoke ok: a snapshot plus a WAL tail survived kill -9 and $DUR_DPI counted on ($GOT)"
 
 echo "==> idle smoke: one execution tier, and it sleeps"
 # `--workers 2` must mean main (which also samples history) + WAL

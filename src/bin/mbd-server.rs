@@ -10,17 +10,22 @@
 //! ```
 //!
 //! With `--state-dir DIR` the delegation state is **durable** (see
-//! `docs/DURABILITY.md`): every delegation-mutating operation is
-//! appended to a write-ahead log in DIR before the response leaves, a
-//! snapshot of the dpi table is taken every `--snapshot-every` seconds
+//! `docs/DURABILITY.md`): every delegation-mutating operation stages a
+//! record for the write-ahead log in DIR as it commits, and the
+//! `mbd-wal-flush` thread writes and fsyncs staged records in batches —
+//! no response waits for its record to reach the disk, so a crash can
+//! lose the last few milliseconds of operations. A snapshot of the dpi
+//! table is taken every `--snapshot-every` seconds
 //! (default 30; 0 disables periodic snapshots), and on boot the server
 //! replays snapshot + WAL tail, resuming every live delegated agent —
 //! VM globals, accounting and lifecycle state intact — exactly as the
 //! crash left them. A terminated dpi leaves the table at terminate and
 //! stays gone across restarts; its `lifecycle.terminate` journal
 //! record, with its final account totals, is what remains of it.
-//! `--fsync-every N` batches WAL fsyncs (1 = sync every record; higher
-//! trades a bounded tail of recent operations against throughput).
+//! `--fsync-every N` wakes the flusher once N records are staged (it
+//! also flushes every 10 ms and once a second); 1 wakes it for every
+//! record, which narrows the loss window but still does not make a
+//! response wait for its record.
 //!
 //! With `--demo-mib` the server's MIB is pre-populated with the MIB-II
 //! subset, the concentrator counters and a 100-row ATM VC table, so
