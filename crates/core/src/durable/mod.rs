@@ -138,18 +138,24 @@ impl Durability {
 
     /// Keeps only the staged records for which `keep(dpi, seq)` holds —
     /// the snapshot path drops, under the WAL lock, exactly the records
-    /// whose effects it absorbed.
+    /// whose effects it absorbed. The filtering runs outside the staging
+    /// mutex, so stagers wait only for two buffer swaps; what they stage
+    /// meanwhile stays behind the kept records.
     pub(crate) fn retain_staged(&self, mut keep: impl FnMut(Option<u64>, u64) -> bool) {
-        let mut staged = self.staged.lock();
-        let Staged { bytes, tags } = std::mem::take(&mut *staged);
+        let Staged { bytes, tags } = std::mem::take(&mut *self.staged.lock());
+        let mut kept = Staged::default();
         let mut at = 0;
         for (dpi, seq, len) in tags {
             if keep(dpi, seq) {
-                staged.bytes.extend_from_slice(&bytes[at..at + len]);
-                staged.tags.push((dpi, seq, len));
+                kept.bytes.extend_from_slice(&bytes[at..at + len]);
+                kept.tags.push((dpi, seq, len));
             }
             at += len;
         }
+        let mut staged = self.staged.lock();
+        kept.bytes.append(&mut staged.bytes);
+        kept.tags.append(&mut staged.tags);
+        *staged = kept;
     }
 
     /// Group commit: drains the staging buffer into the WAL file (one

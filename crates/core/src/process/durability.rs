@@ -114,20 +114,23 @@ impl<T> Effect<T> {
 }
 
 /// Where a snapshot cut each object's records: the staging count noted
-/// while it read the repository, each dpi it listed, and each shard (for
-/// the dpis absent from its listing). A staged record below its
-/// object's count is absorbed by the snapshot.
+/// while it read the repository, each dpi it listed (by id, ascending),
+/// and each shard (for the dpis absent from its listing). A staged
+/// record below its object's count is absorbed by the snapshot.
 #[derive(Default)]
 struct Cut {
     repository: u64,
     shards: [u64; super::table::SHARDS],
-    dpis: std::collections::HashMap<u64, u64>,
+    dpis: Vec<(u64, u64)>,
 }
 
 impl Cut {
     fn count(&self, dpi: Option<u64>) -> u64 {
-        let absent = |id| self.shards[super::table::shard_of(DpiId(id))];
-        dpi.map_or(self.repository, |id| self.dpis.get(&id).copied().unwrap_or_else(|| absent(id)))
+        let Some(id) = dpi else { return self.repository };
+        match self.dpis.binary_search_by_key(&id, |&(listed, _)| listed) {
+            Ok(at) => self.dpis[at].1,
+            Err(_) => self.shards[super::table::shard_of(DpiId(id))],
+        }
     }
 }
 
@@ -380,7 +383,7 @@ impl ElasticProcess {
         for (id, slot) in slots {
             let cell = slot.cell.lock();
             let quota = slot.section();
-            cut.dpis.insert(id.0, durable.staged_count());
+            cut.dpis.push((id.0, durable.staged_count()));
             let state = slot.state();
             if state != DpiState::Terminated {
                 let image = capture_image(&slot, &cell.vm);

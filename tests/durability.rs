@@ -804,6 +804,69 @@ fn recovery_at_scale_restores_exactly_the_live_dpis() {
     assert_eq!(listed, live);
 }
 
+/// No stop-the-world: at 10⁴ and 10⁵ dpis, one thread invokes dpis round
+/// robin while another takes snapshots; prints p50, p99 and max latency
+/// of the invokes that overlapped a `snapshot_now`. A snapshot reads one
+/// dpi at a time inside its own section, so an invoke waits at most for
+/// one slot's capture, however large the table. A measurement, so run it
+/// in release: `cargo test --release --test durability -- --ignored
+/// --nocapture invokes_overlapping_snapshots`.
+#[test]
+#[ignore = "a measurement at 10^5 dpis; run in release"]
+fn invokes_overlapping_snapshots_wait_for_no_more_than_one_slot() {
+    use std::time::{Duration, Instant};
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for dpis in [10_000, 100_000] {
+        let dir = StateDir::new("stall");
+        let config = ElasticConfig { max_instances: dpis, ..ElasticConfig::default() };
+        let process = ElasticProcess::new(config);
+        process.attach_durability(dir.path(), 256).unwrap();
+        process.delegate("count", PROGRAM).unwrap();
+        let ids: Vec<DpiId> = (0..dpis).map(|_| process.instantiate("count").unwrap()).collect();
+        let stop = AtomicBool::new(false);
+        let (snapshots, invokes) = std::thread::scope(|s| {
+            let invoker = s.spawn(|| {
+                let mut spans = Vec::new();
+                for id in ids.iter().cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let start = Instant::now();
+                    process.invoke(*id, "bump", &[]).unwrap();
+                    spans.push((start, start.elapsed()));
+                }
+                spans
+            });
+            let snapshots: Vec<(Instant, Duration)> = (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    process.snapshot_now().unwrap();
+                    (start, start.elapsed())
+                })
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            (snapshots, invoker.join().unwrap())
+        });
+        let mut overlapping: Vec<Duration> = invokes
+            .into_iter()
+            .filter(|&(at, took)| snapshots.iter().any(|&(s, d)| at < s + d && at + took > s))
+            .map(|(_, took)| took)
+            .collect();
+        overlapping.sort_unstable();
+        let pick = |q: f64| overlapping[((overlapping.len() - 1) as f64 * q) as usize];
+        let snapshot_ms: Vec<u128> = snapshots.iter().map(|(_, d)| d.as_millis()).collect();
+        println!(
+            "{dpis} dpis, {cpus} cpus: snapshot_now {snapshot_ms:?} ms; {} overlapping invokes: \
+             p50 {:?} p99 {:?} max {:?}",
+            overlapping.len(),
+            pick(0.5),
+            pick(0.99),
+            overlapping.last().unwrap()
+        );
+        assert!(pick(0.99) < Duration::from_millis(1), "an invoke waited for the snapshot");
+    }
+}
+
 // ---------------------------------------------------------------------
 // The on-disk formats, pinned by checked-in fixtures.
 // ---------------------------------------------------------------------
