@@ -590,26 +590,36 @@ fn counter_source(k: u64) -> String {
     format!("var n = 0; fn bump() {{ n = n + {k}; return n; }} fn boom() {{ return 1 / 0; }}")
 }
 
-/// One seed-chosen verb of ops 0–8 against a seed-chosen dpi or dp;
-/// refusals are part of the race and ignored. Dpi 1 is never
-/// terminated or migrated: two other threads suspend and resume it.
-fn random_verb(process: &ElasticProcess, r: u64) {
+/// One seed-chosen verb of ops 0–8 against a seed-chosen dp, or a dpi
+/// picked from dpi 1 and the ids from `low` to the highest one made so
+/// far (`high`, which instantiates raise); refusals are part of the race
+/// and ignored. Dpi 1 is never terminated or migrated: two other threads
+/// suspend and resume it.
+fn random_verb(process: &ElasticProcess, r: u64, low: u64, high: &AtomicU64) {
     let name = if r & 1 == 0 { "p" } else { "q" };
-    let dpis = process.list_instances();
-    let dpi = dpis.get((r >> 8) as usize % dpis.len().max(1)).map_or(DpiId(1), |s| s.id);
-    let _ = match ((r >> 4) % 16, dpi == DpiId(1)) {
+    let span = high.load(Ordering::Relaxed).saturating_sub(low) + 2;
+    let dpi = match (r >> 8) % span {
+        0 => DpiId(1),
+        k => DpiId(low + k - 1),
+    };
+    // Program verbs and restores take the repository's write lock, which
+    // a snapshot's read lock holds off, and a waiting writer holds off
+    // instantiates: they stay rare, so instantiates land mid-snapshot.
+    let _ = match ((r >> 4) % 64, dpi == DpiId(1)) {
         (0, _) => process.delegate(name, &counter_source(1 + (r >> 20) % 3)),
         (1, _) => process.delete_program(name),
-        (2..=4, _) => process.instantiate(name).map(drop),
-        (5, _) => process.suspend(dpi),
-        (6 | 7, _) => process.resume(dpi),
-        (8, false) => process.terminate(dpi),
-        (9, _) => {
+        (2..=15, _) => process.instantiate(name).map(|id| {
+            high.fetch_max(id.0, Ordering::Relaxed);
+        }),
+        (16..=19, _) => process.suspend(dpi),
+        (20..=27, _) => process.resume(dpi),
+        (28..=30, false) => process.terminate(dpi),
+        (31..=33, _) => {
             let quota =
                 DpiQuota { max_invocations: Some(8 + (r >> 24) % 40), ..Default::default() };
             process.set_quota(dpi, Some(quota))
         }
-        (14, false) => process.suspend(dpi).and_then(|()| process.checkpoint(dpi)).and_then(|b| {
+        (34, false) => process.suspend(dpi).and_then(|()| process.checkpoint(dpi)).and_then(|b| {
             process.terminate(dpi)?;
             process.restore(&b).map(drop)
         }),
@@ -621,8 +631,9 @@ fn random_verb(process: &ElasticProcess, r: u64) {
 }
 
 /// The live verbs of ops 0–8 race a snapshot loop — three threads of
-/// seed-chosen verbs on a few dpis and two dp names, and two threads
-/// suspending and resuming one dpi. A copy of the state directory then
+/// seed-chosen verbs on two dp names and the dpis they make, and two
+/// threads suspending and resuming one dpi — until the twentieth
+/// snapshot is done. A copy of the state directory then
 /// recovers exactly the live process: programs, listing, census and,
 /// through a snapshot of each, every dpi's globals, account, quota and
 /// version, and the burned nonces. A deadlock fails on the bound.
@@ -632,48 +643,53 @@ fn verbs_racing_snapshots_recover_to_the_live_state() {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let dir = StateDir::new("verb-race");
-        let process = durable_process(dir.path());
+        let config = ElasticConfig { max_instances: 16_384, ..ElasticConfig::default() };
+        let process = ElasticProcess::new(config.clone());
+        process.attach_durability(dir.path(), 8).unwrap();
         process.delegate("p", &counter_source(1)).unwrap();
         process.delegate("q", &counter_source(2)).unwrap();
         let shared = process.instantiate("p").unwrap();
+        // Idle ballast: each snapshot then takes long enough for verbs
+        // to land between its shard listing and its last read.
+        process.delegate("idle", PROGRAM).unwrap();
+        for _ in 0..2_000 {
+            process.instantiate("idle").unwrap();
+        }
+        let low = process.instantiate("p").unwrap().0;
+        let high = &AtomicU64::new(low);
 
+        // The verbs run until the last snapshot is done, so every
+        // snapshot, the last one included, cuts through them.
         let stop = AtomicBool::new(false);
-        let snapshots = std::thread::scope(|s| {
-            let snapshotter = s.spawn(|| {
-                let mut taken = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    process.snapshot_now().unwrap();
-                    taken += 1;
-                }
-                taken
-            });
-            let process = &process;
-            let mut threads: Vec<_> = (1..=3u64)
-                .map(|seed| {
-                    s.spawn(move || {
-                        let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        for _ in 0..1000 {
-                            r ^= r << 13;
-                            r ^= r >> 7;
-                            r ^= r << 17;
-                            random_verb(process, r);
-                        }
-                    })
-                })
-                .collect();
-            threads.extend((0..2).map(|_| {
+        let verbs = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let (process, stop, verbs) = (&process, &stop, &verbs);
+            for seed in 1..=3u64 {
                 s.spawn(move || {
-                    for _ in 0..400 {
+                    let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    while !stop.load(Ordering::Relaxed) {
+                        r ^= r << 13;
+                        r ^= r >> 7;
+                        r ^= r << 17;
+                        random_verb(process, r, low, high);
+                        verbs.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
                         let _ = process.suspend(shared);
                         let _ = process.resume(shared);
                     }
-                })
-            }));
-            threads.into_iter().for_each(|t| t.join().unwrap());
+                });
+            }
+            for _ in 0..20 {
+                process.snapshot_now().unwrap();
+            }
             stop.store(true, Ordering::Relaxed);
-            snapshotter.join().unwrap()
         });
-        assert!(snapshots > 0, "the snapshotter never ran beside the verbs");
+        assert!(verbs.into_inner() > 100, "too few verbs ran beside the snapshots");
         process.durable_sync();
 
         let copy = StateDir::new("verb-race-copy");
@@ -690,7 +706,7 @@ fn verbs_racing_snapshots_recover_to_the_live_state() {
         let live_image = image(&process, &dir);
         drop(process);
 
-        let recovered = ElasticProcess::new(ElasticConfig::default());
+        let recovered = ElasticProcess::new(config);
         let report = recovered.attach_durability(copy.path(), 8).unwrap();
         assert_eq!(report.abandoned_dpis, 0, "{:?}", abandon_records(&recovered));
         let got =
