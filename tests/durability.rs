@@ -536,7 +536,10 @@ fn replay_of_an_instantiate_the_snapshot_holds_keeps_the_snapshot_dpi() {
     assert_eq!(process.invoke(DpiId(1), "bump", &[]).unwrap(), Value::Int(6));
 }
 
-const COUNTER: &str = "var n = 0; fn bump() { n = n + 1; return n; }";
+/// A counter whose increment is `k`, with an entry that always faults.
+fn counter_source(k: u64) -> String {
+    format!("var n = 0; fn bump() {{ n = n + {k}; return n; }} fn boom() {{ return 1 / 0; }}")
+}
 
 /// A dpi keeps the dp version it was instantiated from across a
 /// snapshot and a restart: re-delegating its dp leaves it on the old
@@ -546,10 +549,10 @@ const COUNTER: &str = "var n = 0; fn bump() { n = n + 1; return n; }";
 fn a_redelegated_dpi_keeps_its_version_across_a_snapshot() {
     let dir = StateDir::new("redelegate");
     let process = durable_process(dir.path());
-    process.delegate("c", COUNTER).unwrap();
+    process.delegate("c", &counter_source(1)).unwrap();
     let dpi = process.instantiate("c").unwrap();
     assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(1));
-    process.delegate("c", "var n = 0; fn bump() { n = n + 100; return n; }").unwrap();
+    process.delegate("c", &counter_source(100)).unwrap();
     assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(2));
     process.snapshot_now().unwrap();
     drop(process);
@@ -558,7 +561,7 @@ fn a_redelegated_dpi_keeps_its_version_across_a_snapshot() {
     assert_eq!(recovered.invoke(dpi, "bump", &[]).unwrap(), Value::Int(3));
     recovered.suspend(dpi).unwrap();
     let blob = CheckpointBlob::decode(&recovered.checkpoint(dpi).unwrap()).unwrap();
-    assert_eq!(blob.program.source, COUNTER, "the checkpoint carries the dpi's own version");
+    assert_eq!(blob.program.source, counter_source(1), "the checkpoint carries its own version");
     let fresh = recovered.instantiate("c").unwrap();
     assert_eq!(recovered.invoke(fresh, "bump", &[]).unwrap(), Value::Int(100));
 }
@@ -570,7 +573,7 @@ fn a_redelegated_dpi_keeps_its_version_across_a_snapshot() {
 fn a_dpi_of_a_deleted_dp_survives_a_snapshot() {
     let dir = StateDir::new("deleted-dp");
     let process = durable_process(dir.path());
-    process.delegate("c", COUNTER).unwrap();
+    process.delegate("c", &counter_source(1)).unwrap();
     let dpi = process.instantiate("c").unwrap();
     assert_eq!(process.invoke(dpi, "bump", &[]).unwrap(), Value::Int(1));
     process.delete_program("c").unwrap();
@@ -583,11 +586,6 @@ fn a_dpi_of_a_deleted_dp_survives_a_snapshot() {
     assert_eq!((report.restored_dpis, report.abandoned_dpis), (1, 0));
     assert!(recovered.list_programs().is_empty(), "ListPrograms is unchanged");
     assert_eq!(recovered.invoke(dpi, "bump", &[]).unwrap(), Value::Int(3));
-}
-
-/// A counter whose increment is `k`, with an entry that always faults.
-fn counter_source(k: u64) -> String {
-    format!("var n = 0; fn bump() {{ n = n + {k}; return n; }} fn boom() {{ return 1 / 0; }}")
 }
 
 /// One seed-chosen verb of ops 0–8 against a seed-chosen dp, or a dpi
