@@ -18,8 +18,9 @@
 //! Lock order: WAL lock, then the repository, then a dpi's cell lock,
 //! then its section, then a shard lock or the nonces, then the staging
 //! mutex. A snapshot holds the WAL lock throughout (no flush runs during
-//! it) and the repository's read lock across its collection, and reads
-//! each dpi inside its cell lock and section. Staging takes only the
+//! it) and the repository's read lock while it lists the table and
+//! copies the repository, then reads each dpi inside its cell lock and
+//! section. Staging takes only the
 //! staging mutex, so a verb may stage inside any of the locks above it.
 
 use super::table::DpiSlot;
@@ -371,30 +372,37 @@ impl ElasticProcess {
 
     /// Serializes the dpi table, the repository and the burned nonces,
     /// noting for each object the staging count at the moment it was
-    /// read. The repository's read lock is held throughout, so program
-    /// verbs and restores land wholly before or after the cut.
+    /// read. The repository's read lock is held while the table is
+    /// listed and the repository copied, so program verbs and restores
+    /// land wholly before that or after it: a dpi restored afterwards is
+    /// absent from the listing, its shard's count keeps its record, and
+    /// a listed dpi found terminated takes that count too, in case its
+    /// id was restored since. The dpis are then read one at a time.
     fn collect_snapshot_data(&self, durable: &Durability) -> (SnapshotData, Cut) {
         let repository = self.inner.repository.read();
         let mut cut = Cut { repository: durable.staged_count(), ..Cut::default() };
         let (mut slots, shards) = self.inner.dpis.snapshot_noting(|| durable.staged_count());
+        let stored = repository.clone();
+        drop(repository);
         cut.shards = shards;
         slots.sort_by_key(|(id, _)| *id);
         let mut dpis = Vec::with_capacity(slots.len());
         for (id, slot) in slots {
             let cell = slot.cell.lock();
             let quota = slot.section();
-            cut.dpis.push((id.0, durable.staged_count()));
             let state = slot.state();
-            if state != DpiState::Terminated {
-                let image = capture_image(&slot, &cell.vm);
-                let (dp_name, quota) = (slot.dp.name.clone(), *quota);
-                // Every dpi must be installable from the snapshot alone.
-                let stored = repository.get(&dp_name).is_some_and(|dp| Arc::ptr_eq(dp, &slot.dp));
-                let program = (!stored).then(|| program_record(&slot.dp));
-                dpis.push(DpiRecord { id: id.0, dp_name, state, image, quota, program });
+            if state == DpiState::Terminated {
+                continue;
             }
+            cut.dpis.push((id.0, durable.staged_count()));
+            let image = capture_image(&slot, &cell.vm);
+            let (dp_name, quota) = (slot.dp.name.clone(), *quota);
+            // Every dpi must be installable from the snapshot alone.
+            let in_list = stored.get(&dp_name).is_some_and(|dp| Arc::ptr_eq(dp, &slot.dp));
+            let program = (!in_list).then(|| program_record(&slot.dp));
+            dpis.push(DpiRecord { id: id.0, dp_name, state, image, quota, program });
         }
-        let programs = repository.values().map(|dp| program_record(dp)).collect();
+        let programs = stored.values().map(|dp| program_record(dp)).collect();
         let mut nonces: Vec<[u8; 16]> = self.inner.nonces.lock().iter().copied().collect();
         nonces.sort_unstable();
         let next_dpi = self.inner.next_dpi.load(Ordering::Relaxed);
