@@ -467,7 +467,9 @@ echo "==> cargo test --workspace"
 cargo test --workspace -q
 
 echo "==> clean tree: the run left the working tree as it found it"
-diff <(echo "$TREE_BEFORE") <(git status --porcelain) || {
+# Both sides through `echo`: a clean tree's empty status must compare
+# equal to itself (a bare `git status` prints no line where echo does).
+diff <(echo "$TREE_BEFORE") <(echo "$(git status --porcelain)") || {
     echo "ci FAILED: the run changed the files above (< before, > after)"
     exit 1
 }
