@@ -182,9 +182,9 @@ impl ElasticProcess {
                     ),
                 }
             }
-            // A `Terminated` record is a dead dpi (earlier builds kept
-            // them, and a slot caught mid-terminate reads that way): it
-            // stays out of the table, like any other terminated id.
+            // A `Terminated` record is a dead dpi (earlier builds wrote
+            // them for kept and mid-terminate slots): it stays out of
+            // the table, like any other terminated id.
             let live = data.dpis.into_iter().filter(|d| d.state != DpiState::Terminated);
             for DpiRecord { id, dp_name, state, image, quota, program } in live {
                 // A dpi whose version the program list lacks carries its
