@@ -11,7 +11,6 @@ fn main() -> std::io::Result<()> {
     ex::e7_micro::run(1000).0.emit(&out)?;
     ex::e8_vdl_size::run().0.emit(&out)?;
     ex::e9_transient::run().0.emit(&out)?;
-    ex::e10_vm::run(500).0.emit(&out)?;
     println!("all experiments written to {}", out.display());
     Ok(())
 }

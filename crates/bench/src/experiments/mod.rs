@@ -1,6 +1,5 @@
 //! One module per experiment in the evaluation (DESIGN.md §4).
 
-pub mod e10_vm;
 pub mod e1_poll_ceiling;
 pub mod e2_traffic;
 pub mod e3_tables;

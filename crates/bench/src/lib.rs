@@ -5,8 +5,10 @@
 //! function that regenerates the corresponding table or figure: it prints
 //! the same rows/series the paper reports and writes CSV under
 //! `bench/out/`. Thin binaries in `src/bin/` wrap each experiment.
-//! Wire-level performance of the real `mbd-server` is `bench/e2e`'s
-//! (see `BENCHMARK.json`), not this crate's.
+//! Wire-level performance of the real `mbd-server`, layer by layer, is
+//! `bench/e2e`'s (see `BENCHMARK.json`), not this crate's; the exact
+//! allocation costs of the server's own instrumentation are pinned by the
+//! root package's `tests/cost_ledger.rs`.
 //!
 //! | Experiment | Claim reproduced | Binary |
 //! |---|---|---|
@@ -19,7 +21,6 @@
 //! | [`experiments::e7_micro`] | elastic-process microcosts | `exp_micro` |
 //! | [`experiments::e8_vdl_size`] | VDL vs SMI-extension spec economy | `exp_vdl_size` |
 //! | [`experiments::e9_transient`] | transient-phenomenon detection | `exp_transient` |
-//! | [`experiments::e10_vm`] | dpl VM hot-path costs vs reconstruction baselines | `exp_vm` |
 
 pub mod experiments;
 pub mod report;

@@ -152,10 +152,15 @@ impl Durability {
             }
             at += len;
         }
+        self.put_back(kept);
+    }
+
+    /// Puts `front` back ahead of whatever was staged since it was taken.
+    fn put_back(&self, mut front: Staged) {
         let mut staged = self.staged.lock();
-        kept.bytes.append(&mut staged.bytes);
-        kept.tags.append(&mut staged.tags);
-        *staged = kept;
+        front.bytes.append(&mut staged.bytes);
+        front.tags.append(&mut staged.tags);
+        *staged = front;
     }
 
     /// Group commit: drains the staging buffer into the WAL file (one
@@ -167,12 +172,18 @@ impl Durability {
     ///
     /// # Errors
     ///
-    /// I/O errors from the write or the fsync.
+    /// I/O errors from the write or the fsync. A batch whose write
+    /// failed goes back to the front of the staging buffer, tags and
+    /// all, so the next flush writes it ahead of what was staged since,
+    /// and a snapshot's cut still applies to it.
     pub fn flush(&self) -> io::Result<Option<(Instant, Instant)>> {
         let pending = self.with_wal_locked(|w| -> io::Result<usize> {
-            let Staged { bytes, tags } = std::mem::take(&mut *self.staged.lock());
-            if !tags.is_empty() {
-                w.append_batch(&bytes, tags.len())?;
+            let batch = std::mem::take(&mut *self.staged.lock());
+            if !batch.tags.is_empty() {
+                if let Err(e) = w.append_batch(&batch.bytes, batch.tags.len()) {
+                    self.put_back(batch);
+                    return Err(e);
+                }
             }
             Ok(w.unsynced())
         })?;

@@ -295,10 +295,13 @@ pub fn scan_file(path: &Path) -> io::Result<WalScan> {
     Ok(scan(&bytes))
 }
 
-/// The append half of the WAL: an open file plus its unsynced count.
+/// The append half of the WAL: an open file, its length and its
+/// unsynced count.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
+    /// The file's length after the last complete write or truncation.
+    len: u64,
     unsynced: usize,
 }
 
@@ -310,7 +313,8 @@ impl Wal {
     /// I/O errors from open.
     pub fn open(path: &Path) -> io::Result<Wal> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Wal { file, unsynced: 0 })
+        let len = file.metadata()?.len();
+        Ok(Wal { file, len, unsynced: 0 })
     }
 
     /// A second handle to the same open file description, for fsyncing
@@ -331,17 +335,25 @@ impl Wal {
     /// I/O errors from truncate.
     pub fn truncate_to(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)?;
+        self.len = len;
         self.file.sync_data()
     }
 
     /// Writes a drained staging batch (concatenated frames) as one
-    /// `write_all` — the flusher's bulk path.
+    /// `write_all` — the flusher's bulk path. A failed write is cut off
+    /// again, so no torn frame is left for later batches to land behind
+    /// (recovery's scan would stop at it and drop them all).
     ///
     /// # Errors
     ///
-    /// I/O errors from write.
+    /// I/O errors from the write; the file then has its length from
+    /// before the call, unless cutting it back failed too.
     pub fn append_batch(&mut self, bytes: &[u8], records: usize) -> io::Result<()> {
-        self.file.write_all(bytes)?;
+        if let Err(e) = self.file.write_all(bytes) {
+            let _ = self.file.set_len(self.len);
+            return Err(e);
+        }
+        self.len += bytes.len() as u64;
         self.unsynced += records;
         Ok(())
     }

@@ -264,21 +264,20 @@ impl ElasticProcess {
     /// Spawns the group-commit flusher: appenders never fsync inline,
     /// they wake this thread when a batch is due, and it syncs the WAL's
     /// dup'ed file description without holding the WAL lock (so appends
-    /// keep flowing behind the disk). The thread holds only a weak
-    /// reference and exits once the process (and with it the store) is
-    /// dropped.
+    /// keep flowing behind the disk). Each commit is a
+    /// [`durable_sync`](ElasticProcess::durable_sync), so a failed one
+    /// is journaled. The thread holds only weak references and exits
+    /// once the process (and with it the store) is dropped.
     fn spawn_wal_flusher(&self, durable: &Arc<Durability>) {
         let weak = Arc::downgrade(durable);
-        let fsyncs = self.inner.metrics.wal_fsyncs.clone();
-        let latency = self.inner.metrics.wal_fsync.clone();
+        let process = Arc::downgrade(&self.inner);
         let spawned =
             std::thread::Builder::new().name("mbd-wal-flush".to_string()).spawn(move || loop {
                 let Some(durable) = weak.upgrade() else { break };
                 durable.wait_flush(crate::durable::FLUSH_PERIOD);
-                if let Ok(Some((start, end))) = durable.flush() {
-                    fsyncs.inc();
-                    latency.record_interval(start, end);
-                }
+                drop(durable);
+                let Some(inner) = process.upgrade() else { break };
+                ElasticProcess { inner }.durable_sync();
             });
         if let Err(e) = spawned {
             self.journal_event("wal.error", DpiId(0), false, &format!("flusher spawn: {e}"));
@@ -328,10 +327,12 @@ impl ElasticProcess {
     }
 
     /// Synchronously group-commits everything staged or unsynced (the
-    /// embedding server's 1 Hz loop calls this to bound the loss
-    /// window; tests call it to make the WAL file catch up with memory
-    /// before simulating a crash). A no-op when durability is off or
-    /// nothing is pending.
+    /// flusher thread calls this each time it wakes, the embedding
+    /// server's 1 Hz loop to bound the loss window, tests to make the
+    /// WAL file catch up with memory before simulating a crash). A
+    /// failure is journaled as `wal.error`; the records stay staged for
+    /// the next commit. A no-op when durability is off or nothing is
+    /// pending.
     pub fn durable_sync(&self) {
         let Some(durable) = self.durability() else { return };
         match durable.flush() {

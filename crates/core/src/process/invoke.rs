@@ -8,7 +8,7 @@
 
 use super::durability::Effect;
 use super::table::{DpiSlot, InstanceCell};
-use super::{stats, ElasticProcess};
+use super::ElasticProcess;
 use crate::durable::WalRecord;
 use crate::services::{Notification, PendingAction};
 use crate::CoreError;
@@ -101,13 +101,13 @@ impl ElasticProcess {
                 slot.account.record_invocation(result.is_ok(), busy_ns, fuel);
                 let (value, journal, retire) = match result {
                     Ok(v) => {
-                        stats::bump(&self.inner.stats.invocations_ok);
+                        self.inner.metrics.invocations_ok.inc();
                         // The account may have crossed its quota during this
                         // invocation (time, fuel, notify/log emissions).
                         (Ok(v), self.enforce_quota(dpi, slot, **quota), None)
                     }
                     Err(e) => {
-                        stats::bump(&self.inner.stats.invocations_failed);
+                        self.inner.metrics.invocations_failed.inc();
                         // Fault isolation: a faulting dpi is terminated.
                         let retire = slot.force_terminate().map(|_| dpi);
                         let detail = format!("{e}; {}", super::lifecycle::final_bill(slot));

@@ -7,7 +7,7 @@
 
 use super::durability::Effect;
 use super::table::DpiSlot;
-use super::{stats, DpiInfo, ElasticProcess};
+use super::{DpiInfo, ElasticProcess};
 use crate::durable::WalRecord;
 use crate::CoreError;
 use dpl::Value;
@@ -38,7 +38,7 @@ impl ElasticProcess {
         self.commit(slot.section(), |held| {
             slot.set_quota(held, self.inner.config.quota);
             self.inner.dpis.insert(id, Arc::clone(&slot));
-            stats::bump(&self.inner.stats.instantiations);
+            self.inner.metrics.instantiations.inc();
             let record = WalRecord::Instantiate { dpi: id.0, dp_name: dp_name.to_string() };
             Ok(Effect::logged(id, record).journaled("lifecycle.instantiate", id, dp_name.into()))
         })

@@ -14,14 +14,12 @@ mod account;
 mod durability;
 mod invoke;
 mod lifecycle;
-mod stats;
 mod table;
 
 #[cfg(test)]
 mod tests;
 
 pub use account::{DpiAccount, DpiAccountRow, DpiAccountSnapshot, DpiQuota};
-pub use stats::ProcessStats;
 
 use crate::durable::{Durability, ProgramRecord, WalRecord};
 use crate::journal::Journal;
@@ -91,6 +89,29 @@ pub struct DpiInfo {
     pub queued_messages: usize,
 }
 
+/// Counters describing a process's lifetime activity (a point-in-time
+/// snapshot; see [`ElasticProcess::stats`]). Each is read from its own
+/// counter, so the snapshot as a whole is not a consistent cut, which is
+/// fine for monotone counters read for monitoring.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProcessStats {
+    /// Programs accepted by the Translator.
+    pub delegations_accepted: u64,
+    /// Programs rejected by the Translator.
+    pub delegations_rejected: u64,
+    /// Instances created.
+    pub instantiations: u64,
+    /// Invocations completed successfully.
+    pub invocations_ok: u64,
+    /// Invocations that faulted.
+    pub invocations_failed: u64,
+    /// Notifications evicted from the bounded outbox before any manager
+    /// drained them.
+    pub notifications_dropped: u64,
+    /// Log lines evicted from the bounded agent log.
+    pub log_dropped: u64,
+}
+
 /// Pre-resolved runtime metrics (`ep.*`): one latency histogram per
 /// lifecycle verb, plus contention and backpressure signals. Resolved
 /// once at construction so recording on the hot paths is lock-free.
@@ -127,6 +148,16 @@ pub(in crate::process) struct EpMetrics {
     /// `ep.recovery_ms` — wall-clock milliseconds of the last boot
     /// recovery (0 until one has run).
     pub recovery_ms: Gauge,
+    /// `ep.delegations_accepted` / `ep.delegations_rejected` — the
+    /// Translator's verdicts.
+    pub delegations_accepted: Counter,
+    pub delegations_rejected: Counter,
+    /// `ep.instantiations` — instances created.
+    pub instantiations: Counter,
+    /// `ep.invocations_ok` / `ep.invocations_failed` — invocation
+    /// outcomes.
+    pub invocations_ok: Counter,
+    pub invocations_failed: Counter,
 }
 
 impl EpMetrics {
@@ -149,6 +180,11 @@ impl EpMetrics {
             wal_fsyncs: telemetry.counter("ep.wal_fsyncs"),
             wal_fsync: telemetry.timer("ep.wal_fsync"),
             recovery_ms: telemetry.gauge("ep.recovery_ms"),
+            delegations_accepted: telemetry.counter("ep.delegations_accepted"),
+            delegations_rejected: telemetry.counter("ep.delegations_rejected"),
+            instantiations: telemetry.counter("ep.instantiations"),
+            invocations_ok: telemetry.counter("ep.invocations_ok"),
+            invocations_failed: telemetry.counter("ep.invocations_failed"),
         }
     }
 }
@@ -173,7 +209,6 @@ pub(in crate::process) struct Inner {
     pub outbox: Arc<Ring<Notification>>,
     pub log: Arc<Ring<String>>,
     pub ticks: Arc<AtomicU64>,
-    pub stats: stats::AtomicStats,
     pub telemetry: Telemetry,
     pub metrics: EpMetrics,
     pub journal: Arc<Journal>,
@@ -238,7 +273,6 @@ impl ElasticProcess {
                 outbox,
                 log,
                 ticks: Arc::new(AtomicU64::new(0)),
-                stats: stats::AtomicStats::default(),
                 telemetry,
                 metrics,
                 journal,
@@ -397,10 +431,15 @@ impl ElasticProcess {
 
     /// Lifetime counters, including event-queue losses.
     pub fn stats(&self) -> ProcessStats {
+        let m = &self.inner.metrics;
         ProcessStats {
+            delegations_accepted: m.delegations_accepted.get(),
+            delegations_rejected: m.delegations_rejected.get(),
+            instantiations: m.instantiations.get(),
+            invocations_ok: m.invocations_ok.get(),
+            invocations_failed: m.invocations_failed.get(),
             notifications_dropped: self.inner.outbox.dropped(),
             log_dropped: self.inner.log.dropped(),
-            ..self.inner.stats.snapshot()
         }
     }
 
@@ -512,11 +551,11 @@ impl ElasticProcess {
         let _span = self.inner.metrics.delegate.start();
         // Compiled outside any lock, committed under the repository's.
         let compiled = self.compile(source);
-        let stats = &self.inner.stats;
-        stats::bump(match compiled {
-            Ok(_) => &stats.delegations_accepted,
-            Err(_) => &stats.delegations_rejected,
-        });
+        let metrics = &self.inner.metrics;
+        match compiled {
+            Ok(_) => metrics.delegations_accepted.inc(),
+            Err(_) => metrics.delegations_rejected.inc(),
+        }
         let compiled = compiled.map_err(CoreError::Translation)?;
         self.commit(self.inner.repository.write(), |map| {
             let dp = crate::repository::next_version(map, name, source, compiled, principal);

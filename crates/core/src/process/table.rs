@@ -14,7 +14,6 @@
 use super::account::{DpiAccount, DpiQuota};
 use crate::services::ServerCtx;
 use crate::StoredDp;
-use crossbeam::utils::CachePadded;
 use dpl::HostRegistry;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rds::{DpiId, DpiState};
@@ -179,7 +178,10 @@ pub(super) fn shard_of(id: DpiId) -> usize {
 
 /// One table shard: the locked map plus a mirror of its entry count,
 /// maintained on the write paths so [`ShardedTable::len`] never takes a
-/// lock and [`ShardedTable::snapshot`] can pre-size its output.
+/// lock and [`ShardedTable::snapshot`] can pre-size its output. Aligned
+/// to 128 bytes, the pair of cache lines a prefetcher pulls in together,
+/// so no two shards share a line (see [`ShardedTable`]).
+#[repr(align(128))]
 struct Shard {
     map: RwLock<HashMap<DpiId, Arc<DpiSlot>>>,
     len: AtomicUsize,
@@ -195,22 +197,22 @@ struct Shard {
 /// lines (false sharing) — exactly the contention sharding exists to
 /// remove.
 pub(super) struct ShardedTable {
-    shards: Vec<CachePadded<Shard>>,
-    live: CachePadded<AtomicUsize>,
+    shards: Vec<Shard>,
+    live: LiveCensus,
 }
+
+/// The live-instance census, on a 128-byte line of its own like a
+/// [`Shard`].
+#[repr(align(128))]
+struct LiveCensus(AtomicUsize);
 
 impl ShardedTable {
     pub fn new() -> ShardedTable {
         ShardedTable {
             shards: (0..SHARDS)
-                .map(|_| {
-                    CachePadded::new(Shard {
-                        map: RwLock::new(HashMap::new()),
-                        len: AtomicUsize::new(0),
-                    })
-                })
+                .map(|_| Shard { map: RwLock::new(HashMap::new()), len: AtomicUsize::new(0) })
                 .collect(),
-            live: CachePadded::new(AtomicUsize::new(0)),
+            live: LiveCensus(AtomicUsize::new(0)),
         }
     }
 
@@ -279,18 +281,19 @@ impl ShardedTable {
     /// terminates (or the reservation is abandoned).
     pub fn try_reserve_live(&self, limit: usize) -> bool {
         self.live
+            .0
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < limit).then_some(n + 1))
             .is_ok()
     }
 
     /// Returns one live-instance reservation.
     pub fn release_live(&self) {
-        self.live.fetch_sub(1, Ordering::AcqRel);
+        self.live.0.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Live (non-terminated) instances.
     pub fn live(&self) -> usize {
-        self.live.load(Ordering::Acquire)
+        self.live.0.load(Ordering::Acquire)
     }
 }
 

@@ -15,7 +15,7 @@
 //! one plain countdown decrement per block whether profiling is on or
 //! off (off counts down from a `u32::MAX` sentinel), with the clock
 //! read and stack walk confined to the sampled 1-in-N entries
-//! (the decrement is inside E10's dispatch ns/op budgets).
+//! (the decrement is inside `bench/e2e`'s `dpl.vm.invoke_ns`).
 //!
 //! Aggregated samples export two ways: [`Profile::rows`] for tables
 //! (the `mbdProfile` OCP subtree) and [`Profile::folded`] for

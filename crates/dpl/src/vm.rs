@@ -216,17 +216,6 @@ impl Instance {
         Ok(())
     }
 
-    /// Drops the cached host map and entry memo so the next invocation
-    /// re-resolves everything from scratch. Exists for the `e10_vm`
-    /// bench, which uses it to reconstruct the pre-cache per-invocation
-    /// cost as a baseline series; correctness never requires calling it
-    /// (generation tracking invalidates the cache automatically).
-    pub fn clear_resolution_caches(&mut self) {
-        self.host_map = Vec::new();
-        self.host_map_generation = None;
-        self.last_entry = None;
-    }
-
     /// Invokes `entry` with `args` under `budget`, using `registry` for
     /// host calls with context `ctx`.
     ///

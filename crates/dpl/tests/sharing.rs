@@ -197,14 +197,3 @@ fn host_resolution_cache_tracks_registry_generation() {
     // The failure left the cache invalid, not poisoned: reg1 still works.
     assert_eq!(inst.invoke("main", &[], &mut (), &reg1, Budget::default()).unwrap(), Value::Int(1));
 }
-
-#[test]
-fn clearing_resolution_caches_is_transparent() {
-    let reg = stdlib();
-    let program = compile(COUNTER_SRC);
-    let mut inst = Instance::new(program);
-    inst.invoke("bump", &[Value::Int(2)], &mut (), &reg, Budget::default()).unwrap();
-    inst.clear_resolution_caches();
-    let v = inst.invoke("bump", &[Value::Int(3)], &mut (), &reg, Budget::default()).unwrap();
-    assert_eq!(v, Value::Int(5)); // state survived; resolution re-ran
-}

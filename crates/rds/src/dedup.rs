@@ -102,7 +102,7 @@ struct DedupInner {
 }
 
 impl DedupInner {
-    fn entries_mut(&mut self, principal: &str) -> &mut PrincipalEntries {
+    fn entries_mut(&mut self, principal: &str, capacity: usize) -> &mut PrincipalEntries {
         if !self.principals.contains_key(principal) {
             if self.principals.len() >= MAX_PRINCIPALS {
                 if let Some(oldest) = self.principal_order.pop_front() {
@@ -110,10 +110,11 @@ impl DedupInner {
                 }
             }
             self.principal_order.push_back(principal.to_string());
-            self.principals.insert(
-                principal.to_string(),
-                PrincipalEntries { map: HashMap::new(), order: VecDeque::new() },
-            );
+            // Sized once for the bound: a smaller map churning at the
+            // bound resizes once more, when its random hash seed says so.
+            let map = HashMap::with_capacity(2 * capacity);
+            let entries = PrincipalEntries { map, order: VecDeque::with_capacity(capacity + 1) };
+            self.principals.insert(principal.to_string(), entries);
         }
         self.principals.get_mut(principal).expect("just inserted")
     }
@@ -121,7 +122,7 @@ impl DedupInner {
 
 impl DedupCache {
     /// A cache retaining at most `capacity` responses per principal
-    /// (min 1).
+    /// (min 1), each principal's table allocated at its first request.
     pub fn new(capacity: usize) -> DedupCache {
         DedupCache {
             inner: Mutex::new(DedupInner {
@@ -159,7 +160,7 @@ impl DedupCache {
                         // The claim leaked (its thread died without
                         // unwinding). Take it over rather than wedge.
                         inner
-                            .entries_mut(principal)
+                            .entries_mut(principal, self.capacity)
                             .map
                             .insert(request_id, (fingerprint, Slot::InFlight));
                         return DedupOutcome::Execute;
@@ -172,11 +173,10 @@ impl DedupCache {
                 }
                 _ => {
                     // Miss (or id reuse with different bytes): claim it.
-                    let capacity = self.capacity;
-                    let entries = inner.entries_mut(principal);
+                    let entries = inner.entries_mut(principal, self.capacity);
                     if entries.map.insert(request_id, (fingerprint, Slot::InFlight)).is_none() {
                         entries.order.push_back(request_id);
-                        if entries.order.len() > capacity {
+                        if entries.order.len() > self.capacity {
                             if let Some(evicted) = entries.order.pop_front() {
                                 entries.map.remove(&evicted);
                             }
@@ -194,7 +194,7 @@ impl DedupCache {
     /// (id reuse) is left to its new owner.
     pub fn complete(&self, principal: &str, request_id: i64, fingerprint: u64, response: &[u8]) {
         let mut inner = self.inner.lock();
-        let entries = inner.entries_mut(principal);
+        let entries = inner.entries_mut(principal, self.capacity);
         match entries.map.get(&request_id) {
             Some((stored_fp, _)) if *stored_fp != fingerprint => {}
             Some(_) => {

@@ -226,6 +226,10 @@ grep -Eq "trace=[0-9a-f]{16} principal=server verb=alert.clear .*ep.quota_breach
     cat "$SMOKE_DIR/alert_journal.txt"
     exit 1
 }
+# Every alert edge has a trace id of its own, also two of one sweep.
+SHARED="$(grep -Eo "trace=[0-9a-f]{16} principal=server verb=alert\." \
+    "$SMOKE_DIR/alert_journal.txt" | sort | uniq -d)"
+[ -z "$SHARED" ] || { echo "history smoke FAILED: alert edges share a trace: $SHARED"; exit 1; }
 # Capture to a file before grepping: grep -q quitting on first match
 # would SIGPIPE mbdctl mid-print, and pipefail turns that into a
 # spurious failure even when the record is present.
@@ -324,12 +328,6 @@ if grep -Eq "rds\.shed +[1-9]" "$FLOOD_LOG"; then
     exit 1
 fi
 echo "conn smoke ok: $(grep 'conn flood ok' "$SMOKE_DIR/flood_binary.out")"
-
-echo "==> vm smoke: E10 hot-path budgets (release-gated)"
-# The release-only budget tests assert the shared-code instantiation
-# speedup (>= 2x vs the deep-clone reconstruction baseline), the
-# warm-vs-cold resolution-cache win, and the dispatch ns/op ceiling.
-cargo test --release -q -p mbd-bench --lib e10
 
 echo "==> durability smoke: kill -9 a stateful server, reboot, state survives"
 # Boots the real binary with a state directory, delegates a counting

@@ -137,10 +137,13 @@ fn json_line(r: &AuditRecord) -> String {
     )
 }
 
-/// Mints a non-zero trace id for a server-originated journal entry
-/// (splitmix64 of a loop-local seed — alert edges need an id that is
-/// unique within the journal, not cryptographic).
-fn alert_trace_id(seed: u64) -> u64 {
+/// Mints the non-zero trace id of the `position`-th alert edge of the
+/// sweep at loop second `seconds` (splitmix64 of a loop-local seed —
+/// alert edges need an id that is unique within the journal, not
+/// cryptographic). Every edge of one sweep carries the same `t_s`, so
+/// the position is what tells two of them apart.
+fn alert_trace_id(seconds: u64, t_s: u64, position: usize) -> u64 {
+    let seed = (seconds << 32 | t_s) ^ ((position as u64) << 56);
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -439,8 +442,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // id, notify the manager stream, and freeze the flight recorder
         // on fires (the spans leading up to the breach are exactly what
         // the operator will want).
-        for edge in edges {
-            let trace_id = alert_trace_id(seconds << 32 | edge.t_s);
+        for (position, edge) in edges.into_iter().enumerate() {
+            let trace_id = alert_trace_id(seconds, edge.t_s, position);
             let verb = if edge.fired { "alert.fire" } else { "alert.clear" };
             let detail = format!("{} value {} threshold {}", edge.rule, edge.value, edge.threshold);
             process.journal().record(
@@ -491,5 +494,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("[stats]\n{}", process.telemetry().snapshot_text());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::alert_trace_id;
+    use mbd::telemetry::{AlertRule, HistoryConfig, Telemetry};
+
+    #[test]
+    fn two_edges_of_one_sweep_get_distinct_trace_ids() {
+        let telemetry = Telemetry::new();
+        telemetry.enable_history(HistoryConfig::default());
+        let rules = ["sweep.a>0:for=1", "sweep.b>0:for=1"];
+        telemetry.enable_alerts(rules.iter().map(|r| AlertRule::parse(r).unwrap()).collect());
+        telemetry.gauge("sweep.a").set(1);
+        telemetry.gauge("sweep.b").set(1);
+        let edges = telemetry.sample_and_evaluate();
+        assert_eq!(edges.len(), 2, "both rules fire in the same sweep");
+        assert_eq!(edges[0].t_s, edges[1].t_s);
+        let ids: Vec<u64> =
+            edges.iter().enumerate().map(|(i, e)| alert_trace_id(1, e.t_s, i)).collect();
+        assert!(ids.iter().all(|&id| id != 0));
+        assert_ne!(ids[0], ids[1]);
     }
 }
