@@ -85,6 +85,9 @@ pub struct Durability {
     staged_count: AtomicU64,
     /// Staged records that trigger an eager flush wake-up.
     fsync_every: usize,
+    /// Flushes failed since the last one that succeeded: the embedding
+    /// process journals a failure episode once, not once per attempt.
+    pub(crate) failed_flushes: AtomicU64,
     /// A second handle to the WAL's open file description, so fsync
     /// runs without the WAL lock.
     sync_handle: File,
@@ -110,6 +113,7 @@ impl Durability {
             staged: Mutex::new(Staged::default()),
             staged_count: AtomicU64::new(0),
             fsync_every: fsync_every.max(1),
+            failed_flushes: AtomicU64::new(0),
             sync_handle,
             flush_requested: std::sync::Mutex::new(false),
             flush_signal: std::sync::Condvar::new(),

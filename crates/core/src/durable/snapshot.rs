@@ -228,6 +228,6 @@ mod tests {
         assert_eq!(read_file(&path).unwrap(), Some(sample()));
         std::fs::write(&path, b"garbage").unwrap();
         assert!(read_file(&path).is_err());
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

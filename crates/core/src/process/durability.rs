@@ -328,20 +328,31 @@ impl ElasticProcess {
 
     /// Synchronously group-commits everything staged or unsynced (the
     /// flusher thread calls this each time it wakes, the embedding
-    /// server's 1 Hz loop to bound the loss window, tests to make the
-    /// WAL file catch up with memory before simulating a crash). A
-    /// failure is journaled as `wal.error`; the records stay staged for
-    /// the next commit. A no-op when durability is off or nothing is
-    /// pending.
+    /// server's 1 Hz loop as a fallback, tests to make the WAL file
+    /// catch up with memory before simulating a crash). A failure keeps
+    /// the records staged for the next commit. The first failure of an
+    /// episode is journaled as `wal.error`, and the next commit that
+    /// succeeds as `wal.recovered` with the number of failed attempts,
+    /// so a disk that refuses writes for minutes costs the journal two
+    /// records. A no-op when durability is off or nothing is pending.
     pub fn durable_sync(&self) {
         let Some(durable) = self.durability() else { return };
         match durable.flush() {
             Ok(Some((start, end))) => {
                 self.inner.metrics.wal_fsyncs.inc();
                 self.inner.metrics.wal_fsync.record_interval(start, end);
+                let failed = durable.failed_flushes.swap(0, Ordering::Relaxed);
+                if failed > 0 {
+                    let detail = format!("after {failed} failed flush attempt(s)");
+                    self.journal_event("wal.recovered", DpiId(0), true, &detail);
+                }
             }
             Ok(None) => {}
-            Err(e) => self.journal_event("wal.error", DpiId(0), false, &e.to_string()),
+            Err(e) => {
+                if durable.failed_flushes.fetch_add(1, Ordering::Relaxed) == 0 {
+                    self.journal_event("wal.error", DpiId(0), false, &e.to_string());
+                }
+            }
         }
     }
 

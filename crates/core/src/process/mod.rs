@@ -37,6 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use table::ShardedTable;
 
+/// Capacity of the audit journal (drop-oldest; gaps in `seq` record
+/// eviction).
+const JOURNAL_CAPACITY: usize = 1024;
+
 /// Configuration of an elastic process.
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
@@ -49,9 +53,6 @@ pub struct ElasticConfig {
     pub notification_capacity: usize,
     /// Capacity of the agent log, with the same drop-oldest policy.
     pub log_capacity: usize,
-    /// Capacity of the audit journal (drop-oldest; gaps in `seq` record
-    /// eviction).
-    pub journal_capacity: usize,
     /// Resource quota armed on every newly instantiated dpi (`None` =
     /// unlimited; per-dpi overrides via
     /// [`ElasticProcess::set_quota`]).
@@ -69,7 +70,6 @@ impl Default for ElasticConfig {
             max_instances: 1024,
             notification_capacity: 4096,
             log_capacity: 4096,
-            journal_capacity: 1024,
             quota: None,
             profile_sample: 0,
         }
@@ -258,7 +258,7 @@ impl ElasticProcess {
         let log = Arc::new(Ring::new(config.log_capacity));
         let telemetry = Telemetry::new();
         let metrics = EpMetrics::new(&telemetry);
-        let journal = Arc::new(Journal::new(config.journal_capacity));
+        let journal = Arc::new(Journal::new(JOURNAL_CAPACITY));
         let registry = Arc::new(services::standard_registry());
         let registry_gen = AtomicU64::new(registry.generation());
         ElasticProcess {
@@ -283,9 +283,9 @@ impl ElasticProcess {
         }
     }
 
-    /// The process's telemetry domain. Transports and embedders share
-    /// it (e.g. pass a clone to `TcpServerConfig.telemetry`) so one
-    /// snapshot covers the whole server.
+    /// The process's telemetry domain. An [`crate::MbdServer`] over the
+    /// process records into it, and so does any `rds::TcpServer`
+    /// serving that server, so one snapshot covers the whole server.
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }

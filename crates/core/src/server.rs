@@ -1,13 +1,18 @@
 use crate::{convert, CoreError, ElasticProcess};
 use mbd_auth::{Acl, Principal};
-use mbd_telemetry::Counter;
-use rds::{AuditEvent, DpiId, ErrorCode, RdsHandler, RdsRequest, RdsResponse, RdsServer};
+use mbd_telemetry::{Counter, Telemetry};
+use rds::{
+    Arrival, AuditEvent, DpiId, ErrorCode, RdsHandler, RdsRequest, RdsResponse, RdsServer, Serve,
+};
 
 /// The MbD server: an [`ElasticProcess`] behind the RDS protocol.
 ///
 /// Decoding, authentication and ACL enforcement happen in
 /// [`RdsServer`]; this type supplies the [`RdsHandler`] mapping protocol
-/// verbs onto the runtime and converting values at the boundary.
+/// verbs onto the runtime and converting values at the boundary. It is
+/// also what an [`rds::TcpServer`] serves: the transport then signs its
+/// sheds with this server's key, records into the process's telemetry
+/// domain, and journals sheds and survived panics.
 ///
 /// # Examples
 ///
@@ -286,6 +291,24 @@ impl MbdServer {
     }
 }
 
+impl Serve for MbdServer {
+    fn serve(&self, frame: &[u8], arrival: Arrival) -> Vec<u8> {
+        self.rds.serve(frame, arrival)
+    }
+
+    fn shed(&self, request_id: i64) -> Vec<u8> {
+        self.rds.shed(request_id)
+    }
+
+    fn panicked(&self) {
+        self.rds.panicked();
+    }
+
+    fn telemetry(&self) -> Telemetry {
+        self.rds.telemetry()
+    }
+}
+
 // Shim for the frozen benchmark: `bench/e2e/src/probes.rs` (lines 131 and
 // 526) is the only caller of these three names, and no change but a
 // `benchmark` issue may edit it; the next one deletes both ends. There is no
@@ -413,9 +436,8 @@ mod tests {
 
     #[test]
     fn threaded_server_over_tcp() {
-        let server = Arc::new(MbdServer::open(ElasticProcess::new(ElasticConfig::default())));
-        let tcp =
-            TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap();
+        let server = MbdServer::open(ElasticProcess::new(ElasticConfig::default()));
+        let tcp = TcpServer::spawn("127.0.0.1:0", server).unwrap();
         let c = Arc::new(RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr"));
         c.delegate("f", "fn main(x) { return x * x; }").unwrap();
         let dpi = c.instantiate("f").unwrap();

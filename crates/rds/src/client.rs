@@ -549,10 +549,7 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { max_connections: 1, ..TcpServerConfig::default() },
-            {
-                let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok);
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+            RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok),
         )
         .unwrap();
         let keeper = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "keeper");

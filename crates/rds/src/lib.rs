@@ -82,5 +82,5 @@ pub use msg::{
 pub use pipeline::RdsPipeline;
 pub use retry::RetryPolicy;
 pub use server::{AuditEvent, RdsHandler, RdsServer};
-pub use tcp::{ServerHealth, TcpServer, TcpServerConfig};
+pub use tcp::{Arrival, Serve, ServerHealth, TcpServer, TcpServerConfig};
 pub use transport::{FrameDuplex, LoopbackDuplex, TcpDuplex};

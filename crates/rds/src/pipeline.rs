@@ -214,7 +214,7 @@ impl<D: FrameDuplex> RdsPipeline<D> {
     /// interleaved blocking receive when the window is full).
     pub fn submit(&mut self, req: &RdsRequest) -> i64 {
         while self.pending.len() >= self.window {
-            self.pump(true);
+            self.pump();
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -239,38 +239,17 @@ impl<D: FrameDuplex> RdsPipeline<D> {
     /// that exhausted their retry budget yield `Err` entries.
     pub fn drain(&mut self) -> Vec<(i64, Result<RdsResponse, RdsError>)> {
         while !self.pending.is_empty() {
-            self.pump(true);
+            self.pump();
         }
-        self.take_completed()
-    }
-
-    /// Collects any responses that have already arrived without
-    /// blocking; pairs are in submission order.
-    pub fn poll_completed(&mut self) -> Vec<(i64, Result<RdsResponse, RdsError>)> {
-        // Drain everything immediately available, then hand out results.
-        loop {
-            let before = (self.pending.len(), self.completed.len());
-            self.pump(false);
-            if (self.pending.len(), self.completed.len()) == before {
-                break;
-            }
-        }
-        self.take_completed()
-    }
-
-    fn take_completed(&mut self) -> Vec<(i64, Result<RdsResponse, RdsError>)> {
         self.completed.sort_by_key(|(id, _)| *id);
         std::mem::take(&mut self.completed)
     }
 
-    /// One receive step: `block` waits up to the recv timeout, else
-    /// returns immediately when no frame is ready.
-    fn pump(&mut self, block: bool) {
-        let timeout = if block { self.recv_timeout } else { Duration::ZERO };
-        match self.duplex.recv_frame(timeout) {
+    /// One receive step, waiting up to the recv timeout.
+    fn pump(&mut self) {
+        match self.duplex.recv_frame(self.recv_timeout) {
             Ok(Some(frame)) => self.dispatch(&frame),
-            Ok(None) if block => self.on_stall(),
-            Ok(None) => {}
+            Ok(None) => self.on_stall(),
             Err(e) => self.recover(e),
         }
     }
@@ -430,34 +409,26 @@ mod tests {
         TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers, backlog, ..TcpServerConfig::default() },
-            {
-                let rds = Arc::new(RdsServer::open(|_p: &Principal, req: RdsRequest| match req {
-                    RdsRequest::ReadJournal { max_records } => {
-                        std::thread::sleep(Duration::from_millis(u64::from(max_records % 4) * 5));
-                        RdsResponse::Ok
-                    }
-                    RdsRequest::ListPrograms => {
-                        RdsResponse::Programs { names: vec!["dp".to_string()] }
-                    }
-                    _ => RdsResponse::Ok,
-                }));
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+            RdsServer::open(|_p: &Principal, req: RdsRequest| match req {
+                RdsRequest::ReadJournal { max_records } => {
+                    std::thread::sleep(Duration::from_millis(u64::from(max_records % 4) * 5));
+                    RdsResponse::Ok
+                }
+                RdsRequest::ListPrograms => RdsResponse::Programs { names: vec!["dp".to_string()] },
+                _ => RdsResponse::Ok,
+            }),
         )
         .unwrap()
     }
 
     fn keyed_tcp_server() -> TcpServer {
-        TcpServer::spawn("127.0.0.1:0", {
-            let rds = Arc::new(RdsServer::with_policy(
-                |_p: &Principal, _req: RdsRequest| RdsResponse::Ok,
-                mbd_auth::Acl::allow_by_default(),
-                Some(b"secret".to_vec()),
-                &Telemetry::new(),
-            ));
-            move |bytes: &[u8]| rds.process(bytes)
-        })
-        .unwrap()
+        let rds = RdsServer::with_policy(
+            |_p: &Principal, _req: RdsRequest| RdsResponse::Ok,
+            mbd_auth::Acl::allow_by_default(),
+            Some(b"secret".to_vec()),
+            &Telemetry::new(),
+        );
+        TcpServer::spawn("127.0.0.1:0", rds).unwrap()
     }
 
     #[test]
@@ -509,32 +480,21 @@ mod tests {
     fn busy_sheds_are_retried_with_identical_frames() {
         // One worker, one queue slot: a window of 6 slow requests
         // guarantees sheds. With retries enabled every request must
-        // still complete exactly once — keyed too, whether the
-        // transport signs its Busy frames or (unkeyed) sheds unsigned.
-        let secret = Some(b"secret".to_vec());
-        for (key, transport_key) in
-            [(None, None), (secret.clone(), None), (secret.clone(), secret.clone())]
-        {
+        // still complete exactly once — keyed too, where the server
+        // signs its Busy frames with its own key.
+        for key in [None, Some(b"secret".to_vec())] {
             let server = TcpServer::spawn_with(
                 "127.0.0.1:0",
-                TcpServerConfig {
-                    workers: 1,
-                    backlog: 1,
-                    key: transport_key,
-                    ..TcpServerConfig::default()
-                },
-                {
-                    let rds = Arc::new(RdsServer::with_policy(
-                        |_p: &Principal, _req: RdsRequest| {
-                            std::thread::sleep(Duration::from_millis(20));
-                            RdsResponse::Ok
-                        },
-                        mbd_auth::Acl::allow_by_default(),
-                        key.clone(),
-                        &Telemetry::new(),
-                    ));
-                    move |bytes: &[u8]| rds.process(bytes)
-                },
+                TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
+                RdsServer::with_policy(
+                    |_p: &Principal, _req: RdsRequest| {
+                        std::thread::sleep(Duration::from_millis(20));
+                        RdsResponse::Ok
+                    },
+                    mbd_auth::Acl::allow_by_default(),
+                    key.clone(),
+                    &Telemetry::new(),
+                ),
             )
             .unwrap();
             let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
@@ -568,13 +528,10 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
-            {
-                let rds = Arc::new(RdsServer::open(|_p: &Principal, _req: RdsRequest| {
-                    std::thread::sleep(Duration::from_millis(150));
-                    RdsResponse::Ok
-                }));
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+            RdsServer::open(|_p: &Principal, _req: RdsRequest| {
+                std::thread::sleep(Duration::from_millis(150));
+                RdsResponse::Ok
+            }),
         )
         .unwrap();
         let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
@@ -601,15 +558,12 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 2, ..TcpServerConfig::default() },
-            {
-                let rds = Arc::new(RdsServer::open(move |_p: &Principal, req: RdsRequest| {
-                    if matches!(req, RdsRequest::SendMessage { .. }) {
-                        counted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    RdsResponse::Ok
-                }));
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+            RdsServer::open(move |_p: &Principal, req: RdsRequest| {
+                if matches!(req, RdsRequest::SendMessage { .. }) {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                }
+                RdsResponse::Ok
+            }),
         )
         .unwrap();
         // Seed 12 draws `DropResponse` for both budgeted faults: the

@@ -8,7 +8,7 @@
 //! submission to the execution tier, interest recomputation, the
 //! frame-deadline sweep — happens on the reactor's clock.
 
-use crate::tcp::MAX_FRAME;
+use crate::tcp::{Arrival, MAX_FRAME};
 use crate::RdsError;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -98,16 +98,12 @@ pub(crate) struct ReadOutcome {
     pub eof: bool,
 }
 
-/// A complete frame waiting for a free in-flight slot, carrying the
-/// socket-read interval that produced it (feeds the request's
-/// `rds.conn.read` span).
+/// A complete frame waiting for a free in-flight slot, carrying its
+/// arrival stamps so far: the read interval is set, `enqueued` and
+/// `dequeued` hold `recv_done` until the frame is queued and taken up.
 pub(crate) struct ParkedFrame {
     pub bytes: Vec<u8>,
-    /// When reading toward this frame began: the prior partial read if
-    /// one was pending, else the read pass that completed it.
-    pub recv_start: Instant,
-    /// When the frame was completely assembled.
-    pub recv_done: Instant,
+    pub arrival: Arrival,
 }
 
 /// One live connection owned by the reactor.

@@ -3,8 +3,9 @@
 //! Workers no longer own sockets. The reactor hands them complete
 //! request frames through a bounded queue (the old accept backlog,
 //! reinterpreted: the bound now counts *requests*, not connections);
-//! each worker runs the handler under `catch_unwind` and pushes the
-//! encoded response — or a panic marker — onto a completion queue,
+//! each worker stamps the frame's [`Arrival`], runs [`Serve::serve`]
+//! under `catch_unwind` and pushes the encoded response — or a panic
+//! marker — onto a completion queue,
 //! then wakes the reactor to deliver it. A full queue makes
 //! [`Executor::submit`] fail fast so the reactor can shed that one
 //! request with an explicit `Busy` frame instead of stalling every
@@ -12,6 +13,7 @@
 
 use super::sys::Waker;
 use super::Metrics;
+use crate::tcp::{Arrival, Serve};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,22 +21,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Instant;
 
-/// The server's request handler: a complete frame in, an encoded
-/// response out.
-pub(crate) type RespondFn = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
-
 /// One request frame bound for a worker.
 pub(crate) struct Job {
     /// The reactor token of the connection that sent the frame.
     pub token: usize,
     pub frame: Vec<u8>,
-    /// Socket-read interval that produced the frame (from the reactor;
-    /// becomes the request's `rds.conn.read` span).
-    pub recv_start: Instant,
-    pub recv_done: Instant,
-    /// When the reactor queued it — `rds.tcp.queue_wait` measures
-    /// execution-tier saturation from here.
-    pub enqueued: Instant,
+    /// Stamped by the reactor up to `enqueued`; the worker adds
+    /// `dequeued`.
+    pub arrival: Arrival,
 }
 
 /// A finished job on its way back to the reactor.
@@ -53,8 +47,7 @@ struct ExecShared {
     completions: Mutex<Vec<Completion>>,
     waker: Arc<Waker>,
     metrics: Arc<Metrics>,
-    on_panic: Option<Arc<dyn Fn() + Send + Sync>>,
-    respond: RespondFn,
+    server: Arc<dyn Serve>,
 }
 
 /// Handle owned by the reactor.
@@ -67,10 +60,9 @@ impl Executor {
     pub(crate) fn spawn(
         workers: usize,
         capacity: usize,
-        respond: RespondFn,
+        server: Arc<dyn Serve>,
         waker: Arc<Waker>,
         metrics: Arc<Metrics>,
-        on_panic: Option<Arc<dyn Fn() + Send + Sync>>,
     ) -> Executor {
         let shared = Arc::new(ExecShared {
             queue: Mutex::new(VecDeque::new()),
@@ -80,8 +72,7 @@ impl Executor {
             completions: Mutex::new(Vec::new()),
             waker,
             metrics,
-            on_panic,
-            respond,
+            server,
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -136,7 +127,7 @@ impl Executor {
 
 fn worker_loop(shared: &ExecShared) {
     loop {
-        let job = {
+        let mut job = {
             let mut queue = shared.queue.lock();
             loop {
                 if shared.stop.load(Ordering::Relaxed) {
@@ -148,23 +139,14 @@ fn worker_loop(shared: &ExecShared) {
                 queue = shared.ready.wait(queue).expect("queue mutex cannot be poisoned");
             }
         };
-        shared.metrics.queue_wait.record_duration(job.enqueued.elapsed());
-        // Hand the reactor-side timing to the RDS front-end, which
-        // stitches it into the request's span tree with exact intervals.
-        crate::server::set_job_timing(crate::server::JobTiming {
-            recv_start: job.recv_start,
-            recv_done: job.recv_done,
-            enqueued: job.enqueued,
-            dequeued: Instant::now(),
-        });
-        let outcome = catch_unwind(AssertUnwindSafe(|| (shared.respond)(&job.frame)));
+        job.arrival.dequeued = Instant::now();
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| shared.server.serve(&job.frame, job.arrival)));
         let response = match outcome {
             Ok(bytes) => Some(bytes),
             Err(_) => {
                 shared.metrics.panics.inc();
-                if let Some(hook) = &shared.on_panic {
-                    hook();
-                }
+                shared.server.panicked();
                 None
             }
         };

@@ -33,16 +33,17 @@ pub use conn::FrameAssembler;
 pub use server::TcpServer;
 pub use sys::raise_nofile_limit;
 
-use mbd_telemetry::{Counter, Gauge, Telemetry, Timer};
+use mbd_telemetry::{Counter, Gauge, Telemetry};
 
 /// Pre-resolved transport metrics, shared by the reactor thread and
-/// the execution tier. They are the server's only counters:
+/// the execution tier, in the domain of the served object
+/// ([`crate::Serve::telemetry`]). They are the server's only counters:
 /// [`TcpServer`]'s accessors read them. `rds.tcp.active_connections`
-/// gauges *open* (not worker-served) connections, and
-/// `rds.tcp.queue_wait` measures each *request's* wait for a worker.
+/// gauges *open* (not worker-served) connections. Each request's wait
+/// for a worker, `rds.tcp.queue_wait`, is timed by the
+/// [`crate::RdsServer`] that serves it, from the frame's
+/// [`crate::Arrival`].
 pub(crate) struct Metrics {
-    /// `rds.tcp.queue_wait` — request enqueue-to-pickup latency.
-    pub queue_wait: Timer,
     /// `rds.tcp.active_connections` — connections the reactor holds
     /// ([`TcpServer::open_connections`]).
     pub active: Gauge,
@@ -61,7 +62,6 @@ pub(crate) struct Metrics {
 impl Metrics {
     pub(crate) fn new(telemetry: &Telemetry) -> Metrics {
         Metrics {
-            queue_wait: telemetry.timer("rds.tcp.queue_wait"),
             active: telemetry.gauge("rds.tcp.active_connections"),
             panics: telemetry.counter("rds.tcp.handler_panics"),
             shed: telemetry.counter("rds.shed"),

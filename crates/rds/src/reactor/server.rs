@@ -25,8 +25,8 @@ use super::conn::Connection;
 use super::executor::{Completion, Executor, Job};
 use super::sys::{Event, Interest, Poller, Waker};
 use super::Metrics;
-use crate::tcp::{ServerHealth, TcpServerConfig};
-use crate::{ErrorCode, RdsError, RdsResponse};
+use crate::tcp::{Arrival, Serve, ServerHealth, TcpServerConfig};
+use crate::RdsError;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -74,11 +74,12 @@ impl ServerShared {
 }
 
 /// Server side: a readiness-driven reactor feeding a bounded execution
-/// tier. Public API is unchanged from the worker-pool era — `spawn`,
-/// `spawn_with`, `local_addr`, `health`, `sheds`, `shutdown` — but
-/// concurrency is now fd-bound, not thread-bound, and one connection
-/// may pipeline many requests (out-of-order completion, replies keyed
-/// by request id).
+/// tier that answers with one [`Serve`] object — usually an
+/// [`crate::RdsServer`], whose key signs the reactor's `Busy` frames,
+/// whose audit hears of sheds and panics, and whose telemetry domain
+/// the transport records into. Concurrency is fd-bound, not
+/// thread-bound, and one connection may pipeline many requests
+/// (out-of-order completion, replies keyed by request id).
 pub struct TcpServer {
     local: SocketAddr,
     shared: Arc<ServerShared>,
@@ -97,19 +98,17 @@ impl std::fmt::Debug for TcpServer {
 
 impl TcpServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// reactor with the default configuration. `respond` runs on
-    /// execution-tier workers and must be thread-safe; with pipelining
-    /// several invocations for one connection may run concurrently.
+    /// reactor with the default configuration, answering with `server`.
     ///
     /// # Errors
     ///
     /// Bind or reactor-setup failures as [`RdsError::Transport`].
-    pub fn spawn<A, F>(addr: A, respond: F) -> Result<TcpServer, RdsError>
+    pub fn spawn<A, S>(addr: A, server: S) -> Result<TcpServer, RdsError>
     where
         A: ToSocketAddrs,
-        F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
+        S: Serve + 'static,
     {
-        TcpServer::spawn_with(addr, TcpServerConfig::default(), respond)
+        TcpServer::spawn_with(addr, TcpServerConfig::default(), server)
     }
 
     /// [`TcpServer::spawn`] with an explicit configuration.
@@ -117,14 +116,14 @@ impl TcpServer {
     /// # Errors
     ///
     /// Bind or reactor-setup failures as [`RdsError::Transport`].
-    pub fn spawn_with<A, F>(
+    pub fn spawn_with<A, S>(
         addr: A,
         config: TcpServerConfig,
-        respond: F,
+        server: S,
     ) -> Result<TcpServer, RdsError>
     where
         A: ToSocketAddrs,
-        F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
+        S: Serve + 'static,
     {
         let listener = TcpListener::bind(addr).map_err(io_err)?;
         let local = listener.local_addr().map_err(io_err)?;
@@ -134,7 +133,8 @@ impl TcpServer {
         // connect burst stalls on SYN retransmits.
         super::sys::widen_listen_backlog(listener.as_raw_fd(), config.max_connections.max(1024));
 
-        let metrics = Arc::new(Metrics::new(&config.telemetry));
+        let server: Arc<dyn Serve> = Arc::new(server);
+        let metrics = Arc::new(Metrics::new(&server.telemetry()));
         let waker = Arc::new(Waker::new().map_err(io_err)?);
         let poller = Poller::new().map_err(io_err)?;
         poller.register(waker.fd(), TOKEN_WAKE, Interest::READ).map_err(io_err)?;
@@ -147,20 +147,15 @@ impl TcpServer {
         });
         shared.set_health(ServerHealth::Accepting);
 
-        let executor = Executor::spawn(
-            config.workers,
-            config.backlog,
-            Arc::new(respond),
-            waker,
-            metrics,
-            config.on_panic.clone(),
-        );
+        let executor =
+            Executor::spawn(config.workers, config.backlog, Arc::clone(&server), waker, metrics);
         let reactor = Reactor {
             poller,
             listener: Some(listener),
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             shared: Arc::clone(&shared),
+            server,
             executor,
             degraded_at: (config.backlog.max(1) / 2).max(1),
             config,
@@ -233,6 +228,8 @@ struct Reactor {
     /// closed connection can never be misdelivered to a new one.
     next_token: usize,
     shared: Arc<ServerShared>,
+    /// Answers frames (through the executor) and signs sheds.
+    server: Arc<dyn Serve>,
     executor: Executor,
     config: TcpServerConfig,
     /// Execution-queue depth at which health degrades.
@@ -358,9 +355,18 @@ impl Reactor {
                 match conn.read_ready() {
                     Ok(outcome) => {
                         let recv_done = Instant::now();
-                        conn.parked_frames.extend(outcome.frames.into_iter().map(|bytes| {
-                            super::conn::ParkedFrame { bytes, recv_start: read_began, recv_done }
-                        }));
+                        let arrival = Arrival {
+                            recv_start: read_began,
+                            recv_done,
+                            enqueued: recv_done,
+                            dequeued: recv_done,
+                        };
+                        conn.parked_frames.extend(
+                            outcome
+                                .frames
+                                .into_iter()
+                                .map(|bytes| super::conn::ParkedFrame { bytes, arrival }),
+                        );
                         if outcome.eof {
                             conn.peer_closed = true;
                         }
@@ -398,13 +404,8 @@ impl Reactor {
                     None => return,
                 }
             };
-            match self.executor.submit(Job {
-                token,
-                frame: parked.bytes,
-                recv_start: parked.recv_start,
-                recv_done: parked.recv_done,
-                enqueued: Instant::now(),
-            }) {
+            let arrival = Arrival { enqueued: Instant::now(), ..parked.arrival };
+            match self.executor.submit(Job { token, frame: parked.bytes, arrival }) {
                 Ok(()) => {
                     self.outstanding += 1;
                     if let Some(conn) = self.conns.get_mut(&token) {
@@ -422,22 +423,11 @@ impl Reactor {
         }
     }
 
-    /// Counts one shed, runs the embedder's hook, and encodes the `Busy`
-    /// frame under `request_id` (0 when nothing was read), signed when
-    /// the server is keyed.
+    /// Counts one shed and asks the served object for the `Busy` frame
+    /// under `request_id` (0 when nothing was read).
     fn shed(&self, request_id: i64) -> Vec<u8> {
         self.shared.metrics.shed.inc();
-        if let Some(hook) = &self.config.on_shed {
-            hook();
-        }
-        crate::codec::encode_response(
-            &RdsResponse::Error {
-                code: ErrorCode::Busy,
-                message: "server overloaded, retry later".to_string(),
-            },
-            request_id,
-            self.config.key.as_deref(),
-        )
+        self.server.shed(request_id)
     }
 
     fn apply_completion(&mut self, c: Completion) {

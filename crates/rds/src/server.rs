@@ -1,40 +1,10 @@
 use crate::dedup::{frame_fingerprint, DedupCache, DedupOutcome, DEFAULT_DEDUP_CAPACITY};
+use crate::tcp::{busy_frame, Arrival, Serve};
 use crate::{codec, ErrorCode, RdsRequest, RdsResponse};
 use mbd_auth::{Acl, Operation, Principal};
 use mbd_telemetry::{Counter, Telemetry, Timer};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Cross-thread timing for one request, measured on the reactor side
-/// (socket read interval, executor queue wait) and handed to the worker
-/// that processes the frame. Carried as [`Instant`]s, not offsets, so
-/// the receiving telemetry domain can place them on its own epoch.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JobTiming {
-    /// When the frame's first bytes were read off the socket.
-    pub(crate) recv_start: Instant,
-    /// When the frame was completely assembled.
-    pub(crate) recv_done: Instant,
-    /// When the frame entered the executor queue.
-    pub(crate) enqueued: Instant,
-    /// When a worker picked it up.
-    pub(crate) dequeued: Instant,
-}
-
-thread_local! {
-    /// Set by the executor's worker loop just before `process`, taken by
-    /// `process` to stitch reactor-side intervals into the request tree.
-    static JOB_TIMING: Cell<Option<JobTiming>> = const { Cell::new(None) };
-}
-
-/// Stages reactor-side timing for the next `process` call on this thread.
-pub(crate) fn set_job_timing(timing: JobTiming) {
-    JOB_TIMING.with(|t| t.set(Some(timing)));
-}
-
-fn take_job_timing() -> Option<JobTiming> {
-    JOB_TIMING.with(Cell::take)
-}
 
 /// Pre-resolved timers for the protocol front-end: BER decode time plus
 /// one latency histogram per RDS verb (`rds.decode`, `rds.verb.<name>`
@@ -44,9 +14,9 @@ fn take_job_timing() -> Option<JobTiming> {
 ///
 /// When tracing is enabled on the telemetry domain, these timers also
 /// emit the request's span tree: `rds.request` is the server-side root,
-/// with `rds.conn.read`, `rds.conn.queue_wait` (from the reactor's
-/// [`JobTiming`]), `rds.decode`, `rds.verb.<name>` and `rds.encode` as
-/// children, and whatever the handler records (e.g. `ep.invoke` →
+/// with `rds.conn.read`, `rds.tcp.queue_wait` (from the frame's
+/// [`Arrival`], over TCP only), `rds.decode`, `rds.verb.<name>` and
+/// `rds.encode` as children, and whatever the handler records (e.g. `ep.invoke` →
 /// `ep.vm_run`) nested below the verb.
 #[derive(Debug, Clone)]
 struct RdsTimers {
@@ -56,10 +26,11 @@ struct RdsTimers {
     request: Timer,
     decode: Timer,
     encode: Timer,
-    /// Socket-read interval of the frame (reactor path only).
+    /// Socket-read interval of the frame (TCP only).
     conn_read: Timer,
-    /// Executor queue wait, from the job's explicit enqueue timestamp.
-    conn_queue: Timer,
+    /// `rds.tcp.queue_wait` — the frame's wait for an execution-tier
+    /// worker (TCP only).
+    queue_wait: Timer,
     /// Indexed by [`RdsRequest::op_tag`].
     verbs: [Timer; 15],
     decode_fail_bad_digest: Counter,
@@ -79,7 +50,7 @@ impl RdsTimers {
             decode: telemetry.timer("rds.decode"),
             encode: telemetry.timer("rds.encode"),
             conn_read: telemetry.timer("rds.conn.read"),
-            conn_queue: telemetry.timer("rds.conn.queue_wait"),
+            queue_wait: telemetry.timer("rds.tcp.queue_wait"),
             verbs: [
                 verb("delegate"),
                 verb("delete"),
@@ -168,12 +139,21 @@ where
 /// retried frame — identical bytes — is answered by replaying the
 /// remembered response instead of re-executing the effect. Replays are
 /// audited as `duplicate_replayed` and counted as `rds.dedup_hits`.
+///
+/// Over TCP it is the [`Serve`] object of a [`crate::TcpServer`]: the
+/// reactor's `Busy` frames are signed with its key, and a shed or a
+/// survived handler panic is audited (principal `server`, verb `shed`
+/// or `panic`) and freezes the flight recorder (`shed burst` on the
+/// first shed and every 256th after it, `handler panic` on every
+/// panic).
 pub struct RdsServer<H> {
     handler: H,
     acl: Acl,
     key: Option<Vec<u8>>,
     timers: RdsTimers,
     dedup: DedupCache,
+    /// Requests shed so far, for the one-freeze-per-burst rule.
+    sheds: AtomicU64,
 }
 
 /// An armed single-flight claim on `(principal, request id)`: dropped
@@ -250,6 +230,7 @@ impl<H: RdsHandler> RdsServer<H> {
             key,
             timers: RdsTimers::new(telemetry),
             dedup: DedupCache::new(DEFAULT_DEDUP_CAPACITY),
+            sheds: AtomicU64::new(0),
         }
     }
 
@@ -270,11 +251,13 @@ impl<H: RdsHandler> RdsServer<H> {
     /// is distinguished by the `rds.decode_fail.<kind>` counters and the
     /// audit event.
     pub fn process(&self, bytes: &[u8]) -> Vec<u8> {
+        self.respond(bytes, None)
+    }
+
+    /// [`RdsServer::process`], with the frame's transport stamps when
+    /// it came over TCP.
+    fn respond(&self, bytes: &[u8], arrival: Option<Arrival>) -> Vec<u8> {
         let t = &self.timers;
-        // Reactor-side timing, staged by the worker loop before this
-        // call (None on direct/in-process transports). Taken up front so
-        // a stale value can never leak into a later request.
-        let timing = take_job_timing();
         // Decode is measured with raw instants, not a guard: the trace
         // id is unknown until the frame decodes, so its span is emitted
         // retroactively under the request root below.
@@ -299,9 +282,9 @@ impl<H: RdsHandler> RdsServer<H> {
         // already happened, so they are stitched in as children with
         // their exact measured intervals.
         let root_span = t.request.start();
-        if let Some(j) = timing {
-            t.conn_read.record_interval(j.recv_start, j.recv_done);
-            t.conn_queue.record_interval(j.enqueued, j.dequeued);
+        if let Some(a) = arrival {
+            t.conn_read.record_interval(a.recv_start, a.recv_done);
+            t.queue_wait.record_interval(a.enqueued, a.dequeued);
         }
         t.decode.record_interval(decode_start, decode_end);
         let verb = request.verb();
@@ -414,6 +397,53 @@ impl<H: RdsHandler> RdsServer<H> {
             bytes_out: encoded.len() as u64,
         });
         encoded
+    }
+
+    /// Audits one transport event the request path never saw: a shed
+    /// or a survived panic, under trace 0 and principal `server`.
+    fn audit_transport(&self, verb: &str, detail: &str, bytes_out: usize) {
+        self.handler.audit(&AuditEvent {
+            trace_id: 0,
+            principal: "server",
+            verb,
+            dpi: 0,
+            ok: false,
+            detail: detail.to_string(),
+            bytes_in: 0,
+            bytes_out: bytes_out as u64,
+        });
+    }
+}
+
+impl<H: RdsHandler + Send + Sync> Serve for RdsServer<H> {
+    fn serve(&self, frame: &[u8], arrival: Arrival) -> Vec<u8> {
+        self.respond(frame, Some(arrival))
+    }
+
+    fn shed(&self, request_id: i64) -> Vec<u8> {
+        let busy = busy_frame(request_id, self.key.as_deref());
+        self.audit_transport(
+            "shed",
+            "execution tier saturated; request shed with Busy",
+            busy.len(),
+        );
+        // One flight-recorder snapshot per overload episode, not one
+        // per shed request.
+        if self.sheds.fetch_add(1, Ordering::Relaxed).is_multiple_of(256) {
+            self.timers.telemetry.flight_freeze(0, "shed burst");
+        }
+        busy
+    }
+
+    fn panicked(&self) {
+        self.audit_transport("panic", "connection handler panicked; connection dropped", 0);
+        // A panic is always worth a snapshot of the span stream that
+        // led up to it.
+        self.timers.telemetry.flight_freeze(0, "handler panic");
+    }
+
+    fn telemetry(&self) -> Telemetry {
+        self.timers.telemetry.clone()
     }
 }
 

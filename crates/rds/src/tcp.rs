@@ -11,14 +11,15 @@
 //! event loop owns every socket and hands complete frames to a bounded
 //! execution tier, so idle connections cost a file descriptor instead
 //! of a thread. This module keeps the wire-level pieces — framing
-//! helpers, [`ServerHealth`] and [`TcpServerConfig`] — and re-exports
+//! helpers, [`ServerHealth`], [`TcpServerConfig`] and the [`Serve`]
+//! trait a server answers with — and re-exports
 //! [`TcpServer`] so the public path is unchanged from the worker-pool
 //! era. Frames are byte-identical to the blocking implementation.
 
 use crate::RdsError;
 use mbd_telemetry::Telemetry;
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::time::Instant;
 
 pub use crate::reactor::TcpServer;
 
@@ -131,8 +132,10 @@ impl std::fmt::Display for ServerHealth {
 
 /// Sizing of a [`TcpServer`]: the reactor front-end and its execution
 /// tier. The reactor's timing (tick, frame and drain deadlines) and its
-/// per-connection pipelining window are fixed constants.
-#[derive(Clone)]
+/// per-connection pipelining window are fixed constants; the key, the
+/// telemetry domain and the shed and panic reports come from the
+/// [`Serve`] object the server answers with.
+#[derive(Debug, Clone)]
 pub struct TcpServerConfig {
     /// Execution-tier worker threads (each runs one request handler at
     /// a time; none owns a socket).
@@ -146,64 +149,130 @@ pub struct TcpServerConfig {
     /// Connection-table capacity; a connection beyond it is answered
     /// with `Busy` (request id 0) and closed at accept.
     pub max_connections: usize,
-    /// Telemetry domain the server records into (`rds.tcp.*`); the
-    /// default is a fresh domain readable only through the handle's
-    /// accessors. Share the embedding server's domain so a single
-    /// snapshot sees transport and runtime together.
-    pub telemetry: Telemetry,
-    /// The keyed-digest secret the embedding RDS server uses: the
-    /// reactor signs its own `Busy` frames with it, so a keyed server's
-    /// clients can verify a shed before backing off. `None` sheds
-    /// unsigned.
-    pub key: Option<Vec<u8>>,
-    /// Called once per survived handler panic (after the panic counter
-    /// is bumped), so the embedding server can journal the event. Runs
-    /// on the execution-tier worker that caught the panic.
-    pub on_panic: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Called once per shed (after the shed counter is bumped), so the
-    /// embedding server can journal the overload. Runs on the reactor
-    /// thread.
-    pub on_shed: Option<Arc<dyn Fn() + Send + Sync>>,
-}
-
-impl std::fmt::Debug for TcpServerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpServerConfig")
-            .field("workers", &self.workers)
-            .field("backlog", &self.backlog)
-            .field("max_connections", &self.max_connections)
-            .field("telemetry", &self.telemetry)
-            .field("keyed", &self.key.is_some())
-            .field("on_panic", &self.on_panic.as_ref().map(|_| "Fn"))
-            .field("on_shed", &self.on_shed.as_ref().map(|_| "Fn"))
-            .finish()
-    }
 }
 
 impl Default for TcpServerConfig {
     fn default() -> TcpServerConfig {
-        TcpServerConfig {
-            workers: 8,
-            backlog: 64,
-            max_connections: 8192,
-            telemetry: Telemetry::new(),
-            key: None,
-            on_panic: None,
-            on_shed: None,
-        }
+        TcpServerConfig { workers: 8, backlog: 64, max_connections: 8192 }
     }
+}
+
+/// When one request frame arrived and when a worker took it up. The
+/// reactor stamps the read interval as the frame closes and the
+/// enqueue time as it queues the frame; the worker stamps `dequeued`
+/// and hands the value to [`Serve::serve`]. Carried as [`Instant`]s,
+/// not offsets, so the serving telemetry domain can place them on its
+/// own epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// When reading toward the frame began: the prior partial read if
+    /// one was pending, else the read pass that completed it.
+    pub recv_start: Instant,
+    /// When the frame was completely assembled.
+    pub recv_done: Instant,
+    /// When the frame entered the execution queue.
+    pub enqueued: Instant,
+    /// When a worker picked it up.
+    pub dequeued: Instant,
+}
+
+/// What a [`TcpServer`] serves: the one object that answers frames,
+/// signs the transport's own `Busy` replies, hears of the handler
+/// panics the transport survives, and names the telemetry domain the
+/// transport records into (`rds.tcp.*`, `rds.shed`).
+/// [`crate::RdsServer`] implements it with its own key, audit and
+/// domain. Any `Fn(&[u8]) -> Vec<u8>` closure implements it with the
+/// defaults: an unsigned `Busy`, no panic report and a private domain.
+pub trait Serve: Send + Sync {
+    /// The reply to one complete request frame, with its arrival stamps.
+    /// Runs on an execution-tier worker; with pipelining, several calls
+    /// for one connection may run at once.
+    fn serve(&self, frame: &[u8], arrival: Arrival) -> Vec<u8>;
+
+    /// The `Busy` frame for a request the transport sheds, under the
+    /// shed request's id (0 when nothing was read). Runs on the reactor
+    /// thread.
+    fn shed(&self, request_id: i64) -> Vec<u8> {
+        busy_frame(request_id, None)
+    }
+
+    /// Called once per survived panic in [`Serve::serve`], on the
+    /// worker that caught it, after the transport counted it; the
+    /// frame's connection is then dropped.
+    fn panicked(&self) {}
+
+    /// The domain the transport records into, read once at spawn.
+    fn telemetry(&self) -> Telemetry {
+        Telemetry::new()
+    }
+}
+
+impl<F> Serve for F
+where
+    F: Fn(&[u8]) -> Vec<u8> + Send + Sync,
+{
+    fn serve(&self, frame: &[u8], _arrival: Arrival) -> Vec<u8> {
+        self(frame)
+    }
+}
+
+/// The encoded `Busy` reply to a shed request, signed under `key` when
+/// the server is keyed.
+pub(crate) fn busy_frame(request_id: i64, key: Option<&[u8]>) -> Vec<u8> {
+    crate::codec::encode_response(
+        &crate::RdsResponse::Error {
+            code: crate::ErrorCode::Busy,
+            message: "server overloaded, retry later".to_string(),
+        },
+        request_id,
+        key,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        codec, ErrorCode, RdsClient, RdsRequest, RdsResponse, RdsServer, RetryPolicy, TcpDuplex,
+        codec, AuditEvent, DpiId, ErrorCode, RdsClient, RdsHandler, RdsRequest, RdsResponse,
+        RdsServer, RetryPolicy, TcpDuplex,
     };
-    use mbd_auth::Principal;
+    use mbd_auth::{Acl, Principal};
     use std::net::TcpStream;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::{Duration, Instant};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    /// Sleeps `delay` per request, panics on `Suspend`, and keeps the
+    /// verb of every audit event.
+    #[derive(Default)]
+    struct Recording {
+        delay: Duration,
+        audited: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl RdsHandler for Recording {
+        fn handle(&self, _principal: &Principal, request: RdsRequest) -> RdsResponse {
+            assert!(!matches!(request, RdsRequest::Suspend { .. }), "poison request");
+            std::thread::sleep(self.delay);
+            RdsResponse::Ok
+        }
+
+        fn audit(&self, event: &AuditEvent<'_>) {
+            self.audited.lock().unwrap().push(event.verb.to_string());
+        }
+    }
+
+    /// A [`Recording`] RDS server, keyed with `key`, recording into `tel`.
+    fn recording_server(
+        handler: Recording,
+        key: Option<&[u8]>,
+        tel: &Telemetry,
+    ) -> RdsServer<Recording> {
+        RdsServer::with_policy(handler, Acl::allow_by_default(), key.map(<[u8]>::to_vec), tel)
+    }
+
+    fn frame(request: &RdsRequest, id: i64) -> Vec<u8> {
+        codec::encode_request(request, &Principal::new("m"), id, None)
+    }
 
     /// Waits up to 1 s for the server to hold `n` open connections;
     /// returns the count it last saw.
@@ -275,7 +344,7 @@ mod tests {
 
     #[test]
     fn echo_server_round_trip() {
-        let server = TcpServer::spawn("127.0.0.1:0", |req| {
+        let server = TcpServer::spawn("127.0.0.1:0", |req: &[u8]| {
             let mut v = req.to_vec();
             v.reverse();
             v
@@ -289,7 +358,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_served() {
-        let server = TcpServer::spawn("127.0.0.1:0", |req| req.to_vec()).unwrap();
+        let server = TcpServer::spawn("127.0.0.1:0", |req: &[u8]| req.to_vec()).unwrap();
         let addr = server.local_addr();
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -311,16 +380,13 @@ mod tests {
     fn rds_client_over_tcp() {
         // Full protocol over a real socket with a handler that answers
         // ListPrograms.
-        let server = TcpServer::spawn("127.0.0.1:0", {
-            let rds = RdsServer::open(|_p: &Principal, req: RdsRequest| match req {
-                RdsRequest::ListPrograms => {
-                    RdsResponse::Programs { names: vec!["over-tcp".to_string()] }
-                }
-                _ => RdsResponse::Ok,
-            });
-            move |bytes: &[u8]| rds.process(bytes)
-        })
-        .unwrap();
+        let rds = RdsServer::open(|_p: &Principal, req: RdsRequest| match req {
+            RdsRequest::ListPrograms => {
+                RdsResponse::Programs { names: vec!["over-tcp".to_string()] }
+            }
+            _ => RdsResponse::Ok,
+        });
+        let server = TcpServer::spawn("127.0.0.1:0", rds).unwrap();
         let client = RdsClient::new(TcpDuplex::connect(server.local_addr()).unwrap(), "tcp-mgr");
         assert_eq!(client.list_programs().unwrap(), vec!["over-tcp".to_string()]);
         server.shutdown();
@@ -328,7 +394,7 @@ mod tests {
 
     #[test]
     fn request_after_shutdown_fails() {
-        let server = TcpServer::spawn("127.0.0.1:0", |req| req.to_vec()).unwrap();
+        let server = TcpServer::spawn("127.0.0.1:0", |req: &[u8]| req.to_vec()).unwrap();
         let mut t = TcpStream::connect(server.local_addr()).unwrap();
         exchange(&mut t, &[1]).unwrap();
         server.shutdown();
@@ -341,7 +407,7 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 3, ..TcpServerConfig::default() },
-            |req| req.to_vec(),
+            |req: &[u8]| req.to_vec(),
         )
         .unwrap();
         let addr = server.local_addr();
@@ -366,7 +432,7 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 2, ..TcpServerConfig::default() },
-            |req| req.to_vec(),
+            |req: &[u8]| req.to_vec(),
         )
         .unwrap();
         let addr = server.local_addr();
@@ -388,7 +454,7 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 2, ..TcpServerConfig::default() },
-            |req| {
+            |req: &[u8]| {
                 assert!(req != [66], "poison request");
                 req.to_vec()
             },
@@ -410,15 +476,12 @@ mod tests {
     #[test]
     fn shared_telemetry_sees_transport_metrics() {
         let tel = Telemetry::new();
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig { telemetry: tel.clone(), ..TcpServerConfig::default() },
-            |req| req.to_vec(),
-        )
-        .unwrap();
+        let server =
+            TcpServer::spawn("127.0.0.1:0", recording_server(Recording::default(), None, &tel))
+                .unwrap();
         let mut t = TcpStream::connect(server.local_addr()).unwrap();
-        exchange(&mut t, &[1]).unwrap();
-        exchange(&mut t, &[2]).unwrap();
+        exchange(&mut t, &frame(&RdsRequest::ListPrograms, 1)).unwrap();
+        exchange(&mut t, &frame(&RdsRequest::ListPrograms, 2)).unwrap();
         // The handle's accessors read the same handles the snapshot does.
         let snap = tel.snapshot();
         assert_eq!(snap.gauge("rds.tcp.active_connections"), Some(1));
@@ -429,8 +492,10 @@ mod tests {
         server.shutdown();
         let snap = tel.snapshot();
         // queue_wait is per *request* (execution-tier wait), not per
-        // connection.
+        // connection; the RDS server records it from each frame's
+        // arrival stamps.
         assert_eq!(snap.histogram("rds.tcp.queue_wait").unwrap().count(), 2);
+        assert_eq!(snap.histogram("rds.conn.read").unwrap().count(), 2);
         assert_eq!(snap.counter("rds.tcp.handler_panics"), Some(0));
         assert_eq!(snap.counter("rds.shed"), Some(0));
         // Every socket is closed, so no connection is active.
@@ -438,55 +503,36 @@ mod tests {
     }
 
     #[test]
-    fn handler_panics_reach_shared_telemetry() {
+    fn a_survived_rds_handler_panic_is_audited_and_frozen() {
         let tel = Telemetry::new();
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig { telemetry: tel.clone(), ..TcpServerConfig::default() },
-            |req| {
-                assert!(req != [66], "poison request");
-                req.to_vec()
-            },
-        )
-        .unwrap();
+        tel.enable_tracing(64);
+        tel.enable_trace_store(mbd_telemetry::TraceStoreConfig::default());
+        let audited = Arc::new(Mutex::new(Vec::new()));
+        let handler = Recording { audited: Arc::clone(&audited), ..Recording::default() };
+        let server =
+            TcpServer::spawn("127.0.0.1:0", recording_server(handler, None, &tel)).unwrap();
         let mut poisoned = TcpStream::connect(server.local_addr()).unwrap();
-        assert!(exchange(&mut poisoned, &[66]).is_err());
+        assert!(exchange(&mut poisoned, &frame(&RdsRequest::Suspend { dpi: DpiId(1) }, 1)).is_err());
+        // The server keeps serving.
+        let mut healthy = TcpStream::connect(server.local_addr()).unwrap();
+        exchange(&mut healthy, &frame(&RdsRequest::ListPrograms, 2)).unwrap();
+        assert_eq!(server.handler_panics(), 1);
         server.shutdown();
         assert_eq!(tel.snapshot().counter("rds.tcp.handler_panics"), Some(1));
-    }
-
-    #[test]
-    fn on_panic_hook_fires_per_survived_panic() {
-        let fired = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&fired);
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig {
-                on_panic: Some(Arc::new(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                })),
-                ..TcpServerConfig::default()
-            },
-            |req| {
-                assert!(req != [66], "poison request");
-                req.to_vec()
-            },
-        )
-        .unwrap();
-        let mut poisoned = TcpStream::connect(server.local_addr()).unwrap();
-        assert!(exchange(&mut poisoned, &[66]).is_err());
-        server.shutdown();
-        assert_eq!(fired.load(Ordering::Relaxed), 1);
+        let audited = audited.lock().unwrap();
+        assert_eq!(audited.iter().filter(|v| *v == "panic").count(), 1, "{audited:?}");
+        let frozen = tel.trace_store().unwrap().trees();
+        let frozen: Vec<_> =
+            frozen.iter().filter(|t| t.kept == mbd_telemetry::Keep::Frozen).collect();
+        assert_eq!(frozen.len(), 1);
+        assert_eq!(frozen[0].reason, "handler panic");
     }
 
     #[test]
     fn clients_survive_a_server_restart_and_count_reconnects() {
         fn spawn(addr: std::net::SocketAddr) -> TcpServer {
-            TcpServer::spawn(addr, {
-                let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok);
-                move |bytes: &[u8]| rds.process(bytes)
-            })
-            .unwrap()
+            let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| RdsResponse::Ok);
+            TcpServer::spawn(addr, rds).unwrap()
         }
         let mut server = spawn("127.0.0.1:0".parse().unwrap());
         let addr = server.local_addr();
@@ -512,19 +558,10 @@ mod tests {
 
     #[test]
     fn saturated_execution_tier_sheds_the_request_not_the_connection() {
-        let sheds_seen = Arc::new(AtomicU64::new(0));
-        let hook_counter = Arc::clone(&sheds_seen);
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
-            TcpServerConfig {
-                workers: 1,
-                backlog: 1,
-                on_shed: Some(Arc::new(move || {
-                    hook_counter.fetch_add(1, Ordering::Relaxed);
-                })),
-                ..TcpServerConfig::default()
-            },
-            |req| {
+            TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
+            |req: &[u8]| {
                 if req == [9] {
                     std::thread::sleep(Duration::from_millis(600));
                 }
@@ -557,7 +594,6 @@ mod tests {
         assert_eq!(id, 0, "a raw (non-RDS) frame has no request id to correlate with");
         assert!(matches!(resp, RdsResponse::Error { code: ErrorCode::Busy, .. }), "got {resp:?}");
         assert_eq!(server.sheds(), 1);
-        assert_eq!(sheds_seen.load(Ordering::Relaxed), 1, "on_shed hook fired");
 
         blocker.join().unwrap();
         filler.join().unwrap();
@@ -576,13 +612,10 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
-            {
-                let rds = RdsServer::open(|_p: &Principal, _req: RdsRequest| {
-                    std::thread::sleep(Duration::from_millis(400));
-                    RdsResponse::Ok
-                });
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+            RdsServer::open(|_p: &Principal, _req: RdsRequest| {
+                std::thread::sleep(Duration::from_millis(400));
+                RdsResponse::Ok
+            }),
         )
         .unwrap();
         let principal = Principal::new("pipeliner");
@@ -623,27 +656,15 @@ mod tests {
                 Some(KEY),
             )
         };
+        // The key is given once, to the RDS server; its sheds are signed
+        // and audited.
+        let audited = Arc::new(Mutex::new(Vec::new()));
+        let handler =
+            Recording { delay: Duration::from_millis(400), audited: Arc::clone(&audited) };
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
-            TcpServerConfig {
-                workers: 1,
-                backlog: 1,
-                max_connections: 1,
-                key: Some(KEY.to_vec()),
-                ..TcpServerConfig::default()
-            },
-            {
-                let rds = RdsServer::with_policy(
-                    |_p: &Principal, _req: RdsRequest| {
-                        std::thread::sleep(Duration::from_millis(400));
-                        RdsResponse::Ok
-                    },
-                    mbd_auth::Acl::allow_by_default(),
-                    Some(KEY.to_vec()),
-                    &Telemetry::new(),
-                );
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+            TcpServerConfig { workers: 1, backlog: 1, max_connections: 1 },
+            recording_server(handler, Some(KEY), &Telemetry::new()),
         )
         .unwrap();
         // Staggered as in `shed_busy_frame_carries_the_request_id`: #1
@@ -668,6 +689,7 @@ mod tests {
         assert_eq!(id, 0);
         assert_eq!(refused, busy(0));
         assert_eq!(server.sheds(), 2);
+        assert_eq!(audited.lock().unwrap().iter().filter(|v| *v == "shed").count(), 2);
         for _ in 0..2 {
             read_frame(&mut stream).unwrap().expect("the slow requests are still answered");
         }
@@ -679,21 +701,16 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 4, ..TcpServerConfig::default() },
-            {
-                let rds = RdsServer::open(|_p: &Principal, req: RdsRequest| {
-                    match req {
-                        RdsRequest::ReadJournal { max_records } => {
-                            // Stagger completions so replies interleave.
-                            std::thread::sleep(Duration::from_millis(
-                                u64::from(max_records % 3) * 20,
-                            ));
-                            RdsResponse::Ok
-                        }
-                        _ => RdsResponse::Ok,
+            RdsServer::open(|_p: &Principal, req: RdsRequest| {
+                match req {
+                    RdsRequest::ReadJournal { max_records } => {
+                        // Stagger completions so replies interleave.
+                        std::thread::sleep(Duration::from_millis(u64::from(max_records % 3) * 20));
+                        RdsResponse::Ok
                     }
-                });
-                move |bytes: &[u8]| rds.process(bytes)
-            },
+                    _ => RdsResponse::Ok,
+                }
+            }),
         )
         .unwrap();
         let principal = Principal::new("pipeliner");
@@ -722,7 +739,7 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { max_connections: 1, ..TcpServerConfig::default() },
-            |req| req.to_vec(),
+            |req: &[u8]| req.to_vec(),
         )
         .unwrap();
         let addr = server.local_addr();
@@ -744,7 +761,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_poisons_only_that_connection() {
-        let server = TcpServer::spawn("127.0.0.1:0", |req| req.to_vec()).unwrap();
+        let server = TcpServer::spawn("127.0.0.1:0", |req: &[u8]| req.to_vec()).unwrap();
         let addr = server.local_addr();
         let mut hostile = TcpStream::connect(addr).unwrap();
         hostile.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
@@ -762,14 +779,11 @@ mod tests {
     #[test]
     fn sheds_reach_shared_telemetry_and_health_reaches_the_gauge() {
         let tel = Telemetry::new();
-        let server = TcpServer::spawn_with(
-            "127.0.0.1:0",
-            TcpServerConfig { telemetry: tel.clone(), ..TcpServerConfig::default() },
-            |req| req.to_vec(),
-        )
-        .unwrap();
+        let server =
+            TcpServer::spawn("127.0.0.1:0", recording_server(Recording::default(), None, &tel))
+                .unwrap();
         let mut t = TcpStream::connect(server.local_addr()).unwrap();
-        exchange(&mut t, &[1]).unwrap();
+        exchange(&mut t, &frame(&RdsRequest::ListPrograms, 1)).unwrap();
         drop(t);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("rds.shed"), Some(0));
@@ -795,7 +809,7 @@ mod tests {
         let server = TcpServer::spawn_with(
             "127.0.0.1:0",
             TcpServerConfig { workers: 2, ..TcpServerConfig::default() },
-            |req| req.to_vec(),
+            |req: &[u8]| req.to_vec(),
         )
         .unwrap();
         let addr = server.local_addr();

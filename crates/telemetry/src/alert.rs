@@ -192,10 +192,6 @@ impl AlertEngine {
         });
     }
 
-    pub fn rule_count(&self) -> usize {
-        self.states.lock().len()
-    }
-
     /// Evaluates every rule against `history` at `now_s`. Returns the
     /// transitions this evaluation produced.
     ///

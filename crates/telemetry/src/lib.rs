@@ -160,11 +160,6 @@ impl Telemetry {
             .is_ok()
     }
 
-    /// Whether [`enable_tracing`](Telemetry::enable_tracing) happened.
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.ring.get().is_some()
-    }
-
     /// Turns on tail-sampled span-tree retention (see [`TraceStore`]).
     /// Requires (and implies nothing about) tracing: enable both to get
     /// trees. Returns `false` if a store was already installed.

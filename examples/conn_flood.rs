@@ -18,7 +18,6 @@
 use mbd::core::{ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{RdsClient, ServerHealth, TcpDuplex, TcpServer, TcpServerConfig};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DEFAULT_CONNS: usize = 3000;
@@ -55,17 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let local = match &external {
         Some(_) => None,
         None => {
-            let process = ElasticProcess::new(ElasticConfig::default());
-            let server = Arc::new(MbdServer::open(process.clone()));
-            let config = TcpServerConfig {
-                workers: 4,
-                max_connections: conns + 64,
-                telemetry: process.telemetry().clone(),
-                ..Default::default()
-            };
-            Some(TcpServer::spawn_with("127.0.0.1:0", config, move |bytes| {
-                server.process_request(bytes)
-            })?)
+            let server = MbdServer::open(ElasticProcess::new(ElasticConfig::default()));
+            let config =
+                TcpServerConfig { workers: 4, max_connections: conns + 64, ..Default::default() };
+            Some(TcpServer::spawn_with("127.0.0.1:0", config, server)?)
         }
     };
     let addr = match (&external, &local) {

@@ -20,7 +20,6 @@
 use ber::BerValue;
 use mbd::core::{DpiAccountRow, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{DpiId, ErrorCode, RdsClient, RdsError, TcpDuplex, TcpServer};
-use std::sync::Arc;
 
 const COUNTER: &str = r#"
 var total = 0;
@@ -36,8 +35,7 @@ fn peak() { return watermark; }
 "#;
 
 fn spawn_server(process: &ElasticProcess) -> Result<TcpServer, RdsError> {
-    let server = Arc::new(MbdServer::open(process.clone()));
-    TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes))
+    TcpServer::spawn("127.0.0.1:0", MbdServer::open(process.clone()))
 }
 
 fn account_of(process: &ElasticProcess, dpi: DpiId) -> Option<DpiAccountRow> {

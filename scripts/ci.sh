@@ -458,11 +458,24 @@ echo "idle smoke ok: $IDLE_THREADS threads, $IDLE_RATE voluntary context switche
 echo "==> size ledger: no tracked size grew without a reason in SIZE.json"
 scripts/size.sh --check "$IDLE_THREADS"
 
+# The tests make their state directories under TMPDIR: a private one
+# shows whether a passing run leaves any behind.
+TEST_TMP="$(mktemp -d)"
+
 echo "==> cargo test (tier-1: root package)"
-cargo test -q
+TMPDIR="$TEST_TMP" cargo test -q
 
 echo "==> cargo test --workspace"
-cargo test --workspace -q
+TMPDIR="$TEST_TMP" cargo test --workspace -q
+
+echo "==> test temp dir: the tests removed everything they made"
+LEFT="$(ls -A "$TEST_TMP")"
+[ -z "$LEFT" ] || {
+    echo "ci FAILED: the tests left these in TMPDIR ($TEST_TMP):"
+    echo "$LEFT"
+    exit 1
+}
+rmdir "$TEST_TMP"
 
 echo "==> clean tree: the run left the working tree as it found it"
 # Both sides through `echo`: a clean tree's empty status must compare

@@ -6,7 +6,7 @@
 //!            [--journal PATH] [--workers N] [--max-conns N]
 //!            [--profile-sample N] [--slow-ms MS] [--history-cap N]
 //!            [--max-invocations N] [--alert RULE]...
-//!            [--state-dir DIR] [--snapshot-every SECS] [--fsync-every N]
+//!            [--state-dir DIR] [--snapshot-every SECS]
 //! ```
 //!
 //! With `--state-dir DIR` the delegation state is **durable** (see
@@ -21,11 +21,9 @@
 //! VM globals, accounting and lifecycle state intact — exactly as the
 //! crash left them. A terminated dpi leaves the table at terminate and
 //! stays gone across restarts; its `lifecycle.terminate` journal
-//! record, with its final account totals, is what remains of it.
-//! `--fsync-every N` wakes the flusher once N records are staged (it
-//! also flushes every 10 ms and once a second); 1 wakes it for every
-//! record, which narrows the loss window but still does not make a
-//! response wait for its record.
+//! record, with its final account totals, is what remains of it. The
+//! flusher wakes every 10 ms and whenever a batch of
+//! `durable::DEFAULT_FSYNC_EVERY` records is staged.
 //!
 //! With `--demo-mib` the server's MIB is pre-populated with the MIB-II
 //! subset, the concentrator counters and a 100-row ATM VC table, so
@@ -97,12 +95,14 @@
 //! request backlog runs at its `TcpServerConfig` default; the
 //! per-connection window, the frame and drain deadlines and the
 //! per-principal duplicate-suppression cache are fixed constants of
-//! the reactor and of `MbdServer`.
+//! the reactor and of `MbdServer`. The transport serves the
+//! `MbdServer` itself, so `--key` signs its `Busy` frames too, it
+//! records into the process's telemetry domain, and every shed and
+//! survived handler panic is journaled (principal `server`).
 
 use mbd::core::{AuditRecord, ElasticConfig, ElasticProcess, MbdServer};
 use mbd::rds::{TcpServer, TcpServerConfig};
 use std::io::Write;
-use std::sync::Arc;
 
 /// Minimal JSON string escaping for journal fields (quotes, backslashes
 /// and control characters; everything else passes through).
@@ -168,7 +168,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut max_invocations: Option<u64> = None;
     let mut state_dir: Option<String> = None;
     let mut snapshot_every: u64 = 30;
-    let mut fsync_every: usize = mbd::core::durable::DEFAULT_FSYNC_EVERY;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -229,13 +228,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 snapshot_every =
                     args.next().ok_or("--snapshot-every needs seconds (0 = off)")?.parse()?;
             }
-            "--fsync-every" => {
-                fsync_every = args
-                    .next()
-                    .ok_or("--fsync-every needs a record count (1 = every record)")?
-                    .parse::<usize>()?
-                    .max(1);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: mbd-server [--listen ADDR] [--key SECRET] [--demo-mib] \
@@ -243,7 +235,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                      [--workers N] [--max-conns N] [--profile-sample N] [--slow-ms MS] \
                      [--history-cap N] [--max-invocations N] \
                      [--alert 'METRIC(>|<)THRESHOLD[@WINDOWs][:for=N][,clear=M]']... \
-                     [--state-dir DIR] [--snapshot-every SECS] [--fsync-every N]"
+                     [--state-dir DIR] [--snapshot-every SECS]"
                 );
                 return Ok(());
             }
@@ -288,7 +280,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // request: recovery replays the previous incarnation's state, and
     // every operation after this point is WAL-logged.
     if let Some(dir) = &state_dir {
-        let report = process.attach_durability(std::path::Path::new(dir), fsync_every)?;
+        let report = process.attach_durability(
+            std::path::Path::new(dir),
+            mbd::core::durable::DEFAULT_FSYNC_EVERY,
+        )?;
         println!(
             "durable state in {dir}: recovered {} dpi(s) ({} program(s), {} WAL record(s), \
              {} abandoned, {} torn byte(s) discarded) in {} ms [trace {:016x}]",
@@ -302,69 +297,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let authenticated = key.is_some();
-    let server = Arc::new(MbdServer::with_policy(
-        process.clone(),
-        mbd_auth::Acl::allow_by_default(),
-        key.clone(),
-    ));
-
-    // The transport records into the process's telemetry domain, so one
-    // snapshot (and one OCP subtree) covers rds.tcp.*, rds.verb.* and
-    // the ep.* runtime metrics together.
-    let tcp = {
-        let server = Arc::clone(&server);
-        // A connection handler that panics (and is survived by the
-        // transport) leaves an audit trail too.
-        let panic_process = process.clone();
-        let shed_process = process.clone();
-        let config = TcpServerConfig {
-            workers,
-            max_connections,
-            telemetry: process.telemetry().clone(),
-            // A keyed server sheds with a keyed Busy frame (under the
-            // shed request's own id) so retrying clients can verify the
-            // digest before backing off.
-            key,
-            on_panic: Some(Arc::new(move || {
-                panic_process.journal().record(
-                    panic_process.ticks(),
-                    0,
-                    "server",
-                    "panic",
-                    0,
-                    false,
-                    "connection handler panicked; connection dropped",
-                );
-                // Flight recorder: a panic is always worth a snapshot of
-                // the span stream that led up to it.
-                panic_process.telemetry().flight_freeze(0, "handler panic");
-            })),
-            on_shed: Some(Arc::new(move || {
-                shed_process.journal().record(
-                    shed_process.ticks(),
-                    0,
-                    "server",
-                    "shed",
-                    0,
-                    false,
-                    "execution tier saturated; request shed with Busy",
-                );
-                // Freeze on the first shed of a burst (and every 256th
-                // after): one snapshot per overload episode, not one per
-                // shed request.
-                static SHEDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                if SHEDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed).is_multiple_of(256) {
-                    shed_process.telemetry().flight_freeze(0, "shed burst");
-                }
-            })),
-            ..defaults
-        };
-        // The reactor holds one fd per open connection; lift the
-        // process's descriptor ceiling toward --max-conns (best-effort —
-        // headroom covers the listener, waker pipe and journal).
-        mbd::rds::reactor::raise_nofile_limit(max_connections as u64 + 512);
-        TcpServer::spawn_with(listen.as_str(), config, move |bytes| server.process_request(bytes))?
-    };
+    let server = MbdServer::with_policy(process.clone(), mbd_auth::Acl::allow_by_default(), key);
+    // The reactor holds one fd per open connection; lift the process's
+    // descriptor ceiling toward --max-conns (best-effort — headroom
+    // covers the listener, waker pipe and journal).
+    mbd::rds::reactor::raise_nofile_limit(max_connections as u64 + 512);
+    let config = TcpServerConfig { workers, max_connections, ..defaults };
+    let tcp = TcpServer::spawn_with(listen.as_str(), config, server)?;
     println!(
         "mbd-server listening on {} (auth: {}, {} workers, max-conns {})",
         tcp.local_addr(),
@@ -413,9 +352,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         process.advance_ticks(100);
         let edges = process.telemetry().sample_and_evaluate();
         ocp.refresh();
-        // Durability housekeeping: flush any batched WAL tail once a
-        // second (bounding data-at-risk to ~1 s of operations even with
-        // a large --fsync-every), and snapshot + truncate on cadence.
+        // Durability housekeeping: a once-a-second flush (the fallback
+        // should the flusher thread have failed to spawn), and snapshot +
+        // truncate on cadence.
         if state_dir.is_some() {
             process.durable_sync();
             if snapshot_every > 0 && seconds.is_multiple_of(snapshot_every) {

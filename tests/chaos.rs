@@ -122,11 +122,7 @@ proptest! {
 /// completion. Every seed must still produce exactly-once effects.
 fn run_pipelined_workflow(seed: u64) {
     let process = ElasticProcess::new(ElasticConfig::default());
-    let server = Arc::new(MbdServer::open(process.clone()));
-    let tcp = {
-        let server = Arc::clone(&server);
-        TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap()
-    };
+    let tcp = TcpServer::spawn("127.0.0.1:0", MbdServer::open(process.clone())).unwrap();
     let duplex = FaultDuplex::new(
         TcpDuplex::connect(tcp.local_addr()).unwrap(),
         seed,

@@ -711,6 +711,9 @@ fn verbs_racing_snapshots_recover_to_the_live_state() {
             (recovered.list_programs(), recovered.list_instances(), recovered.live_instances());
         assert_eq!(got, live);
         assert_eq!(image(&recovered, &copy), live_image);
+        // Both state directories go before `done`: once it is sent the
+        // test binary may exit without running this thread's drops.
+        drop((recovered, copy, dir));
         done.send(()).unwrap();
     });
     // A panic above drops `done` (Disconnected); a deadlock times out.

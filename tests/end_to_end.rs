@@ -78,8 +78,7 @@ fn authenticated_manager_and_server_interoperate() {
 fn threaded_server_supports_concurrent_managers() {
     let process = ElasticProcess::new(ElasticConfig::default());
     process.delegate("counter", "var n = 0; fn bump() { n = n + 1; return n; }").unwrap();
-    let server = Arc::new(MbdServer::open(process));
-    let tcp = TcpServer::spawn("127.0.0.1:0", move |bytes| server.process_request(bytes)).unwrap();
+    let tcp = TcpServer::spawn("127.0.0.1:0", MbdServer::open(process)).unwrap();
 
     let shared = Arc::new(RdsClient::new(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr"));
     let dpi = shared.instantiate("counter").unwrap();

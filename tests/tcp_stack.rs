@@ -11,18 +11,13 @@ use mbd::rds::{
     TcpDuplex, TcpServer, TcpServerConfig,
 };
 use mbd_auth::Principal;
-use std::sync::Arc;
 
 fn spawn_server_with(config: ElasticConfig, key: Option<Vec<u8>>) -> (TcpServer, ElasticProcess) {
     let process = ElasticProcess::new(config);
     mbd::snmp::mib2::install_system(process.mib(), "tcp device", "tcp1").unwrap();
-    let server =
-        Arc::new(MbdServer::with_policy(process.clone(), mbd_auth::Acl::allow_by_default(), key));
+    let server = MbdServer::with_policy(process.clone(), mbd_auth::Acl::allow_by_default(), key);
     // The transport records into the process's domain, as in mbd-server.
-    let config = TcpServerConfig { telemetry: process.telemetry().clone(), ..Default::default() };
-    let tcp =
-        TcpServer::spawn_with("127.0.0.1:0", config, move |bytes| server.process_request(bytes))
-            .unwrap();
+    let tcp = TcpServer::spawn("127.0.0.1:0", server).unwrap();
     (tcp, process)
 }
 
@@ -171,7 +166,7 @@ fn read_profile_returns_the_full_waterfall_for_a_slow_request() {
     };
     let root = find("rds.request");
     let conn_read = find("rds.conn.read");
-    let queue_wait = find("rds.conn.queue_wait");
+    let queue_wait = find("rds.tcp.queue_wait");
     let decode = find("rds.decode");
     let verb = find("rds.verb.invoke");
     let ep_invoke = find("ep.invoke");
@@ -608,4 +603,79 @@ fn hundreds_of_idle_connections_do_not_starve_active_ones() {
         begin.elapsed()
     );
     drop(idle);
+}
+
+#[test]
+fn a_keyed_mbd_server_sheds_with_signed_busy_frames_and_journals_the_burst() {
+    // One worker, a one-deep queue, and the key given to the RDS server
+    // only: the transport signs its sheds with it, journals them and
+    // freezes the flight recorder.
+    const KEY: &[u8] = b"shed-secret";
+    let process = ElasticProcess::new(ElasticConfig::default());
+    process.telemetry().enable_tracing(1024);
+    process.telemetry().enable_trace_store(mbd::telemetry::TraceStoreConfig::default());
+    let server = MbdServer::with_policy(
+        process.clone(),
+        mbd_auth::Acl::allow_by_default(),
+        Some(KEY.to_vec()),
+    );
+    let config = TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() };
+    let tcp = TcpServer::spawn_with("127.0.0.1:0", config, server).unwrap();
+    let client =
+        RdsClient::with_key(TcpDuplex::connect(tcp.local_addr()).unwrap(), "mgr", KEY.to_vec());
+    client
+        .delegate("spin", "fn main(n) { var i = 0; while (i < n) { i = i + 1; } return i; }")
+        .unwrap();
+    let dpi = client.instantiate("spin").unwrap();
+
+    // A slow invoke holds the worker while a pipelined burst overflows
+    // the queue behind it.
+    let duplex = TcpDuplex::connect(tcp.local_addr()).unwrap();
+    let mut pipe = RdsPipeline::with_key(duplex, "burst", KEY.to_vec()).with_window(8);
+    let args = vec![BerValue::Integer(50_000)];
+    pipe.submit(&RdsRequest::Invoke { dpi, entry: "main".to_string(), args });
+    for _ in 0..6 {
+        pipe.submit(&RdsRequest::ListPrograms);
+    }
+    let results = pipe.drain();
+    let busy = results
+        .iter()
+        .filter(|(_, r)| matches!(r, Err(RdsError::Remote { code: ErrorCode::Busy, .. })))
+        .count();
+    assert!(busy > 0, "the burst was not shed: {results:?}");
+    assert!(
+        results
+            .iter()
+            .all(|(_, r)| r.is_ok()
+                || matches!(r, Err(RdsError::Remote { code: ErrorCode::Busy, .. }))),
+        "a shed reply failed its digest check: {results:?}"
+    );
+    let sheds = tcp.sheds();
+    assert_eq!(sheds, busy as u64);
+    tcp.shutdown();
+
+    let journal = process.journal().tail(0);
+    let shed = journal.iter().find(|r| r.verb == "shed").expect("the shed is journaled");
+    assert_eq!(
+        (shed.principal.as_str(), shed.trace_id, shed.dpi, shed.ok),
+        ("server", 0, 0, false)
+    );
+    assert_eq!(shed.detail, "execution tier saturated; request shed with Busy");
+    let trees = process.telemetry().trace_store().unwrap().trees();
+    assert!(
+        trees.iter().any(|t| t.kept == mbd::telemetry::Keep::Frozen && t.reason == "shed burst"),
+        "no frozen shed-burst tree"
+    );
+    // One queue-wait record per request a worker served, and no second
+    // timer for the same interval.
+    let snap = process.telemetry().snapshot();
+    let served = 2 + results.len() as u64 - sheds;
+    assert_eq!(snap.histogram("rds.tcp.queue_wait").unwrap().count(), served);
+    let queue_waits: Vec<&str> = snap
+        .histograms
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| name.ends_with("queue_wait"))
+        .collect();
+    assert_eq!(queue_waits, ["rds.tcp.queue_wait"]);
 }

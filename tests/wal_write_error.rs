@@ -1,6 +1,8 @@
 //! A failed WAL write loses nothing: the flusher journals it, the file
 //! is cut back to its last whole record, and the batch is written ahead
-//! of everything staged since, once the disk takes writes again.
+//! of everything staged since, once the disk takes writes again. The
+//! journal hears of the episode twice, however long it lasts: one
+//! `wal.error` at the first failure and one `wal.recovered` after it.
 //!
 //! The failure is a real `write(2)` error: the test lowers its own
 //! process's file-size limit (`RLIMIT_FSIZE`) just past the log's end,
@@ -99,6 +101,11 @@ fn a_failed_wal_write_keeps_its_batch_and_every_record_after_it() {
         std::thread::sleep(Duration::from_millis(5));
     };
     assert!(!error.ok);
+    // Twenty-five flusher periods of refused writes, records staged
+    // throughout: still one journal line.
+    std::thread::sleep(Duration::from_millis(250));
+    let count = |verb: &str| process.journal().since(0).iter().filter(|r| r.verb == verb).count();
+    assert_eq!(count("wal.error"), 1, "one wal.error per failure episode");
     let durable = process.durability().unwrap();
     let len = durable.with_wal_locked(|_| std::fs::metadata(&wal_path).unwrap().len());
     assert_eq!(len, whole, "the torn write is cut off");
@@ -107,6 +114,14 @@ fn a_failed_wal_write_keeps_its_batch_and_every_record_after_it() {
     }
     drop(limit);
     process.durable_sync();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while count("wal.recovered") == 0 {
+        assert!(Instant::now() < deadline, "no wal.recovered after the disk took writes again");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(count("wal.recovered"), 1);
+    assert_eq!(count("wal.error"), 1);
 
     let scan = wal::scan_file(&wal_path).unwrap();
     assert_eq!(scan.torn_bytes, 0);
