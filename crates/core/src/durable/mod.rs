@@ -85,9 +85,10 @@ pub struct Durability {
     staged_count: AtomicU64,
     /// Staged records that trigger an eager flush wake-up.
     fsync_every: usize,
-    /// Flushes failed since the last one that succeeded: the embedding
-    /// process journals a failure episode once, not once per attempt.
-    pub(crate) failed_flushes: AtomicU64,
+    /// Flushes failed since the last one that succeeded, changed only
+    /// under the WAL lock, so concurrent flushes open and close failure
+    /// episodes in the order their writes happened.
+    failed_flushes: AtomicU64,
     /// A second handle to the WAL's open file description, so fsync
     /// runs without the WAL lock.
     sync_handle: File,
@@ -174,30 +175,57 @@ impl Durability {
     /// drain happens under the WAL lock, so batches land in staging
     /// order.
     ///
+    /// `episode` is called, still under the WAL lock, when this flush
+    /// opens a failure episode (`Err`: the first failure since the last
+    /// success) or closes one (`Ok`: the number of failed attempts this
+    /// success ends); a caller that reports from it reports episodes in
+    /// the order they happened, once each.
+    ///
     /// # Errors
     ///
     /// I/O errors from the write or the fsync. A batch whose write
     /// failed goes back to the front of the staging buffer, tags and
     /// all, so the next flush writes it ahead of what was staged since,
     /// and a snapshot's cut still applies to it.
-    pub fn flush(&self) -> io::Result<Option<(Instant, Instant)>> {
-        let pending = self.with_wal_locked(|w| -> io::Result<usize> {
-            let batch = std::mem::take(&mut *self.staged.lock());
-            if !batch.tags.is_empty() {
-                if let Err(e) = w.append_batch(&batch.bytes, batch.tags.len()) {
-                    self.put_back(batch);
-                    return Err(e);
+    pub fn flush(
+        &self,
+        episode: impl FnOnce(Result<u64, &io::Error>),
+    ) -> io::Result<Option<(Instant, Instant)>> {
+        let mut wal = self.wal.lock();
+        let batch = std::mem::take(&mut *self.staged.lock());
+        if !batch.tags.is_empty() {
+            if let Err(e) = wal.append_batch(&batch.bytes, batch.tags.len()) {
+                self.put_back(batch);
+                if self.failed_flushes.fetch_add(1, Ordering::Relaxed) == 0 {
+                    episode(Err(&e));
                 }
+                return Err(e);
             }
-            Ok(w.unsynced())
-        })?;
+        }
+        let pending = wal.unsynced();
+        drop(wal);
         if pending == 0 {
             return Ok(None);
         }
         let start = Instant::now();
-        self.sync_handle.sync_data()?;
-        self.with_wal_locked(|w| w.mark_synced(pending));
-        Ok(Some((start, Instant::now())))
+        let synced = self.sync_handle.sync_data();
+        let mut wal = self.wal.lock();
+        match synced {
+            Ok(()) => {
+                wal.mark_synced(pending);
+                let failed = self.failed_flushes.swap(0, Ordering::Relaxed);
+                if failed > 0 {
+                    episode(Ok(failed));
+                }
+                Ok(Some((start, Instant::now())))
+            }
+            Err(e) => {
+                if self.failed_flushes.fetch_add(1, Ordering::Relaxed) == 0 {
+                    episode(Err(&e));
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Wakes the flusher thread: a group commit is due.

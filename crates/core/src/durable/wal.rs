@@ -433,7 +433,7 @@ mod tests {
             durable.stage(&frame(&encode_entry(&entry)), None);
         }
         // One bulk `append_batch` of the staged frames, then the fsync.
-        assert!(durable.flush().unwrap().is_some(), "the staged batch is written and synced");
+        assert!(durable.flush(|_| {}).unwrap().is_some(), "the staged batch is written and synced");
         assert_eq!(durable.with_wal_locked(|w| w.unsynced()), 0);
         let scan = scan_file(&durable.wal_path()).unwrap();
         assert_eq!(scan.entries, sample_entries());

@@ -337,22 +337,16 @@ impl ElasticProcess {
     /// records. A no-op when durability is off or nothing is pending.
     pub fn durable_sync(&self) {
         let Some(durable) = self.durability() else { return };
-        match durable.flush() {
-            Ok(Some((start, end))) => {
-                self.inner.metrics.wal_fsyncs.inc();
-                self.inner.metrics.wal_fsync.record_interval(start, end);
-                let failed = durable.failed_flushes.swap(0, Ordering::Relaxed);
-                if failed > 0 {
-                    let detail = format!("after {failed} failed flush attempt(s)");
-                    self.journal_event("wal.recovered", DpiId(0), true, &detail);
-                }
+        let flushed = durable.flush(|episode| match episode {
+            Err(e) => self.journal_event("wal.error", DpiId(0), false, &e.to_string()),
+            Ok(failed) => {
+                let detail = format!("after {failed} failed flush attempt(s)");
+                self.journal_event("wal.recovered", DpiId(0), true, &detail);
             }
-            Ok(None) => {}
-            Err(e) => {
-                if durable.failed_flushes.fetch_add(1, Ordering::Relaxed) == 0 {
-                    self.journal_event("wal.error", DpiId(0), false, &e.to_string());
-                }
-            }
+        });
+        if let Ok(Some((start, end))) = flushed {
+            self.inner.metrics.wal_fsyncs.inc();
+            self.inner.metrics.wal_fsync.record_interval(start, end);
         }
     }
 

@@ -480,23 +480,21 @@ mod tests {
     fn busy_sheds_are_retried_with_identical_frames() {
         // One worker, one queue slot: a window of 6 slow requests
         // guarantees sheds. With retries enabled every request must
-        // still complete exactly once — keyed too, where the server
-        // signs its Busy frames with its own key.
-        for key in [None, Some(b"secret".to_vec())] {
-            let server = TcpServer::spawn_with(
-                "127.0.0.1:0",
-                TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() },
-                RdsServer::with_policy(
-                    |_p: &Principal, _req: RdsRequest| {
-                        std::thread::sleep(Duration::from_millis(20));
-                        RdsResponse::Ok
-                    },
-                    mbd_auth::Acl::allow_by_default(),
-                    key.clone(),
-                    &Telemetry::new(),
-                ),
+        // still complete exactly once — keyed too, whether the server
+        // signs its Busy frames with its own key or a closure in front
+        // of it leaves the transport to shed unsigned.
+        fn slow(key: Option<Vec<u8>>) -> RdsServer<impl crate::RdsHandler> {
+            RdsServer::with_policy(
+                |_p: &Principal, _req: RdsRequest| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    RdsResponse::Ok
+                },
+                mbd_auth::Acl::allow_by_default(),
+                key,
+                &Telemetry::new(),
             )
-            .unwrap();
+        }
+        fn retried_to_completion(server: TcpServer, key: Option<Vec<u8>>) {
             let duplex = TcpDuplex::connect(server.local_addr()).unwrap();
             let mut pipe = match key {
                 Some(k) => RdsPipeline::with_key(duplex, "mgr", k),
@@ -521,6 +519,16 @@ mod tests {
             assert!(pipe.retries() >= server.sheds(), "every shed was retried");
             server.shutdown();
         }
+        let tiny = || TcpServerConfig { workers: 1, backlog: 1, ..TcpServerConfig::default() };
+        let secret = Some(b"secret".to_vec());
+        for key in [None, secret.clone()] {
+            let server = TcpServer::spawn_with("127.0.0.1:0", tiny(), slow(key.clone())).unwrap();
+            retried_to_completion(server, key);
+        }
+        let rds = slow(secret.clone());
+        let server =
+            TcpServer::spawn_with("127.0.0.1:0", tiny(), move |b: &[u8]| rds.process(b)).unwrap();
+        retried_to_completion(server, secret);
     }
 
     #[test]

@@ -268,6 +268,13 @@ impl<H: RdsHandler> RdsServer<H> {
             Ok(parts) => parts,
             Err(e) => {
                 t.decode.record_interval(decode_start, decode_end);
+                // No trace to stitch the stamps under, but the frame was
+                // read and waited for a worker all the same.
+                if let Some(a) = arrival {
+                    t.conn_read
+                        .record_duration(a.recv_done.saturating_duration_since(a.recv_start));
+                    t.queue_wait.record_duration(a.dequeued.saturating_duration_since(a.enqueued));
+                }
                 return self.decode_failure(bytes, &e);
             }
         };

@@ -476,12 +476,25 @@ mod tests {
     #[test]
     fn shared_telemetry_sees_transport_metrics() {
         let tel = Telemetry::new();
-        let server =
-            TcpServer::spawn("127.0.0.1:0", recording_server(Recording::default(), None, &tel))
-                .unwrap();
+        let key = b"k".as_slice();
+        let server = TcpServer::spawn(
+            "127.0.0.1:0",
+            recording_server(Recording::default(), Some(key), &tel),
+        )
+        .unwrap();
         let mut t = TcpStream::connect(server.local_addr()).unwrap();
-        exchange(&mut t, &frame(&RdsRequest::ListPrograms, 1)).unwrap();
-        exchange(&mut t, &frame(&RdsRequest::ListPrograms, 2)).unwrap();
+        let signed = |id| {
+            codec::encode_request(&RdsRequest::ListPrograms, &Principal::new("m"), id, Some(key))
+        };
+        exchange(&mut t, &signed(1)).unwrap();
+        exchange(&mut t, &signed(2)).unwrap();
+        // An unsigned frame fails the digest check, yet it was read and
+        // it waited for a worker like any other.
+        let reply = exchange(&mut t, &frame(&RdsRequest::ListPrograms, 3)).unwrap();
+        assert!(matches!(
+            codec::decode_response(&reply, Some(key)),
+            Ok((RdsResponse::Error { code: ErrorCode::AuthFailed, .. }, 0))
+        ));
         // The handle's accessors read the same handles the snapshot does.
         let snap = tel.snapshot();
         assert_eq!(snap.gauge("rds.tcp.active_connections"), Some(1));
@@ -493,9 +506,9 @@ mod tests {
         let snap = tel.snapshot();
         // queue_wait is per *request* (execution-tier wait), not per
         // connection; the RDS server records it from each frame's
-        // arrival stamps.
-        assert_eq!(snap.histogram("rds.tcp.queue_wait").unwrap().count(), 2);
-        assert_eq!(snap.histogram("rds.conn.read").unwrap().count(), 2);
+        // arrival stamps, the frame that failed to decode included.
+        assert_eq!(snap.histogram("rds.tcp.queue_wait").unwrap().count(), 3);
+        assert_eq!(snap.histogram("rds.conn.read").unwrap().count(), 3);
         assert_eq!(snap.counter("rds.tcp.handler_panics"), Some(0));
         assert_eq!(snap.counter("rds.shed"), Some(0));
         // Every socket is closed, so no connection is active.
